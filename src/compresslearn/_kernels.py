@@ -9,6 +9,10 @@ compare the two backends.
 Integer-valued kernels return bit-identical results on both backends.  The
 float kernels may differ in the last ulp because summation order differs;
 callers must not rely on cross-backend bitwise identity.
+
+``pairwise_greater_fraction`` fills only the strict upper triangle
+(``i < j``) of its output, on both backends, and is bit-identical across
+them: each entry is an integer count divided by the column count.
 """
 
 from __future__ import annotations
@@ -200,11 +204,9 @@ def first_occupants(cells, n_cells):
 def pairwise_greater_fraction_np(values: np.ndarray) -> np.ndarray:
     m, n = values.shape
     out = np.zeros((m, m))
-    block = max(1, int(2e7) // max(n, 1))
-    for lo in range(0, m, block):
-        hi = min(m, lo + block)
-        cmp = values[lo:hi, None, :] > values[None, :, :]
-        out[lo:hi] = cmp.mean(axis=2)
+    for i in range(m):
+        for j in range(i + 1, m):
+            out[i, j] = np.count_nonzero(values[i] > values[j]) / n
     return out
 
 
@@ -214,23 +216,22 @@ def pairwise_greater_fraction_nb(values):  # pragma: no cover - jitted
     out = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            ci = 0
-            cj = 0
+            count = 0
             for t in range(n):
                 if values[i, t] > values[j, t]:
-                    ci += 1
-                elif values[j, t] > values[i, t]:
-                    cj += 1
-            out[i, j] = ci / n
-            out[j, i] = cj / n
+                    count += 1
+            out[i, j] = count / n
     return out
 
 
 def pairwise_greater_fraction(values):
-    """For rows i, j: fraction of columns where ``values[i] > values[j]``.
+    """Strict upper triangle of the pairwise win fractions.
 
-    Ties count for neither side (strict inequality) on both backends, and
-    the diagonal is zero.
+    For ``i < j``, ``out[i, j]`` is the fraction of columns where
+    ``values[i] > values[j]``; ties count for neither side (strict
+    inequality) on both backends.  The diagonal and everything below it
+    are zero: the Scheffe tournament only reads pairs with ``i < j``.
+    Beyond the output, the numpy twin holds one ``n``-element temporary.
     """
     values = np.ascontiguousarray(values)
     if USE_NUMBA:

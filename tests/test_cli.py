@@ -83,6 +83,23 @@ def test_learn_writes_result(tmp_path, capsys):
     assert rec["selection"]["strategy"] == "closed_form_1d"
 
 
+def test_learn_readme_command(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"type": "gaussian", "mean": [1.5],
+                                  "cov": [[4.0]]}))
+    out = tmp_path / "result.json"
+    code = learn_main([
+        "--target", str(target), "--scheme", "g1d", "--eps", "0.2",
+        "--delta", "0.1", "--budget", "2000", "--seed", "7",
+        "--out", str(out)])
+    assert code == 0
+    rec = json.loads(out.read_text())
+    assert rec["budget"] == 2000
+    assert rec["candidate_count"] <= 2000
+    assert rec["selection"]["strategy"] == "closed_form_1d"
+    assert rec["tv_to_target"] <= 0.2
+
+
 def test_learn_mixture_scheme(tmp_path):
     target = json.dumps({
         "type": "mixture", "weights": [0.5, 0.5],

@@ -97,3 +97,12 @@ def test_pairwise_greater_fraction_twins_agree(rng):
         _kernels.pairwise_greater_fraction(values),
         _kernels.pairwise_greater_fraction_np(values),
         rtol=0, atol=1e-15)
+
+
+def test_pairwise_greater_fraction_fills_strict_upper_triangle(rng):
+    values = rng.integers(0, 3, size=(7, 30)).astype(float)  # many ties
+    out = _kernels.pairwise_greater_fraction(values)
+    for i in range(7):
+        for j in range(7):
+            want = (values[i] > values[j]).mean() if i < j else 0.0
+            assert out[i, j] == want

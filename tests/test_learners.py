@@ -1,19 +1,26 @@
 """Selection tournament, the compression reduction, and direct learners."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from compresslearn import (CandidateSet, Gaussian, LabeledSample, Mixture,
                            ValidationError, agnostic_sample_size,
                            compression_sample_size, efficient_sample_size,
                            holdout_size, learn_from_compression,
                            learn_gaussian_efficient, learn_mixture_agnostic,
-                           sample, select_candidate, tv_1d)
+                           log_density, sample, select_candidate, tv_1d)
 from compresslearn.compression import (CompressionMessage, Codec, SCHEME_G1D,
                                        SchemeSpec, g1d_codec)
-from compresslearn.learners import _boost_rounds
+from compresslearn.learners import _boost_rounds, _closed_form_1d
 
 from helpers import encode_with_retries
 
@@ -127,6 +134,187 @@ def test_select_candidate_tournament_wins_shape():
     assert res.index == 0
     assert len(res.scheffe_wins) == 4
     assert max(res.scheffe_wins) == res.scheffe_wins[0]
+
+
+def _all_pairs_fractions(cands, points):
+    """Reference: strict comparison of the stored holdout log densities."""
+    ld = np.stack([log_density(c, points) for c in cands])
+    i_idx, j_idx = np.triu_indices(len(cands), 1)
+    return np.array([(ld[i] > ld[j]).mean() for i, j in zip(i_idx, j_idx)])
+
+
+def _reference_region(gi, gj):
+    """Scalar region intervals of ``{f_i > f_j}`` for 1-D Gaussians."""
+    mi, si2 = float(gi.mean[0]), float(gi.cov[0, 0])
+    mj, sj2 = float(gj.mean[0]), float(gj.cov[0, 0])
+    inf = math.inf
+    a = 0.5 / sj2 - 0.5 / si2
+    b = mi / si2 - mj / sj2
+    c = mj * mj / (2.0 * sj2) - mi * mi / (2.0 * si2) \
+        + 0.5 * math.log(sj2 / si2)
+    if a == 0.0:
+        if b == 0.0:
+            return [(-inf, inf)] if c > 0.0 else []
+        root = -c / b
+        return [(root, inf)] if b > 0.0 else [(-inf, root)]
+    disc = b * b - 4.0 * a * c
+    if disc <= 0.0:
+        return [(-inf, inf)] if a > 0.0 else []
+    sq = math.sqrt(disc)
+    r1, r2 = sorted(((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)))
+    if a > 0.0:
+        return [(-inf, r1), (r2, inf)]
+    return [(r1, r2)]
+
+
+def _reference_mass(g, intervals):
+    mu = float(g.mean[0])
+    sd = math.sqrt(float(g.cov[0, 0]))
+    total = 0.0
+    for lo, hi in intervals:
+        total += float(ndtr((hi - mu) / sd)) - float(ndtr((lo - mu) / sd))
+    return min(1.0, max(0.0, total))
+
+
+def _reference_select(cands, points):
+    """The per-pair closed-form tournament over all-pairs fractions.
+
+    Returns the winner, the win vector and both region masses per pair.
+    """
+    emp = _all_pairs_fractions(cands, points)
+    wins = np.zeros(len(cands), dtype=np.int64)
+    masses = []
+    for k, (i, j) in enumerate(zip(*np.triu_indices(len(cands), 1))):
+        region = _reference_region(cands[i], cands[j])
+        p_i = _reference_mass(cands[i], region)
+        p_j = _reference_mass(cands[j], region)
+        masses.append((p_i, p_j))
+        if abs(p_i - emp[k]) <= abs(p_j - emp[k]):
+            wins[i] += 1
+        else:
+            wins[j] += 1
+    return int(np.argmax(wins)), wins, np.array(masses).T
+
+
+def _root_points(cands):
+    """Every computed region endpoint of every pair, with its neighbours."""
+    out = []
+    for i in range(len(cands)):
+        for j in range(i + 1, len(cands)):
+            for lo, hi in _reference_region(cands[i], cands[j]):
+                for r in (lo, hi):
+                    if math.isfinite(r):
+                        out += [r, np.nextafter(r, -math.inf),
+                                np.nextafter(r, math.inf)]
+    return np.array(out)
+
+
+def _adversarial_sets():
+    rng = np.random.default_rng(72)
+    noise = rng.normal(0.3, 2.0, 300)
+    v = 1.7
+    up = np.nextafter(v, math.inf)
+    sets = {
+        "identical": [Gaussian([0.3], [[v]])] * 3
+        + [Gaussian([-1.0], [[0.4]]), Gaussian([0.3], [[v]])],
+        "equal variances": [Gaussian([m], [[v]])
+                            for m in (-1.0, 0.0, 0.3, 1.0, 2.5)],
+        "equal means": [Gaussian([0.3], [[s]])
+                        for s in (0.5, 1.0, v, 4.0, 9.0)],
+        "far root": [Gaussian([0.3], [[v]]),
+                     Gaussian([0.3 + 1e-3], [[v * (1.0 + 1e-12)]]),
+                     Gaussian([-0.2], [[v * (1.0 - 3e-12)]]),
+                     Gaussian([0.3], [[v * (1.0 + 1e-12)]])],
+        "tangent": [Gaussian([0.3], [[v]]), Gaussian([0.3], [[up]]),
+                    Gaussian([np.nextafter(0.3, 1.0)], [[v]]),
+                    Gaussian([np.nextafter(0.3, 1.0)], [[up]]),
+                    Gaussian([0.3], [[np.nextafter(up, math.inf)]])],
+    }
+    # same mean, variances some 100 ulps apart: the stored comparison is
+    # rounding noise around the means, and the roots are inaccurate
+    ulp_pairs = [(5.157795100673128, 0.09713064544942822, 0.09713064544943001),
+                 (-4.197809853535682, 0.011757967823916847,
+                  0.011757967823921463)]
+    sets["ulp variances"] = [Gaussian([m], [[s]]) for m, s1, s2 in ulp_pairs
+                             for s in (s1, s2)]
+    noise = np.concatenate([noise] + [rng.normal(m, math.sqrt(s1), 300)
+                                      for m, s1, _ in ulp_pairs])
+    sets["mixed"] = [Gaussian([m], [[s]]) for m, s in
+                     zip(rng.normal(0.0, 1.5, 12),
+                         rng.choice([0.5, 1.0, 2.25], 12))]
+    # integers are exact midpoints of the equal-variance pairs
+    return {name: (cands, np.concatenate((noise, np.arange(-3.0, 4.0),
+                                          _root_points(cands)))[:, None])
+            for name, cands in sets.items()}
+
+
+@pytest.mark.parametrize("name", ["identical", "equal variances",
+                                  "equal means", "far root", "tangent",
+                                  "ulp variances", "mixed"])
+def test_closed_form_fractions_match_all_pairs_exactly(name):
+    cands, points = _adversarial_sets()[name]
+    i_idx, j_idx = np.triu_indices(len(cands), 1)
+    p_hat, _, _ = _closed_form_1d(cands, points, i_idx, j_idx)
+    np.testing.assert_array_equal(p_hat, _all_pairs_fractions(cands, points))
+
+
+@pytest.mark.parametrize("seed", [73, 74])
+def test_closed_form_selection_matches_per_pair_reference(seed):
+    rng = np.random.default_rng(seed)
+    target = Gaussian([1.5], [[4.0]])
+    # half on a shared grid of means and scales, as decoded codec
+    # candidates are, and half off it
+    on_grid = rng.random(200) < 0.5
+    means = rng.normal(1.5, 2.0, 200)
+    means = np.where(on_grid, np.round(means, 1), means)
+    scales = np.where(on_grid, rng.choice([0.5, 1.0, 1.5, 2.0, 3.0], 200),
+                      10.0 ** rng.uniform(-0.3, 0.5, 200))
+    cands = [Gaussian([m], [[s * s]]) for m, s in zip(means, scales)]
+    holdout = sample(target, 1500, rng)
+    res = select_candidate(cands, holdout, 0.1, seed=5)
+    index, wins, masses = _reference_select(cands, holdout.points)
+    assert res.strategy == "closed_form_1d"
+    assert res.index == index
+    np.testing.assert_array_equal(res.scheffe_wins, wins)
+    _, p_i, p_j = _closed_form_1d(cands, holdout.points,
+                                  *np.triu_indices(len(cands), 1))
+    np.testing.assert_array_equal(np.stack((p_i, p_j)), masses)
+
+
+README_EXAMPLE = textwrap.dedent("""
+    import json, resource
+    # a regression fails fast with MemoryError instead of swapping the host
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+    import numpy as np
+    import compresslearn as cl
+
+    target = cl.Gaussian([1.5], [[4.0]])
+    codec = cl.codec_for("g1d", target)
+    eps, delta, budget = 0.2, 0.1, 2000
+
+    rng = np.random.default_rng(7)
+    n = cl.compression_sample_size(codec, eps, delta, budget)
+    samp = cl.sample(target, n, rng)
+    result = cl.learn_from_compression(codec, samp, eps, delta, budget, rng)
+    print(json.dumps({
+        "tv": cl.tv_1d(target, result.estimate).value,
+        "strategy": result.selection.strategy,
+        "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+""")
+
+
+def test_readme_example_runs_within_memory():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", README_EXAMPLE],
+                         capture_output=True, text=True, env=env,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    rec = json.loads(out.stdout.splitlines()[-1])
+    assert rec["strategy"] == "closed_form_1d"
+    assert rec["tv"] <= 0.1
+    assert rec["maxrss_kib"] < 1024 * 1024
 
 
 def test_learn_from_compression_exhaustive_space():
