@@ -1,14 +1,29 @@
 """Hot numerical kernels with numba-accelerated and pure-numpy twins.
 
-Every public function here dispatches to an ``@njit`` implementation when
-numba is importable, and to a vectorized numpy twin otherwise.  Setting the
-environment variable ``COMPRESSLEARN_NO_NUMBA=1`` forces the numpy path even
-when numba is installed.  Run ``python -m compresslearn.benchmarks`` to
-compare the two backends.
+Every public dispatcher here (``gauss_logpdf``, ``mixture_logpdf``,
+``hamming_at_least``, ``first_occupants``, ``pairwise_greater_fraction``)
+calls an ``@njit`` implementation when numba is importable, and a
+vectorized numpy twin otherwise.  Setting the environment variable
+``COMPRESSLEARN_NO_NUMBA=1`` forces the numpy path even when numba is
+installed.  Run ``python -m compresslearn.benchmarks`` to compare the two
+backends.
 
 Integer-valued kernels return bit-identical results on both backends.  The
 float kernels may differ in the last ulp because summation order differs;
 callers must not rely on cross-backend bitwise identity.
+
+``gauss_logpdf_many_np`` is the batched log density behind
+``gaussmodels.log_densities`` and ``log_density``; it has no numba twin, so
+those two give the same bits on every backend.  It evaluates many Gaussians
+(or mixtures) on one point set with elementwise numpy ops, summing the
+quadratic form ``y^T A y`` in ``einsum("ij,jk,ik->i")``'s order
+(``q = 0``, then ``q += (y_j * A_jl) * y_l`` with ``j`` outer and ``l``
+inner).  A row therefore does not depend on the rest of the batch, and for
+three or more points it equals the per-Gaussian einsum of numpy 2.4 bit
+for bit.  Its temporaries span tiles of whole candidates by up to
+``LOGPDF_TILE_CELLS`` points, about ``LOGPDF_TILE_CELLS`` cells each, so
+beyond its ``(m, n)`` output it holds ``O(d)`` such tiles.
+``gauss_logpdf_np`` and ``mixture_logpdf_np`` are its one-row cases.
 
 ``pairwise_greater_fraction`` fills only the strict upper triangle
 (``i < j``) of its output, on both backends, and is bit-identical across
@@ -19,6 +34,7 @@ from __future__ import annotations
 
 import math
 import os
+from typing import Optional
 
 import numpy as np
 
@@ -53,13 +69,82 @@ def backend_name() -> str:
 # ---------------------------------------------------------------------------
 # Gaussian log-density
 
+# cells (component rows x points) one tile of the batched log density spans;
+# each temporary of gauss_logpdf_many_np holds at most about this many
+LOGPDF_TILE_CELLS = 1 << 15
+
+
+def gauss_logpdf_many_np(points: np.ndarray, means: np.ndarray,
+                         inv_covs: np.ndarray, log_dets: np.ndarray,
+                         log_weights: Optional[np.ndarray] = None
+                         ) -> np.ndarray:
+    """Log densities of many Gaussians, or many mixtures, at one point set.
+
+    ``means`` ``(r, d)``, ``inv_covs`` ``(r, d, d)`` and ``log_dets``
+    ``(r,)`` describe ``r`` Gaussians.  Without ``log_weights`` the result
+    is ``(r, n)`` and row ``i`` is the log density of Gaussian ``i``.  With
+    ``log_weights`` of shape ``(m, k)`` and ``r = m * k``, row ``i`` of the
+    ``(m, n)`` result is the log density of the mixture of Gaussians
+    ``i*k .. i*k + k - 1`` with those log weights: each component row gets
+    its log weight added, and the row is ``top + log(sum(exp(c - top)))``
+    with ``top`` the largest component and the sum taken in component
+    order.  A ``-inf`` weight pads a mixture with fewer than ``k``
+    components and adds exactly nothing.
+
+    Summation order and tiling are described in the module docstring; a
+    row's bits do not depend on the rest of the batch.
+    """
+    n, d = points.shape
+    rows = means.shape[0]
+    k = 1 if log_weights is None else log_weights.shape[1]
+    m = rows // k
+    out = np.empty((m, n))
+    if n == 0 or m == 0:
+        return out
+    xt = np.ascontiguousarray(points.T)
+    mu = np.ascontiguousarray(means.T)[:, :, None]
+    a = np.ascontiguousarray(inv_covs.transpose(1, 2, 0))[:, :, :, None]
+    const = (d * math.log(2.0 * math.pi) + log_dets)[:, None]
+    if log_weights is not None:
+        log_w = log_weights.reshape(rows, 1)
+    tile = min(n, LOGPDF_TILE_CELLS)
+    block = max(1, LOGPDF_TILE_CELLS // (k * tile))
+    for i0 in range(0, m, block):
+        i1 = min(m, i0 + block)
+        r = slice(i0 * k, i1 * k)
+        for t0 in range(0, n, tile):
+            t1 = min(n, t0 + tile)
+            dest = out[i0:i1, t0:t1]
+            q = dest if log_weights is None \
+                else np.empty((r.stop - r.start, t1 - t0))
+            y = xt[:, None, t0:t1] - mu[:, r]
+            q[...] = 0.0
+            for j in range(d):
+                for l in range(d):
+                    term = y[j] * a[j, l, r]
+                    term *= y[l]
+                    q += term
+            q += const[r]
+            q *= -0.5
+            if log_weights is None:
+                continue
+            # log-sum-exp over each candidate's k component rows, the sum
+            # taken in component order
+            q += log_w[r]
+            comp = q.reshape(i1 - i0, k, t1 - t0)
+            top = comp.max(axis=1)
+            expd = np.exp(comp - top[:, None])
+            total = expd[:, 0].copy()
+            for c in range(1, k):
+                total += expd[:, c]
+            dest[...] = top + np.log(total)
+    return out
+
 
 def gauss_logpdf_np(points: np.ndarray, mean: np.ndarray, inv_cov: np.ndarray,
                     log_det: float) -> np.ndarray:
-    y = points - mean
-    quad = np.einsum("ij,jk,ik->i", y, inv_cov, y)
-    d = points.shape[1]
-    return -0.5 * (d * math.log(2.0 * math.pi) + log_det + quad)
+    return gauss_logpdf_many_np(points, mean[None], inv_cov[None],
+                                np.array([log_det]))[0]
 
 
 @njit(cache=True)
@@ -90,14 +175,8 @@ def gauss_logpdf(points, mean, inv_cov, log_det):
 
 
 def mixture_logpdf_np(points, means, inv_covs, log_dets, log_weights):
-    n = points.shape[0]
-    k = means.shape[0]
-    comp = np.empty((k, n))
-    for c in range(k):
-        comp[c] = log_weights[c] + gauss_logpdf_np(points, means[c], inv_covs[c], log_dets[c])
-    top = comp.max(axis=0)
-    out = top + np.log(np.sum(np.exp(comp - top), axis=0))
-    return out
+    return gauss_logpdf_many_np(points, means, inv_covs, np.asarray(log_dets),
+                                np.asarray(log_weights)[None])[0]
 
 
 @njit(cache=True)

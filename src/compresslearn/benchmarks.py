@@ -4,6 +4,9 @@ Times the pure-numpy implementation against the jitted one for each hot
 kernel (the jitted column reads n/a when numba is unavailable or disabled
 through COMPRESSLEARN_NO_NUMBA).  Jitted functions are warmed up once so
 compile time stays out of the numbers; each cell is the best of five runs.
+A second table times the batched ``gauss_logpdf_many`` (100 Gaussians in
+d=2 on 5000 points, as in one Scheffe MC pool) against a per-candidate loop
+of ``gauss_logpdf_np`` over the same Gaussians.
 """
 
 from __future__ import annotations
@@ -59,6 +62,29 @@ def _cases(rng: np.random.Generator) -> list:
     ]
 
 
+def _many_case(rng: np.random.Generator) -> tuple:
+    m, n, d = 100, 5000, 2
+    pts = rng.standard_normal((n, d))
+    means = rng.standard_normal((m, d))
+    a = rng.standard_normal((m, d, d))
+    covs = a @ a.transpose(0, 2, 1) + d * np.eye(d)
+    return (pts, means, np.linalg.inv(covs), np.linalg.slogdet(covs)[1])
+
+
+def run_many(seed: int = 0) -> tuple:
+    """``(batched_seconds, per_candidate_seconds)`` on the MC-pool case."""
+    pts, means, inv_covs, log_dets = _many_case(np.random.default_rng(seed))
+
+    def per_candidate():
+        for r in range(means.shape[0]):
+            _kernels.gauss_logpdf_np(pts, means[r], inv_covs[r],
+                                     log_dets[r])
+
+    return (_best_of(_kernels.gauss_logpdf_many_np, pts, means, inv_covs,
+                     log_dets),
+            _best_of(per_candidate))
+
+
 def run(seed: int = 0) -> list:
     """Return (kernel, numpy_seconds, numba_seconds_or_None) triples."""
     rng = np.random.default_rng(seed)
@@ -87,6 +113,14 @@ def main() -> int:
         else:
             print(f"{name:<28}{1000 * t_np:>12.3f}{1000 * t_nb:>12.3f}"
                   f"{t_np / t_nb:>8.1f}x")
+    t_many, t_loop = run_many()
+    print()
+    header = (f"{'m=100, n=5000, d=2':<28}{'batched':>12}{'per-cand':>12}"
+              f"{'speedup':>9}")
+    print(header)
+    print("-" * len(header))
+    print(f"{'gauss_logpdf_many':<28}{1000 * t_many:>12.3f}"
+          f"{1000 * t_loop:>12.3f}{t_loop / t_many:>8.1f}x")
     return 0
 
 

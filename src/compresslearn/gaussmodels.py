@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -242,37 +242,78 @@ def sample(dist: Distribution, n: int, seed) -> LabeledSample:
     raise ValidationError(f"cannot sample from {type(dist).__name__}")
 
 
-def _as_batch(dist: Distribution, x) -> tuple[np.ndarray, bool]:
+def _as_batch(dim: int, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        if x.shape[0] != dist.dim:
+        if x.shape[0] != dim:
             raise DimensionMismatchError(
-                f"point has dim {x.shape[0]}, distribution has dim {dist.dim}")
-        return x[None, :], True
+                f"point has dim {x.shape[0]}, distribution has dim {dim}")
+        return x[None, :]
     if x.ndim == 2:
-        if x.shape[1] != dist.dim:
+        if x.shape[1] != dim:
             raise DimensionMismatchError(
-                f"points have dim {x.shape[1]}, distribution has dim {dist.dim}")
-        return x, False
+                f"points have dim {x.shape[1]}, distribution has dim {dim}")
+        return x
     raise ValidationError("x must be a vector (d,) or a batch (n, d)")
+
+
+def _stack(gaussians) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (np.array([g.mean for g in gaussians]),
+            np.array([g.inv_cov for g in gaussians]),
+            np.array([g.log_det_cov for g in gaussians]))
+
+
+def _mixture_rows(mixtures, pts: np.ndarray) -> np.ndarray:
+    """Kernel call for mixtures: zero-weight components are dropped, and
+    each mixture is padded to the longest with ``-inf``-weight copies."""
+    kept = [[c for c, w in zip(mx.components, mx.weights) if w > 0.0]
+            for mx in mixtures]
+    k = max(len(comps) for comps in kept)
+    log_w = np.full((len(mixtures), k), -np.inf)
+    padded = []
+    for i, (mx, comps) in enumerate(zip(mixtures, kept)):
+        log_w[i, :len(comps)] = np.log(mx.weights[mx.weights > 0.0])
+        padded += comps + [comps[0]] * (k - len(comps))
+    return _kernels.gauss_logpdf_many_np(pts, *_stack(padded), log_w)
+
+
+def log_densities(dists: Sequence[Distribution], x) -> np.ndarray:
+    """Log densities of every distribution in ``dists`` at the rows of ``x``.
+
+    Returns an ``(m, n)`` array whose row ``k`` equals
+    ``log_density(dists[k], x)`` bit for bit (``x`` may also be one point
+    ``(d,)``, giving ``n = 1``).  All Gaussians go to the tiled kernel in
+    one call and all mixtures in one more, so the cost is a few numpy calls
+    per tile of the output instead of several per distribution.
+    """
+    dists = list(dists)
+    if not dists:
+        raise ValidationError("need at least one distribution")
+    gauss = [i for i, dist in enumerate(dists) if isinstance(dist, Gaussian)]
+    mix = [i for i, dist in enumerate(dists) if isinstance(dist, Mixture)]
+    if len(gauss) + len(mix) < len(dists):
+        bad = next(dist for dist in dists
+                   if not isinstance(dist, (Gaussian, Mixture)))
+        raise ValidationError(f"cannot evaluate {type(bad).__name__}")
+    dims = {dist.dim for dist in dists}
+    if len(dims) != 1:
+        raise DimensionMismatchError("distributions have mixed dimensions")
+    pts = _as_batch(dims.pop(), x)
+    if not mix:
+        return _kernels.gauss_logpdf_many_np(pts, *_stack(dists))
+    if not gauss:
+        return _mixture_rows(dists, pts)
+    out = np.empty((len(dists), pts.shape[0]))
+    out[gauss] = _kernels.gauss_logpdf_many_np(
+        pts, *_stack([dists[i] for i in gauss]))
+    out[mix] = _mixture_rows([dists[i] for i in mix], pts)
+    return out
 
 
 def log_density(dist: Distribution, x) -> Union[float, np.ndarray]:
     """Log density of ``dist`` at ``x`` (a vector) or at a batch of rows."""
-    pts, single = _as_batch(dist, x)
-    pts = np.ascontiguousarray(pts)
-    if isinstance(dist, Gaussian):
-        out = _kernels.gauss_logpdf(pts, dist.mean, dist.inv_cov, dist.log_det_cov)
-    elif isinstance(dist, Mixture):
-        keep = [i for i, w in enumerate(dist.weights) if w > 0.0]
-        means = np.ascontiguousarray([dist.components[i].mean for i in keep])
-        inv_covs = np.ascontiguousarray([dist.components[i].inv_cov for i in keep])
-        log_dets = np.ascontiguousarray([dist.components[i].log_det_cov for i in keep])
-        log_w = np.log(np.asarray([dist.weights[i] for i in keep]))
-        out = _kernels.mixture_logpdf(pts, means, inv_covs, log_dets, log_w)
-    else:
-        raise ValidationError(f"cannot evaluate {type(dist).__name__}")
-    return float(out[0]) if single else out
+    out = log_densities([dist], x)[0]
+    return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def density(dist: Distribution, x) -> Union[float, np.ndarray]:

@@ -23,7 +23,8 @@ from scipy.special import ndtr
 from ._kernels import pairwise_greater_fraction
 from .compression import CompressionMessage, Codec, gd_codec
 from .errors import DecodingError, ValidationError
-from .gaussmodels import Gaussian, LabeledSample, Mixture, log_density, sample
+from .gaussmodels import (Gaussian, LabeledSample, Mixture, log_densities,
+                          log_density, sample)
 from .nets import Net, net_simplex
 from .utils import as_generator
 
@@ -241,6 +242,8 @@ def _closed_form_counts(mu, var, I, J, a, b, c, cands, points):
     whole = np.flatnonzero(~ok)
     needed = np.unique(np.concatenate((I[banded], J[banded],
                                        I[whole], J[whole])))
+    # one n-float row per call, not one (len(needed), n) block: on learn_1d
+    # that block made the allocator keep about 13 MB more heap resident
     ld = {int(k): np.atleast_1d(log_density(cands[k], points))
           for k in needed}
     for k in banded:
@@ -325,6 +328,13 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
     exactly, in ``O((m^2 + n) log n)`` time.  Strategies ``grid_1d`` and
     ``mc_pools`` evaluate every candidate on the holdout and compare all
     pairs of rows with :func:`pairwise_greater_fraction`, in ``O(m^2 n)``.
+
+    Both evaluate candidates with one :func:`log_densities` call per point
+    set (the holdout, the ``grid_1d`` grid, and each of the ``m`` MC pools),
+    which runs the batched, tiled kernel and gives the same bits as
+    per-candidate :func:`log_density` calls.  The work is still
+    ``O(m^2 n_pool)`` density terms for ``mc_pools`` and ``O(m^2 n)``
+    comparisons for both; batching only shrinks its constant.
     """
     if isinstance(cands, CandidateSet):
         cands = cands.candidates
@@ -354,19 +364,15 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
     if strategy == "closed_form_1d":
         p_hat, p_i, p_j = _closed_form_1d(cands, holdout.points, I, J)
     else:
-        ld_hold = np.empty((m_cands, holdout.n))
-        for k, cand in enumerate(cands):
-            ld_hold[k] = log_density(cand, holdout.points)
-        p_hat = pairwise_greater_fraction(ld_hold)[I, J]
-        del ld_hold
+        p_hat = pairwise_greater_fraction(
+            log_densities(cands, holdout.points))[I, J]
 
     if strategy == "grid_1d":
         grid = _shared_grid(cands)
         dx = grid[1] - grid[0]
         weights = np.full(grid.shape, dx)
         weights[0] = weights[-1] = 0.5 * dx
-        ld_grid = np.stack([np.atleast_1d(log_density(c, grid[:, None]))
-                            for c in cands])
+        ld_grid = log_densities(cands, grid[:, None])
         dens_w = np.exp(ld_grid) * weights
         p_i = np.empty(len(I))
         p_j = np.empty(len(I))
@@ -381,8 +387,7 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
         prob_own = np.zeros((m_cands, m_cands))
         for i, cand in enumerate(cands):
             pool = sample(cand, n_pool, _pool_seed(cand, salt)).points
-            ld = np.stack([np.atleast_1d(log_density(c, pool))
-                           for c in cands])
+            ld = log_densities(cands, pool)
             prob_own[i] = (ld[i][None, :] > ld).mean(axis=1)
         p_i = prob_own[I, J]
         # complement of {f_j > f_i} under f_j; ties between distinct

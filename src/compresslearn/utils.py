@@ -1,4 +1,4 @@
-"""Small shared helpers: RNG coercion and random SPD matrices."""
+"""Small shared helpers: RNG coercion."""
 
 from __future__ import annotations
 
@@ -21,20 +21,3 @@ def as_generator(seed) -> np.random.Generator:
         raise ValidationError("seed must be an int or a numpy Generator")
     return np.random.default_rng(int(seed))
 
-
-def random_spd(d: int, seed, cond_max: float = 1e2, scale: float = 1.0) -> np.ndarray:
-    """Random SPD matrix with log-uniform spectrum and Haar-random basis.
-
-    The spectrum is drawn log-uniformly over ``[scale/sqrt(cond_max),
-    scale*sqrt(cond_max)]`` so the condition number never exceeds
-    ``cond_max``.
-    """
-    if d < 1:
-        raise ValidationError("d must be >= 1")
-    rng = as_generator(seed)
-    half = np.log10(cond_max) / 2.0
-    eig = scale * 10.0 ** rng.uniform(-half, half, size=d)
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    q = q * np.sign(np.diag(r))
-    a = (q * eig) @ q.T
-    return 0.5 * (a + a.T)

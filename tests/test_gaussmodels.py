@@ -11,7 +11,9 @@ from scipy import stats
 from compresslearn import (DimensionMismatchError, Gaussian, LabeledSample,
                            Mixture, SingularCovarianceError, ValidationError,
                            density, dist_dumps, dist_from_json, dist_loads,
-                           dist_to_json, log_density, sample)
+                           dist_to_json, log_densities, log_density,
+                           sample)
+from compresslearn import _kernels
 
 # scipy.stats.norm.logpdf(0.0, 0, 1), frozen
 STD_NORMAL_LOGPDF_AT_0 = -0.9189385332046727
@@ -162,3 +164,93 @@ def test_log_density_handles_tiny_scales():
     x = np.array([[0.0]])
     expected = -0.5 * math.log(2.0 * math.pi * 1e-6)
     assert log_density(g, x)[0] == pytest.approx(expected, rel=1e-12)
+
+
+def _random_gaussian(rng, d):
+    a = rng.standard_normal((d, d))
+    return Gaussian(2.0 * rng.standard_normal(d), a @ a.T + 0.3 * np.eye(d))
+
+
+LOGPDF_SIZES = [3, 7, _kernels.LOGPDF_TILE_CELLS - 1,
+                _kernels.LOGPDF_TILE_CELLS, _kernels.LOGPDF_TILE_CELLS + 1,
+                2 * _kernels.LOGPDF_TILE_CELLS + 5]
+
+
+def _assert_rows_match(cands, pts):
+    rows = log_densities(cands, pts)
+    assert rows.shape == (len(cands), pts.shape[0])
+    for k, cand in enumerate(cands):
+        assert np.array_equal(rows[k], log_density(cand, pts))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("n", LOGPDF_SIZES)
+def test_log_densities_rows_equal_log_density_gaussians(d, n):
+    rng = np.random.default_rng(10 * d + n)
+    cands = [_random_gaussian(rng, d) for _ in range(4)]
+    _assert_rows_match(cands, 3.0 * rng.standard_normal((n, d)))
+
+
+@pytest.mark.parametrize("n", LOGPDF_SIZES)
+def test_log_densities_rows_equal_log_density_mixtures(n):
+    rng = np.random.default_rng(n)
+    comps = [_random_gaussian(rng, 2) for _ in range(9)]
+    cands = [
+        Mixture([0.2, 0.3, 0.5], comps[0:3]),
+        Mixture([0.0, 0.6, 0.4], comps[3:6]),  # zero-weight component
+        Mixture([1.0, 0.0], comps[6:8]),
+        Mixture([0.25, 0.75], [comps[8], comps[0]]),
+    ]
+    _assert_rows_match(cands, 3.0 * rng.standard_normal((n, 2)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, _kernels.LOGPDF_TILE_CELLS + 1])
+def test_log_densities_rows_equal_log_density_mixed_list(n):
+    rng = np.random.default_rng(n)
+    g = [_random_gaussian(rng, 2) for _ in range(5)]
+    cands = [g[0], Mixture([0.5, 0.5], g[1:3]), g[3],
+             Mixture([0.0, 1.0, 0.0], g[2:5]), g[4]]
+    _assert_rows_match(cands, 3.0 * rng.standard_normal((n, 2)))
+
+
+def test_log_densities_keeps_the_old_mixture_formula():
+    # rows equal log_w + component log densities combined by log-sum-exp,
+    # with zero-weight components dropped
+    rng = np.random.default_rng(8)
+    comps = [_random_gaussian(rng, 2) for _ in range(3)]
+    mix = Mixture([0.3, 0.0, 0.7], comps)
+    pts = rng.standard_normal((50, 2))
+    comp = np.stack([np.log(w) + log_density(c, pts)
+                     for w, c in zip(mix.weights, comps) if w > 0.0])
+    top = comp.max(axis=0)
+    want = top + np.log(np.sum(np.exp(comp - top), axis=0))
+    assert np.array_equal(log_densities([mix], pts)[0], want)
+
+
+def test_log_densities_empty_and_single_point():
+    rng = np.random.default_rng(9)
+    cands = [_random_gaussian(rng, 3) for _ in range(4)]
+    cands.append(Mixture([0.5, 0.5], cands[:2]))
+    empty = np.empty((0, 3))
+    assert log_densities(cands, empty).shape == (5, 0)
+    for cand in cands:
+        out = log_density(cand, empty)
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+        x = rng.standard_normal(3)
+        one = log_density(cand, x)
+        assert isinstance(one, float)
+        assert one == log_density(cand, x[None, :])[0]
+    assert log_densities(cands, x).shape == (5, 1)
+
+
+def test_log_densities_rejects_bad_input():
+    g1 = Gaussian([0.0], [[1.0]])
+    g2 = Gaussian([0.0, 0.0], np.eye(2))
+    with pytest.raises(ValidationError):
+        log_densities([], [[0.0]])
+    with pytest.raises(DimensionMismatchError):
+        log_densities([g1, g2], [[0.0]])
+    with pytest.raises(DimensionMismatchError):
+        log_densities([g2], [[0.0]])
+    with pytest.raises(ValidationError):
+        log_densities([g1, "not a distribution"], [[0.0]])

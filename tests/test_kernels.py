@@ -1,5 +1,6 @@
 """Kernel twins must agree bit-for-bit in behavior across backends."""
 
+import math
 import os
 import subprocess
 import sys
@@ -106,3 +107,73 @@ def test_pairwise_greater_fraction_fills_strict_upper_triangle(rng):
         for j in range(7):
             want = (values[i] > values[j]).mean() if i < j else 0.0
             assert out[i, j] == want
+
+
+TILE = _kernels.LOGPDF_TILE_CELLS
+
+
+def _einsum_logpdf(points, mean, inv_cov, log_det):
+    """The per-Gaussian einsum form the batched kernel replaced."""
+    y = points - mean
+    quad = np.einsum("ij,jk,ik->i", y, inv_cov, y)
+    d = points.shape[1]
+    return -0.5 * (d * math.log(2.0 * math.pi) + log_det + quad)
+
+
+def _random_gaussians(rng, m, d):
+    a = rng.standard_normal((m, d, d))
+    covs = a @ a.transpose(0, 2, 1) + 0.3 * np.eye(d)
+    eigvals, eigvecs = np.linalg.eigh(covs)
+    inv_covs = (eigvecs / eigvals[:, None, :]) @ eigvecs.transpose(0, 2, 1)
+    return (2.0 * rng.standard_normal((m, d)), inv_covs,
+            np.log(eigvals).sum(axis=1))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("n", [3, 7, TILE - 1, TILE, TILE + 1, 2 * TILE + 5])
+def test_gauss_logpdf_many_matches_einsum_bitwise(d, n):
+    # pins numpy 2.4's einsum("ij,jk,ik->i") order, which sums the
+    # quadratic form sequentially with j outer and k inner; for n in
+    # {1, 2} einsum takes another order, so it is not compared there
+    rng = np.random.default_rng(1000 * d + n)
+    m = 5
+    means, inv_covs, log_dets = _random_gaussians(rng, m, d)
+    pts = 3.0 * rng.standard_normal((n, d))
+    got = _kernels.gauss_logpdf_many_np(pts, means, inv_covs, log_dets)
+    assert got.shape == (m, n)
+    for r in range(m):
+        want = _einsum_logpdf(pts, means[r], inv_covs[r], log_dets[r])
+        assert np.array_equal(got[r], want)
+        one = _kernels.gauss_logpdf_np(pts, means[r], inv_covs[r],
+                                       log_dets[r])
+        assert np.array_equal(one, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, TILE + 1])
+def test_gauss_logpdf_many_mixture_rows_match_single_mixtures(n):
+    rng = np.random.default_rng(n)
+    m, k, d = 4, 3, 2
+    means, inv_covs, log_dets = _random_gaussians(rng, m * k, d)
+    log_w = np.log(rng.dirichlet(np.ones(k), size=m))
+    log_w[1, 2] = -np.inf  # a mixture padded to k components
+    pts = rng.standard_normal((n, d))
+    got = _kernels.gauss_logpdf_many_np(pts, means, inv_covs, log_dets,
+                                        log_w)
+    assert got.shape == (m, n)
+    for r in range(m):
+        sl = slice(r * k, (r + 1) * k)
+        one = _kernels.mixture_logpdf_np(pts, means[sl], inv_covs[sl],
+                                         log_dets[sl], log_w[r])
+        assert np.array_equal(got[r], one)
+    # the padded slot adds exactly nothing
+    short = _kernels.mixture_logpdf_np(pts, means[3:5], inv_covs[3:5],
+                                       log_dets[3:5], log_w[1, :2])
+    assert np.array_equal(got[1], short)
+
+
+def test_gauss_logpdf_many_empty_batch():
+    rng = np.random.default_rng(3)
+    means, inv_covs, log_dets = _random_gaussians(rng, 4, 2)
+    out = _kernels.gauss_logpdf_many_np(np.empty((0, 2)), means, inv_covs,
+                                        log_dets)
+    assert out.shape == (4, 0)
