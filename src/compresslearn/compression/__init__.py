@@ -18,8 +18,8 @@ from .gd import (DEFAULT_GD_CONFIG, GdConfig, decode_gd, decode_gd_detailed,
                  encode_gd, gd_codec)
 from .grids import SymmetricGrid
 from .message import (SCHEME_G1D, SCHEME_G1D_ROBUST, SCHEME_GD,
-                      SCHEME_MIXTURE, SCHEME_PRODUCT, BitReader, BitWriter,
-                      CompressionMessage)
+                      SCHEME_MIXTURE, SCHEME_PRODUCT, CompressionMessage,
+                      PayloadLayout)
 from .scheme import Codec, EncodeOutcome, SchemeSpec
 
 SCHEME_CHOICES = ("g1d", "g1d_robust", "gd", "axis", "mixture")
@@ -59,13 +59,12 @@ def codec_for(scheme: str, target) -> Codec:
 
 
 __all__ = [
-    "BitReader",
-    "BitWriter",
     "Codec",
     "CompressionMessage",
     "DEFAULT_GD_CONFIG",
     "EncodeOutcome",
     "GdConfig",
+    "PayloadLayout",
     "SCHEME_CHOICES",
     "SCHEME_G1D",
     "SCHEME_G1D_ROBUST",

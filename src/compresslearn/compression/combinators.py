@@ -10,13 +10,15 @@ failure probability at most 1/3.
 from __future__ import annotations
 
 import math
+import operator
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from ..errors import DecodingError, ValidationError
 from ..gaussmodels import Gaussian, LabeledSample, Mixture
-from .message import (SCHEME_MIXTURE, SCHEME_PRODUCT, BitReader, BitWriter,
-                      CompressionMessage)
+from .message import (SCHEME_MIXTURE, SCHEME_PRODUCT, CompressionMessage,
+                      PayloadLayout)
 from .scheme import Codec, EncodeOutcome, SchemeSpec
 
 # negligible mixture weight: at most eps / (NEGLIGIBLE_DIV * k)
@@ -32,6 +34,16 @@ def _diag_or_raise(cov: np.ndarray) -> np.ndarray:
     return diag
 
 
+def _concat(layouts) -> PayloadLayout:
+    return reduce(operator.add, layouts)
+
+
+def _base_layout(base: Codec):
+    if base.layout is None:
+        raise ValidationError("the base codec has no payload layout")
+    return base.layout
+
+
 def compose_product(base: Codec, d: int) -> Codec:
     """Codec for d-dimensional axis-aligned Gaussians built from a 1-D codec.
 
@@ -43,6 +55,7 @@ def compose_product(base: Codec, d: int) -> Codec:
     """
     if d < 1:
         raise ValidationError("d must be >= 1")
+    base_layout = _base_layout(base)
     n_batches = math.ceil(math.log(3 * d) / math.log(3.0))
 
     def sub_eps(eps: float) -> float:
@@ -111,24 +124,10 @@ def compose_product(base: Codec, d: int) -> Codec:
             var[j] = gauss.cov[0, 0]
         return Gaussian(mean, np.diag(var))
 
-    def payload_count(eps: float) -> int:
-        return base.payload_count(sub_eps(eps)) ** d
-
-    def payload_by_index(eps: float, idx: int) -> np.ndarray:
-        e = sub_eps(eps)
-        count = base.payload_count(e)
-        idx = int(idx)
-        blocks = []
-        for _ in range(d):
-            idx, digit = divmod(idx, count)
-            blocks.append(base.payload_by_index(e, digit))
-        if idx:
-            raise ValidationError("payload index out of range")
-        return np.concatenate(blocks)
-
-    def random_payload(eps: float, rng: np.random.Generator) -> np.ndarray:
-        e = sub_eps(eps)
-        return np.concatenate([base.random_payload(e, rng) for _ in range(d)])
+    @lru_cache(maxsize=256)
+    def layout(eps: float) -> PayloadLayout:
+        # marginal j is digit j of the index, base-layout ordered inside
+        return _concat([base_layout(sub_eps(eps))] * d)
 
     spec = SchemeSpec(
         name=f"product[{base.name}]^{d}",
@@ -137,10 +136,7 @@ def compose_product(base: Codec, d: int) -> Codec:
         m_samples=m_samples,
         robustness=base.spec.robustness,
     )
-    return Codec(spec=spec, scheme_id=SCHEME_PRODUCT, encode=encode,
-                 decode=decode, payload_count=payload_count,
-                 payload_by_index=payload_by_index,
-                 random_payload=random_payload)
+    return Codec.from_layout(spec, SCHEME_PRODUCT, encode, decode, layout)
 
 
 def weight_grid_points(eps: float, k: int) -> int:
@@ -152,8 +148,11 @@ def weight_grid_points(eps: float, k: int) -> int:
     return math.ceil(3 * k / eps)
 
 
-def _weight_bits(n_w: int) -> int:
-    return max(1, (n_w - 1).bit_length())
+@lru_cache(maxsize=256)
+def _weight_layout(eps: float, k: int) -> PayloadLayout:
+    """``k`` weight-grid indices, the first one the low digit."""
+    n_w = weight_grid_points(eps, k)
+    return PayloadLayout([n_w] * k, [max(1, (n_w - 1).bit_length())] * k)
 
 
 def compose_mixture(base: Codec, k: int) -> Codec:
@@ -169,15 +168,18 @@ def compose_mixture(base: Codec, k: int) -> Codec:
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
+    base_layout = _base_layout(base)
 
     def sub_eps(eps: float) -> float:
         if not (0.0 < eps <= 1.0):
             raise ValidationError("eps must lie in (0, 1]")
         return eps / 3.0
 
-    def t_bits(eps: float) -> int:
-        n_w = weight_grid_points(eps, k)
-        return k * _weight_bits(n_w) + k * base.spec.t_bits(sub_eps(eps))
+    @lru_cache(maxsize=256)
+    def layout(eps: float) -> PayloadLayout:
+        # weights, then component i as digit i, base-layout ordered inside
+        return _concat([_weight_layout(eps, k)]
+                       + [base_layout(sub_eps(eps))] * k)
 
     def m_samples(eps: float) -> int:
         mult = math.ceil(48.0 * k * math.log(6.0 * k) / eps)
@@ -195,12 +197,10 @@ def compose_mixture(base: Codec, k: int) -> Codec:
         tau_b = base.spec.tau(e)
         t_b = base.spec.t_bits(e)
         n_w = weight_grid_points(eps, k)
-        w_bits = _weight_bits(n_w)
         negligible = eps / (NEGLIGIBLE_DIV * k)
-        writer = BitWriter()
-        for i in range(k):
-            w = target.weights[i] if i < target.n_components else 0.0
-            writer.write_uint(min(n_w - 1, int(round(w * (n_w - 1)))), w_bits)
+        weight_bits = _weight_layout(eps, k).pack(
+            [min(n_w - 1, int(round(w * (n_w - 1)))) for w in
+             list(target.weights) + [0.0] * (k - target.n_components)])
         all_refs = []
         payload = []
         for i in range(k):
@@ -224,8 +224,8 @@ def compose_mixture(base: Codec, k: int) -> Codec:
                     f"{outcome.reason if outcome else 'too few labeled points'}")
         msg = CompressionMessage.checked(
             SCHEME_MIXTURE, np.concatenate(all_refs),
-            np.concatenate([writer.getvalue()] + payload),
-            max_refs=k * tau_b, max_bits=t_bits(eps))
+            np.concatenate([weight_bits] + payload),
+            max_refs=k * tau_b, max_bits=layout(eps).n_bits)
         return EncodeOutcome.success(msg)
 
     def decode(message: CompressionMessage, points: np.ndarray,
@@ -237,17 +237,15 @@ def compose_mixture(base: Codec, k: int) -> Codec:
         e = sub_eps(eps)
         tau_b = base.spec.tau(e)
         t_b = base.spec.t_bits(e)
-        n_w = weight_grid_points(eps, k)
-        w_bits = _weight_bits(n_w)
+        w_layout = _weight_layout(eps, k)
         if message.n_refs != k * tau_b:
             raise DecodingError("reference count does not match the layout")
-        if message.n_bits != k * w_bits + k * t_b:
+        if message.n_bits != layout(eps).n_bits:
             raise DecodingError("payload size does not match the layout")
-        reader = BitReader(message.bits)
-        weights = np.array([reader.read_uint(w_bits) for _ in range(k)],
-                           dtype=float) / (n_w - 1)
+        offset = w_layout.n_bits
+        weights = w_layout.unpack(message.bits[:offset]) \
+            / (weight_grid_points(eps, k) - 1)
         comps = []
-        offset = k * w_bits
         for i in range(k):
             sub = CompressionMessage(
                 base.scheme_id,
@@ -265,48 +263,12 @@ def compose_mixture(base: Codec, k: int) -> Codec:
             weights = np.full(k, 1.0 / k)
         return Mixture(weights, comps)
 
-    def payload_count(eps: float) -> int:
-        n_w = weight_grid_points(eps, k)
-        return n_w ** k * base.payload_count(sub_eps(eps)) ** k
-
-    def payload_by_index(eps: float, idx: int) -> np.ndarray:
-        e = sub_eps(eps)
-        n_w = weight_grid_points(eps, k)
-        w_bits = _weight_bits(n_w)
-        count = base.payload_count(e)
-        idx = int(idx)
-        writer = BitWriter()
-        for _ in range(k):
-            idx, digit = divmod(idx, n_w)
-            writer.write_uint(digit, w_bits)
-        blocks = [writer.getvalue()]
-        for _ in range(k):
-            idx, digit = divmod(idx, count)
-            blocks.append(base.payload_by_index(e, digit))
-        if idx:
-            raise ValidationError("payload index out of range")
-        return np.concatenate(blocks)
-
-    def random_payload(eps: float, rng: np.random.Generator) -> np.ndarray:
-        e = sub_eps(eps)
-        n_w = weight_grid_points(eps, k)
-        w_bits = _weight_bits(n_w)
-        writer = BitWriter()
-        for digit in rng.integers(n_w, size=k):
-            writer.write_uint(int(digit), w_bits)
-        blocks = [writer.getvalue()]
-        blocks.extend(base.random_payload(e, rng) for _ in range(k))
-        return np.concatenate(blocks)
-
     spec = SchemeSpec(
         name=f"mixture[{base.name}]x{k}",
         tau=lambda eps: k * base.spec.tau(sub_eps(eps)),
-        t_bits=t_bits,
+        t_bits=lambda eps: layout(eps).n_bits,
         m_samples=m_samples,
         # contamination tolerance does not compose through mixtures here
         robustness=0.0,
     )
-    return Codec(spec=spec, scheme_id=SCHEME_MIXTURE, encode=encode,
-                 decode=decode, payload_count=payload_count,
-                 payload_by_index=payload_by_index,
-                 random_payload=random_payload)
+    return Codec.from_layout(spec, SCHEME_MIXTURE, encode, decode, layout)

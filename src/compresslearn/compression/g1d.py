@@ -13,13 +13,14 @@ occur with probability below 0.03.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from ..errors import DecodingError, ValidationError
 from ..gaussmodels import Gaussian, LabeledSample
 from .grids import SymmetricGrid
-from .message import SCHEME_G1D, BitReader, BitWriter, CompressionMessage
+from .message import SCHEME_G1D, CompressionMessage, PayloadLayout
 from .scheme import Codec, EncodeOutcome, SchemeSpec
 
 C_LOW_DEFAULT = 0.0125
@@ -28,12 +29,14 @@ _TAU = 3
 _M_SAMPLES = 3
 
 
+@lru_cache(maxsize=256)
 def scale_ratio_grid(eps: float, c_low: float = C_LOW_DEFAULT,
                      c_high: float = C_HIGH_DEFAULT) -> SymmetricGrid:
     """Grid for sigma/g: spacing ``eps / (2 * c_high^2)`` out to ``1/c_low``."""
     return SymmetricGrid.from_bound(1.0 / c_low, eps / (2.0 * c_high * c_high))
 
 
+@lru_cache(maxsize=256)
 def mean_offset_grid(eps: float, c_high: float = C_HIGH_DEFAULT) -> SymmetricGrid:
     """Grid for the standardized mean offset: spacing ``eps/2`` out to ``c_high``."""
     return SymmetricGrid.from_bound(c_high, eps / 2.0)
@@ -50,10 +53,18 @@ def _sigma_mu(target: Gaussian) -> tuple[float, float]:
     return math.sqrt(float(target.cov[0, 0])), float(target.mean[0])
 
 
+@lru_cache(maxsize=256)
+def g1d_layout(eps: float, c_low: float = C_LOW_DEFAULT,
+               c_high: float = C_HIGH_DEFAULT) -> PayloadLayout:
+    """Ratio offset, then mean offset; the mean offset is the low digit."""
+    return PayloadLayout.of_grids(
+        (scale_ratio_grid(eps, c_low, c_high), mean_offset_grid(eps, c_high)),
+        order=(1, 0))
+
+
 def t_bits_g1d(eps: float, c_low: float = C_LOW_DEFAULT,
                c_high: float = C_HIGH_DEFAULT) -> int:
-    return (scale_ratio_grid(eps, c_low, c_high).index_width
-            + mean_offset_grid(eps, c_high).index_width)
+    return g1d_layout(eps, c_low, c_high).n_bits
 
 
 def encode_g1d(target: Gaussian, sample: LabeledSample, eps: float,
@@ -78,11 +89,10 @@ def encode_g1d(target: Gaussian, sample: LabeledSample, eps: float,
     offset_grid = mean_offset_grid(eps, c_high)
     lam_idx = ratio_grid.quantize(sigma / g)
     eta_idx = offset_grid.quantize((mu - g3) / sigma)
-    writer = BitWriter()
-    writer.write_uint(ratio_grid.to_offset(lam_idx), ratio_grid.index_width)
-    writer.write_uint(offset_grid.to_offset(eta_idx), offset_grid.index_width)
+    bits = g1d_layout(eps, c_low, c_high).pack(
+        [ratio_grid.to_offset(lam_idx), offset_grid.to_offset(eta_idx)])
     msg = CompressionMessage.checked(
-        SCHEME_G1D, np.arange(3), writer.getvalue(),
+        SCHEME_G1D, np.arange(3), bits,
         max_refs=_TAU, max_bits=t_bits_g1d(eps, c_low, c_high))
     return EncodeOutcome.success(msg)
 
@@ -100,18 +110,12 @@ def decode_g1d(message: CompressionMessage, points: np.ndarray, eps: float,
     if message.sample_refs.max() >= pts.shape[0]:
         raise DecodingError("sample reference out of range")
     g1, g2, g3 = (float(pts[r, 0]) for r in message.sample_refs)
+    lam_off, eta_off = g1d_layout(eps, c_low, c_high).unpack(
+        message.bits).tolist()
     ratio_grid = scale_ratio_grid(eps, c_low, c_high)
     offset_grid = mean_offset_grid(eps, c_high)
-    if message.n_bits != ratio_grid.index_width + offset_grid.index_width:
-        raise DecodingError("payload has the wrong number of bits")
-    reader = BitReader(message.bits)
-    try:
-        lam = ratio_grid.value(ratio_grid.from_offset(
-            reader.read_uint(ratio_grid.index_width)))
-        eta = offset_grid.value(offset_grid.from_offset(
-            reader.read_uint(offset_grid.index_width)))
-    except ValidationError as exc:
-        raise DecodingError(f"malformed payload: {exc}") from exc
+    lam = ratio_grid.value(ratio_grid.from_offset(lam_off))
+    eta = offset_grid.value(offset_grid.from_offset(eta_off))
     sigma_hat = lam * (g1 - g2) / math.sqrt(2.0)
     if sigma_hat <= 0.0:
         raise DecodingError("decoded scale is not positive")
@@ -122,32 +126,6 @@ def decode_g1d(message: CompressionMessage, points: np.ndarray, eps: float,
 def g1d_codec(c_low: float = C_LOW_DEFAULT,
               c_high: float = C_HIGH_DEFAULT) -> Codec:
     """Codec wrapper: tau = 3 references, O(log(1/eps)) bits, m = 3 samples."""
-
-    def payload_count(eps: float) -> int:
-        return (scale_ratio_grid(eps, c_low, c_high).n_points
-                * mean_offset_grid(eps, c_high).n_points)
-
-    def payload_by_index(eps: float, idx: int) -> np.ndarray:
-        ratio_grid = scale_ratio_grid(eps, c_low, c_high)
-        offset_grid = mean_offset_grid(eps, c_high)
-        lam_off, eta_off = divmod(int(idx), offset_grid.n_points)
-        if not (0 <= lam_off < ratio_grid.n_points):
-            raise ValidationError("payload index out of range")
-        writer = BitWriter()
-        writer.write_uint(lam_off, ratio_grid.index_width)
-        writer.write_uint(eta_off, offset_grid.index_width)
-        return writer.getvalue()
-
-    def random_payload(eps: float, rng: np.random.Generator) -> np.ndarray:
-        ratio_grid = scale_ratio_grid(eps, c_low, c_high)
-        offset_grid = mean_offset_grid(eps, c_high)
-        writer = BitWriter()
-        writer.write_uint(int(rng.integers(ratio_grid.n_points)),
-                          ratio_grid.index_width)
-        writer.write_uint(int(rng.integers(offset_grid.n_points)),
-                          offset_grid.index_width)
-        return writer.getvalue()
-
     spec = SchemeSpec(
         name="g1d",
         tau=lambda eps: _TAU,
@@ -155,13 +133,9 @@ def g1d_codec(c_low: float = C_LOW_DEFAULT,
         m_samples=lambda eps: _M_SAMPLES,
         robustness=0.0,
     )
-    return Codec(
-        spec=spec,
-        scheme_id=SCHEME_G1D,
+    return Codec.from_layout(
+        spec, SCHEME_G1D,
         encode=lambda target, sample, eps: encode_g1d(target, sample, eps,
                                                       c_low, c_high),
         decode=lambda msg, pts, eps: decode_g1d(msg, pts, eps, c_low, c_high),
-        payload_count=payload_count,
-        payload_by_index=payload_by_index,
-        random_payload=random_payload,
-    )
+        layout=lambda eps: g1d_layout(eps, c_low, c_high))

@@ -27,13 +27,14 @@ import numpy as np
 from .._kernels import first_occupants
 from ..errors import DecodingError, ValidationError
 from ..gaussmodels import Gaussian, LabeledSample
-from .message import SCHEME_G1D_ROBUST, CompressionMessage
+from .message import SCHEME_G1D_ROBUST, CompressionMessage, PayloadLayout
 from .scheme import Codec, EncodeOutcome, SchemeSpec
 
 M_MULT_DEFAULT = 60.0
 ROBUSTNESS_L1 = 0.773
 _TAU = 4
 _T_BITS = 1
+_LAYOUT = PayloadLayout([2], [_T_BITS])  # the variance-rule bit
 
 
 def _check_eps(eps: float) -> None:
@@ -105,7 +106,7 @@ def encode_g1d_robust(target: Gaussian, sample: LabeledSample, eps: float,
     iy1, iy2, b = var_pair
     refs = np.asarray([mean_pair[0], mean_pair[1], iy1, iy2])
     msg = CompressionMessage.checked(
-        SCHEME_G1D_ROBUST, refs, np.asarray([b], dtype=np.uint8),
+        SCHEME_G1D_ROBUST, refs, _LAYOUT.pack([b]),
         max_refs=_TAU, max_bits=_T_BITS)
     return EncodeOutcome.success(msg)
 
@@ -133,15 +134,9 @@ def g1d_robust_codec(m_mult: float = M_MULT_DEFAULT) -> Codec:
         m_samples=lambda eps: m_samples_robust(eps, m_mult),
         robustness=ROBUSTNESS_L1,
     )
-    return Codec(
-        spec=spec,
-        scheme_id=SCHEME_G1D_ROBUST,
+    return Codec.from_layout(
+        spec, SCHEME_G1D_ROBUST,
         encode=lambda target, sample, eps: encode_g1d_robust(target, sample,
                                                              eps, m_mult),
         decode=decode_g1d_robust_message,
-        payload_count=lambda eps: 2,
-        payload_by_index=lambda eps, idx: np.asarray([int(idx) & 1],
-                                                     dtype=np.uint8),
-        random_payload=lambda eps, rng: np.asarray([int(rng.integers(2))],
-                                                   dtype=np.uint8),
-    )
+        layout=lambda eps: _LAYOUT)

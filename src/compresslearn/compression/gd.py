@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from ..errors import DecodingError, SingularCovarianceError, ValidationError
 from ..gaussmodels import Gaussian, LabeledSample
 from ..nets import solve_hull_coefficients
 from .grids import SymmetricGrid
-from .message import SCHEME_GD, BitReader, BitWriter, CompressionMessage
+from .message import SCHEME_GD, CompressionMessage, PayloadLayout
 from .scheme import Codec, EncodeOutcome, SchemeSpec
 
 ROBUSTNESS_L1 = 2.0 / 3.0
@@ -68,6 +69,7 @@ def m_samples_gd(d: int, config: GdConfig = DEFAULT_GD_CONFIG) -> int:
     return 2 * n_pairs(d, config)
 
 
+@lru_cache(maxsize=256)
 def coefficient_grid(eps: float, d: int,
                      config: GdConfig = DEFAULT_GD_CONFIG) -> SymmetricGrid:
     """Grid for hull coefficients: spacing ``eps / (96 c_hull m d^3)`` on [-1, 1]."""
@@ -76,6 +78,7 @@ def coefficient_grid(eps: float, d: int,
     return SymmetricGrid.from_bound(1.0, step)
 
 
+@lru_cache(maxsize=256)
 def anchor_grid(eps: float, d: int) -> SymmetricGrid:
     """Per-coordinate grid for the anchor coefficients on ``[-4 sqrt(d), 4 sqrt(d)]``.
 
@@ -86,10 +89,17 @@ def anchor_grid(eps: float, d: int) -> SymmetricGrid:
     return SymmetricGrid.from_bound(4.0 * math.sqrt(d), step)
 
 
+@lru_cache(maxsize=256)
+def gd_layout(eps: float, d: int, m: int,
+              config: GdConfig = DEFAULT_GD_CONFIG) -> PayloadLayout:
+    """``d * m`` hull coefficients (direction-major), then ``d`` anchor
+    coefficients; the first field is the low digit."""
+    return PayloadLayout.of_grids([coefficient_grid(eps, d, config)] * (d * m)
+                                  + [anchor_grid(eps, d)] * d)
+
+
 def t_bits_gd(eps: float, d: int, config: GdConfig = DEFAULT_GD_CONFIG) -> int:
-    m = n_pairs(d, config)
-    return d * m * coefficient_grid(eps, d, config).index_width \
-        + d * anchor_grid(eps, d).index_width
+    return gd_layout(eps, d, n_pairs(d, config), config).n_bits
 
 
 def tau_gd(d: int, config: GdConfig = DEFAULT_GD_CONFIG) -> int:
@@ -151,19 +161,12 @@ def encode_gd(target: Gaussian, sample: LabeledSample, eps: float,
     if anchor_ref < 0:
         return EncodeOutcome.failure("both anchor candidates are outliers")
 
-    cgrid = coefficient_grid(eps, d, config)
-    agrid = anchor_grid(eps, d)
-    writer = BitWriter()
-    for j in range(d):
-        for i in range(m):
-            writer.write_uint(cgrid.to_offset(cgrid.quantize(theta[j, i])),
-                              cgrid.index_width)
-    for j in range(d):
-        writer.write_uint(agrid.to_offset(agrid.quantize(float(lam[j]))),
-                          agrid.index_width)
+    bits = gd_layout(eps, d, m, config).pack(np.concatenate(
+        [coefficient_grid(eps, d, config).offsets(theta.ravel()),
+         anchor_grid(eps, d).offsets(lam)]))
     refs = np.concatenate([np.arange(2 * m), [anchor_ref]])
     msg = CompressionMessage.checked(
-        SCHEME_GD, refs, writer.getvalue(),
+        SCHEME_GD, refs, bits,
         max_refs=tau_gd(d, config), max_bits=t_bits_gd(eps, d, config))
     return EncodeOutcome.success(msg)
 
@@ -196,26 +199,12 @@ def decode_gd_detailed(message: CompressionMessage, points: np.ndarray,
     m = (message.n_refs - 1) // 2
     if message.sample_refs.max() >= pts.shape[0]:
         raise DecodingError("sample reference out of range")
-    cgrid = coefficient_grid(eps, d, config)
-    agrid = anchor_grid(eps, d)
-    expect_bits = d * m * cgrid.index_width + d * agrid.index_width
-    if message.n_bits != expect_bits:
-        raise DecodingError("payload has the wrong number of bits")
+    offsets = gd_layout(eps, d, m, config).unpack(message.bits)
+    theta = coefficient_grid(eps, d, config).values(
+        offsets[:d * m]).reshape(d, m)
+    lam = anchor_grid(eps, d).values(offsets[d * m:])
     pair_refs = message.sample_refs[:2 * m]
     diffs = pts[pair_refs[1::2]] - pts[pair_refs[0::2]]
-    reader = BitReader(message.bits)
-    try:
-        theta = np.empty((d, m))
-        for j in range(d):
-            for i in range(m):
-                theta[j, i] = cgrid.value(cgrid.from_offset(
-                    reader.read_uint(cgrid.index_width)))
-        lam = np.empty(d)
-        for j in range(d):
-            lam[j] = agrid.value(agrid.from_offset(
-                reader.read_uint(agrid.index_width)))
-    except ValidationError as exc:
-        raise DecodingError(f"malformed payload: {exc}") from exc
     vecs = (config.c_hull / math.sqrt(2.0)) * (theta @ diffs)  # rows v_j
     cov = vecs.T @ vecs
     cov = 0.5 * (cov + cov.T)
@@ -241,40 +230,6 @@ def decode_gd(message: CompressionMessage, points: np.ndarray, eps: float,
 def gd_codec(d: int, config: GdConfig = DEFAULT_GD_CONFIG) -> Codec:
     """Codec wrapper for fixed dimension ``d``."""
     m = n_pairs(d, config)
-
-    def payload_count(eps: float) -> int:
-        cgrid = coefficient_grid(eps, d, config)
-        agrid = anchor_grid(eps, d)
-        return cgrid.n_points ** (d * m) * agrid.n_points ** d
-
-    def payload_by_index(eps: float, idx: int) -> np.ndarray:
-        cgrid = coefficient_grid(eps, d, config)
-        agrid = anchor_grid(eps, d)
-        idx = int(idx)
-        writer = BitWriter()
-        digits = []
-        for _ in range(d * m):
-            idx, digit = divmod(idx, cgrid.n_points)
-            digits.append((digit, cgrid.index_width))
-        for _ in range(d):
-            idx, digit = divmod(idx, agrid.n_points)
-            digits.append((digit, agrid.index_width))
-        if idx:
-            raise ValidationError("payload index out of range")
-        for digit, width in digits:
-            writer.write_uint(digit, width)
-        return writer.getvalue()
-
-    def random_payload(eps: float, rng: np.random.Generator) -> np.ndarray:
-        cgrid = coefficient_grid(eps, d, config)
-        agrid = anchor_grid(eps, d)
-        writer = BitWriter()
-        for digit in rng.integers(cgrid.n_points, size=d * m):
-            writer.write_uint(int(digit), cgrid.index_width)
-        for digit in rng.integers(agrid.n_points, size=d):
-            writer.write_uint(int(digit), agrid.index_width)
-        return writer.getvalue()
-
     spec = SchemeSpec(
         name=f"gd[d={d}]",
         tau=lambda eps: tau_gd(d, config),
@@ -282,12 +237,8 @@ def gd_codec(d: int, config: GdConfig = DEFAULT_GD_CONFIG) -> Codec:
         m_samples=lambda eps: m_samples_gd(d, config),
         robustness=ROBUSTNESS_L1,
     )
-    return Codec(
-        spec=spec,
-        scheme_id=SCHEME_GD,
+    return Codec.from_layout(
+        spec, SCHEME_GD,
         encode=lambda target, sample, eps: encode_gd(target, sample, eps, config),
         decode=lambda msg, pts, eps: decode_gd(msg, pts, eps, config),
-        payload_count=payload_count,
-        payload_by_index=payload_by_index,
-        random_payload=random_payload,
-    )
+        layout=lambda eps: gd_layout(eps, d, m, config))

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import ValidationError
 
 
@@ -63,3 +65,14 @@ class SymmetricGrid:
         if not (0 <= u < self.n_points):
             raise ValidationError("offset index out of range")
         return u - self.n_half
+
+    def offsets(self, x) -> np.ndarray:
+        """Elementwise ``to_offset(quantize(x))``; ``rint`` rounds half to
+        even exactly as ``round`` does."""
+        k = np.clip(np.rint(np.asarray(x, dtype=float) / self.step),
+                    -self.n_half, self.n_half)
+        return k.astype(np.int64) + self.n_half
+
+    def values(self, offsets) -> np.ndarray:
+        """Elementwise ``value(from_offset(u))`` for in-range offsets."""
+        return (np.asarray(offsets) - self.n_half) * self.step

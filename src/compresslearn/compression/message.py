@@ -12,18 +12,23 @@ bytes     field
 ceil(t/8) payload bits packed LSB-first within each byte
 ========  =======================================================
 
-Within the payload, multi-bit integers are written least significant bit
-first via :class:`BitWriter` and read back symmetrically.
+A codec's payload is described by a :class:`PayloadLayout`: fixed-width
+fields in wire order, each an unsigned digit written least significant
+bit first.  The layout also ranks the fields by significance, which turns
+a payload into one mixed-radix index for candidate enumeration.  Digits
+at or above a field's radix never occur in a valid payload, and
+``unpack`` rejects them.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import MessageSizeError, ValidationError
+from ..errors import DecodingError, MessageSizeError, ValidationError
 
 SCHEME_G1D = 1
 SCHEME_G1D_ROBUST = 2
@@ -35,56 +40,105 @@ _KNOWN_SCHEMES = (SCHEME_G1D, SCHEME_G1D_ROBUST, SCHEME_GD,
                   SCHEME_PRODUCT, SCHEME_MIXTURE)
 
 
-class BitWriter:
-    """Accumulates bits; integers are appended least significant bit first."""
+class PayloadLayout:
+    """Fixed-width fields of a payload, each a digit of a mixed-radix index.
 
-    def __init__(self):
-        self._bits: list[int] = []
+    Field ``i`` holds a digit in ``[0, radices[i])`` written LSB-first in
+    ``widths[i]`` bits, and fields follow each other in wire order.
+    ``order`` lists the fields from least to most significant digit of the
+    payload index, so ``count``, ``by_index`` and ``random`` (one draw per
+    field, in wire order) enumerate exactly the payloads ``unpack``
+    accepts.  ``a + b`` puts ``b``'s fields after ``a``'s on the wire and
+    above them in the index.
+    """
 
-    def write_bit(self, b: int) -> None:
-        if b not in (0, 1):
-            raise ValidationError("bit must be 0 or 1")
-        self._bits.append(b)
+    def __init__(self, radices, widths, order=None):
+        self.radices = tuple(int(r) for r in radices)
+        self.widths = tuple(int(w) for w in widths)
+        n = len(self.radices)
+        self.order = tuple(range(n)) if order is None else tuple(order)
+        if n == 0 or len(self.widths) != n \
+                or sorted(self.order) != list(range(n)):
+            raise ValidationError(
+                "a layout needs one radix, width and rank per field")
+        if not all(1 <= w <= 62 and 1 <= r <= 1 << w
+                   for r, w in zip(self.radices, self.widths)):
+            raise ValidationError("each radix must fit its field of 1..62 bits")
+        self.n_bits = sum(self.widths)
+        self.count = math.prod(self.radices)
+        self._radix = np.asarray(self.radices, dtype=np.int64)
+        self._starts = np.cumsum((0,) + self.widths[:-1])
+        self._field = np.repeat(np.arange(n), self.widths)  # field of each bit
+        self._shift = np.arange(self.n_bits) - self._starts[self._field]
 
-    def write_uint(self, value: int, width: int) -> None:
-        if width < 0:
-            raise ValidationError("width must be nonnegative")
-        if value < 0 or value >> width:
-            raise ValidationError(f"value {value} does not fit in {width} bits")
-        for i in range(width):
-            self._bits.append((value >> i) & 1)
+    @classmethod
+    def of_grids(cls, grids, order=None) -> "PayloadLayout":
+        """One field per grid offset, ``n_points`` values in ``index_width`` bits."""
+        return cls([g.n_points for g in grids], [g.index_width for g in grids],
+                   order)
 
-    def getvalue(self) -> np.ndarray:
-        out = np.asarray(self._bits, dtype=np.uint8)
-        out.setflags(write=False)
-        return out
+    def __add__(self, other: "PayloadLayout") -> "PayloadLayout":
+        n = len(self.radices)
+        return PayloadLayout(self.radices + other.radices,
+                             self.widths + other.widths,
+                             self.order + tuple(n + i for i in other.order))
 
-    def __len__(self) -> int:
-        return len(self._bits)
+    def pack(self, digits) -> np.ndarray:
+        """Payload bits of ``digits`` (wire order)."""
+        digits = np.asarray(digits, dtype=np.int64)
+        # as uint64 a negative digit exceeds every radix
+        if digits.shape != self._radix.shape or not np.all(
+                digits.view(np.uint64) < self._radix.view(np.uint64)):
+            raise ValidationError("digits do not fit the payload layout")
+        return self._bits(digits)
 
+    def _bits(self, digits: np.ndarray) -> np.ndarray:
+        bits = ((digits[self._field] >> self._shift) & 1).astype(np.uint8)
+        bits.setflags(write=False)
+        return bits
 
-class BitReader:
-    """Reads integers written by :class:`BitWriter`."""
+    def unpack(self, bits) -> np.ndarray:
+        """Digits (wire order) of payload ``bits``.
 
-    def __init__(self, bits: np.ndarray):
-        self._bits = np.asarray(bits, dtype=np.uint8)
-        self._pos = 0
+        Raises
+        ------
+        DecodingError
+            If the payload has the wrong length or a field holds a value
+            outside its radix.
+        """
+        bits = np.asarray(bits)
+        if bits.shape != (self.n_bits,):
+            raise DecodingError("payload has the wrong number of bits")
+        digits = np.add.reduceat(bits.astype(np.int64) << self._shift,
+                                 self._starts)
+        bad = np.flatnonzero(digits >= self._radix)
+        if bad.size:
+            i = int(bad[0])
+            raise DecodingError(f"malformed payload: field {i} holds "
+                                f"{digits[i]} of only {self.radices[i]} values")
+        return digits
 
-    def read_bit(self) -> int:
-        return self.read_uint(1)
+    def by_index(self, idx: int) -> np.ndarray:
+        """Payload bits of mixed-radix index ``idx`` in ``[0, count)``."""
+        idx = int(idx)
+        if not 0 <= idx < self.count:
+            raise ValidationError("payload index out of range")
+        digits = [0] * len(self.radices)
+        for i in self.order:
+            idx, digits[i] = divmod(idx, self.radices[i])
+        return self.pack(digits)
 
-    def read_uint(self, width: int) -> int:
-        if self._pos + width > self._bits.shape[0]:
-            raise ValidationError("bit stream exhausted")
-        value = 0
-        for i in range(width):
-            value |= int(self._bits[self._pos + i]) << i
-        self._pos += width
-        return value
+    def random(self, rng: np.random.Generator) -> np.ndarray:
+        """Uniform payload: one ``rng.integers(radix)`` per field, in wire order.
 
-    @property
-    def remaining(self) -> int:
-        return int(self._bits.shape[0]) - self._pos
+        numpy draws the same digits from one broadcast call as from one
+        call per field; below four fields the scalar calls are faster.
+        """
+        if len(self.radices) < 4:
+            digits = np.array([rng.integers(r) for r in self.radices])
+        else:
+            digits = rng.integers(0, self._radix)
+        return self._bits(digits)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from ..gaussmodels import Gaussian, LabeledSample, Mixture
-from .message import CompressionMessage
+from .message import CompressionMessage, PayloadLayout
 
 Decoded = Union[Gaussian, Mixture]
 
@@ -71,6 +71,9 @@ class Codec:
     ``payload_count(eps)`` is the exact number of distinct payloads, and
     ``payload_by_index`` / ``random_payload`` produce payload bit arrays
     for candidate enumeration in the compression-to-learning reduction.
+    Codecs built by :meth:`from_layout` take all three from
+    ``layout(eps)``, the :class:`PayloadLayout` their decoder accepts;
+    the combinators concatenate their base's layouts.
     """
 
     spec: SchemeSpec
@@ -80,6 +83,17 @@ class Codec:
     payload_count: Callable[[float], int]
     payload_by_index: Callable[[float, int], np.ndarray]
     random_payload: Callable[[float, np.random.Generator], np.ndarray]
+    layout: Optional[Callable[[float], PayloadLayout]] = None
+
+    @classmethod
+    def from_layout(cls, spec: SchemeSpec, scheme_id: int, encode, decode,
+                    layout: Callable[[float], PayloadLayout]) -> "Codec":
+        """Codec whose payload enumeration comes from ``layout(eps)``."""
+        return cls(spec, scheme_id, encode, decode,
+                   payload_count=lambda eps: layout(eps).count,
+                   payload_by_index=lambda eps, idx: layout(eps).by_index(idx),
+                   random_payload=lambda eps, rng: layout(eps).random(rng),
+                   layout=layout)
 
     @property
     def name(self) -> str:

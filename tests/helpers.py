@@ -32,3 +32,22 @@ def spd_with_condition(d: int, cond: float, rng) -> np.ndarray:
         return np.array([[1.0]])
     eigs = np.exp(np.linspace(0.0, np.log(cond), d))
     return (q * eigs) @ q.T
+
+
+def pack_bits_oracle(digits, widths) -> np.ndarray:
+    """Reference payload packing: each digit LSB-first, one bit at a time."""
+    bits = []
+    for value, width in zip(digits, widths):
+        for i in range(width):
+            bits.append((int(value) >> i) & 1)
+    return np.asarray(bits, dtype=np.uint8)
+
+
+def unpack_bits_oracle(bits, widths) -> list:
+    """Reference payload unpacking, the inverse of :func:`pack_bits_oracle`."""
+    digits = []
+    pos = 0
+    for width in widths:
+        digits.append(sum(int(bits[pos + i]) << i for i in range(width)))
+        pos += width
+    return digits

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from compresslearn import (Gaussian, LabeledSample, Mixture, ValidationError,
-                           sample, tv_1d, tv_mc)
+from compresslearn import (DecodingError, Gaussian, LabeledSample, Mixture,
+                           ValidationError, sample, tv_1d, tv_mc)
 from compresslearn.compression import (CompressionMessage, SCHEME_MIXTURE,
                                        SCHEME_PRODUCT, compose_mixture,
                                        compose_product, g1d_codec, gd_codec,
@@ -177,3 +177,26 @@ def test_gd_based_mixture_smoke():
     assert out.ok
     decoded = mix_codec.decode(out.message, samp.points, eps)
     assert tv_mc(target, decoded, 4000, rng).value <= eps
+
+
+def test_mixture_rejects_off_grid_weight():
+    # eps 0.2, k 2: 30 weight points in a 5-bit field, so 30 and 31 are
+    # not on the grid (31 used to decode silently to weights [1, 0])
+    k = 2
+    eps = 0.2
+    mix_codec = compose_mixture(g1d_codec(), k)
+    n_w = weight_grid_points(eps, k)
+    assert n_w == 30
+    rng = np.random.default_rng(56)
+    pts = rng.standard_normal((10, 1))
+    refs = np.arange(mix_codec.spec.tau(eps)) % 10
+    good = mix_codec.payload_by_index(eps, mix_codec.payload_count(eps) // 2)
+    for digit in (29, 30, 31):
+        bits = good.copy()
+        bits[:5] = [(digit >> i) & 1 for i in range(5)]
+        msg = CompressionMessage(SCHEME_MIXTURE, refs, bits)
+        if digit < n_w:
+            assert mix_codec.decode(msg, pts, eps).n_components == k
+        else:
+            with pytest.raises(DecodingError, match="malformed payload"):
+                mix_codec.decode(msg, pts, eps)

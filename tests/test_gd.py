@@ -138,6 +138,25 @@ def test_decode_validates_message_shape():
                      samp.points, eps)
 
 
+def test_decode_rejects_out_of_range_coefficient_offset():
+    d = 2
+    eps = 0.3
+    codec = gd_codec(d)
+    rng = np.random.default_rng(47)
+    target = Gaussian(np.zeros(d), np.eye(d))
+    samp = sample(target, 4 * codec.spec.m_samples(eps), rng)
+    msg = encode_with_retries(codec, target, samp, eps)
+    assert msg is not None
+    cg = coefficient_grid(eps, d)
+    width = cg.index_width
+    assert cg.n_points < 1 << width
+    bits = msg.bits.copy()
+    bits[:width] = [(cg.n_points >> i) & 1 for i in range(width)]
+    with pytest.raises(DecodingError, match="malformed payload"):
+        codec.decode(CompressionMessage(msg.scheme_id, msg.sample_refs, bits),
+                     samp.points, eps)
+
+
 def test_payload_index_enumeration():
     d = 2
     codec = gd_codec(d)

@@ -1,14 +1,15 @@
-"""Message wire format, bit packing, and quantization grids."""
+"""Message wire format, payload layouts, and quantization grids."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compresslearn import MessageSizeError, ValidationError
-from compresslearn.compression import (BitReader, BitWriter,
-                                       CompressionMessage, SCHEME_G1D,
-                                       SymmetricGrid)
+from compresslearn import DecodingError, MessageSizeError, ValidationError
+from compresslearn.compression import (CompressionMessage, PayloadLayout,
+                                       SCHEME_G1D, SymmetricGrid)
+
+from helpers import pack_bits_oracle, unpack_bits_oracle
 
 
 def test_message_golden_bytes():
@@ -53,33 +54,82 @@ def test_message_rejects_negative_refs():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 2 ** 20 - 1), st.integers(1, 20)),
-                min_size=0, max_size=12))
-def test_bit_writer_reader_roundtrip(fields):
-    writer = BitWriter()
-    for value, width in fields:
-        writer.write_uint(value & ((1 << width) - 1), width)
-    bits = writer.getvalue()
-    assert len(bits) == sum(w for _, w in fields)
-    reader = BitReader(bits)
-    for value, width in fields:
-        assert reader.read_uint(width) == value & ((1 << width) - 1)
-    assert reader.remaining == 0
+@given(st.lists(st.tuples(st.integers(0, 2 ** 62 - 1), st.integers(1, 62),
+                          st.integers(0, 2 ** 62 - 1)),
+                min_size=1, max_size=12))
+def test_layout_pack_unpack_roundtrip(fields):
+    widths = [w for _, w, _ in fields]
+    digits = [v & ((1 << w) - 1) for v, w, _ in fields]
+    radices = [d + 1 + extra % ((1 << w) - d) for d, (_, w, extra)
+               in zip(digits, fields)]
+    layout = PayloadLayout(radices, widths)
+    bits = layout.pack(digits)
+    assert layout.n_bits == len(bits) == sum(widths)
+    np.testing.assert_array_equal(bits, pack_bits_oracle(digits, widths))
+    assert layout.unpack(bits).tolist() == digits
+    assert unpack_bits_oracle(bits, widths) == digits
 
 
-def test_bit_writer_rejects_overflow():
-    writer = BitWriter()
+def test_layout_pack_rejects_overflow():
+    layout = PayloadLayout([4, 3], [2, 2])
     with pytest.raises(ValidationError):
-        writer.write_uint(4, 2)
+        layout.pack([4, 0])
     with pytest.raises(ValidationError):
-        writer.write_uint(-1, 2)
+        layout.pack([-1, 0])
+    with pytest.raises(ValidationError):
+        layout.pack([0, 3])  # fits the two bits, not the radix
+    with pytest.raises(ValidationError):
+        layout.pack([0])
+    with pytest.raises(ValidationError):
+        PayloadLayout([5], [2])
 
 
-def test_bit_reader_rejects_overrun():
-    reader = BitReader(np.array([1], dtype=np.uint8))
-    reader.read_bit()
-    with pytest.raises(ValidationError):
-        reader.read_bit()
+def test_layout_unpack_rejects_overrun():
+    layout = PayloadLayout([2], [1])
+    assert layout.unpack(np.array([1], dtype=np.uint8)).tolist() == [1]
+    for bits in ([], [1, 0]):
+        with pytest.raises(DecodingError, match="number of bits"):
+            layout.unpack(np.array(bits, dtype=np.uint8))
+    off_grid = PayloadLayout([4, 3], [2, 2])
+    with pytest.raises(DecodingError, match="malformed payload"):
+        off_grid.unpack(pack_bits_oracle([1, 3], [2, 2]))
+
+
+def test_layout_index_follows_significance_order():
+    layout = PayloadLayout([3, 5, 2], [2, 3, 1], order=(1, 0, 2))
+    assert layout.count == 30
+    seen = set()
+    for idx in range(layout.count):
+        a, b, c = layout.unpack(layout.by_index(idx)).tolist()
+        assert idx == b + 5 * (a + 3 * c)
+        seen.add((a, b, c))
+    assert len(seen) == 30
+    for idx in (-1, layout.count):
+        with pytest.raises(ValidationError):
+            layout.by_index(idx)
+
+
+def test_layout_concatenation_nests_indices():
+    first = PayloadLayout([3, 5], [2, 3], order=(1, 0))
+    second = PayloadLayout([7, 2], [3, 1])
+    both = first + second
+    assert both.count == first.count * second.count
+    for i, j in ((0, 0), (4, 9), (14, 13), (7, 5)):
+        np.testing.assert_array_equal(
+            both.by_index(i + first.count * j),
+            np.concatenate([first.by_index(i), second.by_index(j)]))
+
+
+def test_layout_random_draws_each_field_in_wire_order():
+    layout = PayloadLayout([2, 30, 30, 10817, 2 ** 40 + 1], [1, 5, 5, 14, 41])
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        bits = layout.random(rng)
+        ref = np.random.default_rng(seed)
+        digits = [int(ref.integers(r)) for r in layout.radices]
+        np.testing.assert_array_equal(bits, pack_bits_oracle(digits,
+                                                             layout.widths))
+        assert rng.integers(1 << 62) == ref.integers(1 << 62)
 
 
 def test_grid_zero_is_exactly_representable():
@@ -117,3 +167,14 @@ def test_grid_index_width_is_minimal():
     grid = SymmetricGrid.from_bound(1.0, 0.4)  # n_half=3 -> 7 points
     assert grid.n_points == 7
     assert grid.index_width == 3
+
+
+def test_grid_vectorized_offsets_and_values_match_scalar_methods():
+    grid = SymmetricGrid.from_bound(3.0, 0.25)
+    ties = (np.arange(-15, 16) + 0.5) * grid.step  # exact half steps
+    xs = np.concatenate([np.linspace(-4.0, 4.0, 201), ties, [1e9, -1e9]])
+    offs = grid.offsets(xs)
+    assert offs.tolist() == [grid.to_offset(grid.quantize(float(x)))
+                             for x in xs]
+    assert grid.values(offs).tolist() == [grid.value(grid.from_offset(int(u)))
+                                          for u in offs]
