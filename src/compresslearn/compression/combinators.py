@@ -10,8 +10,7 @@ failure probability at most 1/3.
 from __future__ import annotations
 
 import math
-import operator
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,10 +31,6 @@ def _diag_or_raise(cov: np.ndarray) -> np.ndarray:
     if np.abs(off).max(initial=0.0) > _DIAG_OFF_RTOL * max(1.0, diag.max()):
         raise ValidationError("product codec requires a diagonal covariance")
     return diag
-
-
-def _concat(layouts) -> PayloadLayout:
-    return reduce(operator.add, layouts)
 
 
 def _base_layout(base: Codec):
@@ -127,7 +122,7 @@ def compose_product(base: Codec, d: int) -> Codec:
     @lru_cache(maxsize=256)
     def layout(eps: float) -> PayloadLayout:
         # marginal j is digit j of the index, base-layout ordered inside
-        return _concat([base_layout(sub_eps(eps))] * d)
+        return PayloadLayout.concat([base_layout(sub_eps(eps))] * d)
 
     spec = SchemeSpec(
         name=f"product[{base.name}]^{d}",
@@ -178,8 +173,8 @@ def compose_mixture(base: Codec, k: int) -> Codec:
     @lru_cache(maxsize=256)
     def layout(eps: float) -> PayloadLayout:
         # weights, then component i as digit i, base-layout ordered inside
-        return _concat([_weight_layout(eps, k)]
-                       + [base_layout(sub_eps(eps))] * k)
+        return PayloadLayout.concat([_weight_layout(eps, k)]
+                                    + [base_layout(sub_eps(eps))] * k)
 
     def m_samples(eps: float) -> int:
         mult = math.ceil(48.0 * k * math.log(6.0 * k) / eps)

@@ -48,8 +48,7 @@ class PayloadLayout:
     ``order`` lists the fields from least to most significant digit of the
     payload index, so ``count``, ``by_index`` and ``random`` (one draw per
     field, in wire order) enumerate exactly the payloads ``unpack``
-    accepts.  ``a + b`` puts ``b``'s fields after ``a``'s on the wire and
-    above them in the index.
+    accepts.  :meth:`concat` joins the layouts of a composite payload.
     """
 
     def __init__(self, radices, widths, order=None):
@@ -67,9 +66,11 @@ class PayloadLayout:
         self.n_bits = sum(self.widths)
         self.count = math.prod(self.radices)
         self._radix = np.asarray(self.radices, dtype=np.int64)
+        self._width = np.asarray(self.widths)
         self._starts = np.cumsum((0,) + self.widths[:-1])
-        self._field = np.repeat(np.arange(n), self.widths)  # field of each bit
-        self._shift = np.arange(self.n_bits) - self._starts[self._field]
+        # bit position within its field, one byte per payload bit
+        self._shift = (np.arange(self.n_bits) - np.repeat(
+            self._starts, self._width)).astype(np.uint8)
 
     @classmethod
     def of_grids(cls, grids, order=None) -> "PayloadLayout":
@@ -77,11 +78,16 @@ class PayloadLayout:
         return cls([g.n_points for g in grids], [g.index_width for g in grids],
                    order)
 
-    def __add__(self, other: "PayloadLayout") -> "PayloadLayout":
-        n = len(self.radices)
-        return PayloadLayout(self.radices + other.radices,
-                             self.widths + other.widths,
-                             self.order + tuple(n + i for i in other.order))
+    @classmethod
+    def concat(cls, layouts) -> "PayloadLayout":
+        """The fields of ``layouts`` one after another; each layout's index
+        digits rank above those of the layouts before it."""
+        radices, widths, order = [], [], []
+        for layout in layouts:
+            order += [len(radices) + i for i in layout.order]
+            radices += layout.radices
+            widths += layout.widths
+        return cls(radices, widths, order)
 
     def pack(self, digits) -> np.ndarray:
         """Payload bits of ``digits`` (wire order)."""
@@ -93,7 +99,8 @@ class PayloadLayout:
         return self._bits(digits)
 
     def _bits(self, digits: np.ndarray) -> np.ndarray:
-        bits = ((digits[self._field] >> self._shift) & 1).astype(np.uint8)
+        bits = np.right_shift(np.repeat(digits, self._width), self._shift,
+                              dtype=np.int64).astype(np.uint8) & 1
         bits.setflags(write=False)
         return bits
 
@@ -109,8 +116,8 @@ class PayloadLayout:
         bits = np.asarray(bits)
         if bits.shape != (self.n_bits,):
             raise DecodingError("payload has the wrong number of bits")
-        digits = np.add.reduceat(bits.astype(np.int64) << self._shift,
-                                 self._starts)
+        digits = np.add.reduceat(
+            np.left_shift(bits, self._shift, dtype=np.int64), self._starts)
         bad = np.flatnonzero(digits >= self._radix)
         if bad.size:
             i = int(bad[0])

@@ -112,7 +112,7 @@ def test_layout_index_follows_significance_order():
 def test_layout_concatenation_nests_indices():
     first = PayloadLayout([3, 5], [2, 3], order=(1, 0))
     second = PayloadLayout([7, 2], [3, 1])
-    both = first + second
+    both = PayloadLayout.concat([first, second])
     assert both.count == first.count * second.count
     for i, j in ((0, 0), (4, 9), (14, 13), (7, 5)):
         np.testing.assert_array_equal(
