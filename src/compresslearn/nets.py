@@ -1,17 +1,16 @@
-"""Epsilon-nets, coordinate quantizers, and convex hull certificates.
+"""The simplex epsilon-net, and convex hull certificates.
 
-The L2-ball net is realized as a scaled axis grid (covering guarantee only,
-no packing bound), which keeps quantization per-coordinate and therefore
-serializable.  Hull membership is tested on a dense deterministic set of
-directions, so a pass is approximate while a returned violation certificate
-is exact.
+The simplex net covers mixture weight vectors in the sup norm; the
+agnostic mixture learner crosses it with its component candidates.  Hull
+membership is tested on a dense deterministic set of directions, so a pass
+is approximate while a returned violation certificate is exact; hull
+coefficients express a target over the symmetric hull of sample points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _iter_product
 from typing import Optional
 
 import numpy as np
@@ -32,7 +31,7 @@ class Net:
 
     points: np.ndarray
     radius: float
-    metric: str  # "linf_cube" | "l2_ball" | "linf_simplex_embedding"
+    metric: str  # "linf_simplex_embedding", the only net built here
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -48,77 +47,12 @@ class Net:
         return int(self.points.shape[0])
 
 
-def _axis_centers(n_side: int) -> np.ndarray:
-    # centers of n_side equal cells tiling [-1, 1]
-    return -1.0 + (2.0 * np.arange(n_side) + 1.0) / n_side
-
-
-def net_linf_cube(d: int, eps: float) -> Net:
-    """Net of ``[-1, 1]^d`` under the sup norm: cube centers with side 2*eps.
-
-    Size is ``ceil(1/eps)^d``; raises :class:`NetSizeError` beyond 1e9 points.
-    """
-    if d < 1:
-        raise ValidationError("d must be >= 1")
-    if not (0.0 < eps):
-        raise ValidationError("eps must be positive")
-    n_side = max(1, math.ceil(1.0 / eps))
-    if n_side ** d > NET_SIZE_GUARD:
-        raise NetSizeError(f"net would have {n_side}^{d} points")
-    centers = _axis_centers(n_side)
-    pts = np.array(list(_iter_product(centers, repeat=d)), dtype=float)
-    return Net(points=pts.reshape(-1, d), radius=eps, metric="linf_cube")
-
-
-def quantize_linf(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Round each coordinate of ``x in [-1, 1]^d`` to its cube-center cell.
-
-    Returns ``(indices, reconstruction)`` where indices are per-coordinate
-    cell numbers in ``[0, ceil(1/eps))`` and the reconstruction is within
-    ``eps`` of ``x`` in the sup norm.  Each index costs
-    ``ceil(log2(ceil(1/eps)))`` bits.
-    """
-    x = np.asarray(x, dtype=float)
-    if not (0.0 < eps):
-        raise ValidationError("eps must be positive")
-    if np.any(np.abs(x) > 1.0):
-        raise ValidationError("quantize_linf input must lie in [-1, 1]^d")
-    n_side = max(1, math.ceil(1.0 / eps))
-    cell = 2.0 / n_side
-    idx = np.clip(np.floor((x + 1.0) / cell).astype(np.int64), 0, n_side - 1)
-    recon = -1.0 + (2.0 * idx + 1.0) / n_side
-    return idx, recon
-
-
-def net_l2_ball(d: int, eps: float, radius: float) -> Net:
-    """Covering of the centered L2 ball of the given radius.
-
-    Realized as an axis grid with per-coordinate spacing ``eps/sqrt(d)``
-    (covering guarantee only).  Grid points farther than ``radius + eps``
-    from the origin are pruned, which preserves the covering property.
-    """
-    if d < 1:
-        raise ValidationError("d must be >= 1")
-    if eps <= 0.0 or radius <= 0.0:
-        raise ValidationError("eps and radius must be positive")
-    if eps >= radius:
-        return Net(points=np.zeros((1, d)), radius=eps, metric="l2_ball")
-    n_side = math.ceil(radius * math.sqrt(d) / eps)
-    if n_side ** d > NET_SIZE_GUARD:
-        raise NetSizeError(f"net would have {n_side}^{d} points")
-    centers = radius * _axis_centers(n_side)
-    pts = np.array(list(_iter_product(centers, repeat=d)), dtype=float)
-    pts = pts.reshape(-1, d)
-    keep = np.linalg.norm(pts, axis=1) <= radius + eps
-    return Net(points=pts[keep], radius=eps, metric="l2_ball")
-
-
-def net_simplex(k: int, eps: float, size_guard: int = NET_SIZE_GUARD) -> Net:
+def net_simplex(k: int, eps: float) -> Net:
     """Sup-norm net of the probability simplex on ``k`` outcomes.
 
     Points are integer compositions of ``N = ceil(1/eps)`` scaled by
     ``1/N``, so every weight vector is within ``eps`` per coordinate of a
-    net point.
+    net point.  Raises :class:`NetSizeError` beyond 1e9 points.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -126,7 +60,7 @@ def net_simplex(k: int, eps: float, size_guard: int = NET_SIZE_GUARD) -> Net:
         raise ValidationError("eps must be positive")
     n_steps = max(1, math.ceil(1.0 / eps))
     est_size = math.comb(n_steps + k - 1, k - 1)
-    if est_size > size_guard:
+    if est_size > NET_SIZE_GUARD:
         raise NetSizeError(f"simplex net would have {est_size} points")
     pts = []
 

@@ -1,5 +1,6 @@
 """Selection tournament, the compression reduction, and direct learners."""
 
+import dataclasses
 import json
 import math
 import os
@@ -361,6 +362,19 @@ def test_learn_from_compression_extras_count_against_budget():
     with pytest.raises(ValidationError):
         learn_from_compression(codec, samp, eps, delta, 0, 9,
                                extra_messages=(extra,))
+
+
+def test_learn_from_compression_checks_sample_before_messages():
+    def no_payloads(*args):
+        raise AssertionError("messages generated before the sample check")
+
+    codec = dataclasses.replace(g1d_codec(), random_payload=no_payloads,
+                                payload_by_index=no_payloads)
+    eps, delta, budget = 0.2, 0.2, 10
+    n_enc = codec.spec.m_samples(eps / 6.0) * _boost_rounds(delta)
+    samp = sample(Gaussian([0.0], [[1.0]]), n_enc - 1, 70)
+    with pytest.raises(ValidationError, match="encoding points"):
+        learn_from_compression(codec, samp, eps, delta, budget, 11)
 
 
 def test_learn_from_compression_with_real_scheme():
