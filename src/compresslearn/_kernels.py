@@ -11,9 +11,10 @@ for bit.  Its temporaries span tiles of whole candidates by up to
 ``LOGPDF_TILE_CELLS`` points, about ``LOGPDF_TILE_CELLS`` cells each, so
 beyond its ``(m, n)`` output it holds ``O(d)`` such tiles.
 
-``pairwise_greater_fraction`` fills only the strict upper triangle
-(``i < j``) of its output; each entry is an integer count divided by the
-column count.
+``pairwise_greater_counts`` counts, per pair ``i < j``, the columns where
+row ``i`` strictly exceeds row ``j``.  ``pairwise_greater_fraction`` fills
+only the strict upper triangle (``i < j``) of its output with those
+integer counts divided by the column count.
 """
 
 from __future__ import annotations
@@ -135,19 +136,30 @@ def first_occupants(cells: np.ndarray, n_cells: int) -> np.ndarray:
 # Pairwise empirical winner fractions for candidate selection
 
 
+def pairwise_greater_counts(values: np.ndarray) -> np.ndarray:
+    """Columns where ``values[i] > values[j]``, one int64 count per pair.
+
+    Pairs ``i < j`` come in ``np.triu_indices`` order (row-major); ties
+    count for neither side (strict inequality).  Beyond the output it holds
+    one ``n``-element temporary.
+    """
+    values = np.ascontiguousarray(values)
+    m = values.shape[0]
+    return np.array([np.count_nonzero(values[i] > values[j])
+                     for i in range(m) for j in range(i + 1, m)],
+                    dtype=np.int64)
+
+
 def pairwise_greater_fraction(values: np.ndarray) -> np.ndarray:
     """Strict upper triangle of the pairwise win fractions.
 
     For ``i < j``, ``out[i, j]`` is the fraction of columns where
-    ``values[i] > values[j]``; ties count for neither side (strict
-    inequality).  The diagonal and everything below it are zero: the
-    Scheffe tournament only reads pairs with ``i < j``.  Beyond the output
-    it holds one ``n``-element temporary.
+    ``values[i] > values[j]``: :func:`pairwise_greater_counts` divided by
+    the column count.  The diagonal and everything below it are zero: the
+    Scheffe tournament only reads pairs with ``i < j``.
     """
     values = np.ascontiguousarray(values)
     m, n = values.shape
     out = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            out[i, j] = np.count_nonzero(values[i] > values[j]) / n
+    out[np.triu_indices(m, 1)] = pairwise_greater_counts(values) / n
     return out

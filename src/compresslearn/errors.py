@@ -27,3 +27,7 @@ class MessageSizeError(CompressLearnError):
 
 class DecodingError(CompressLearnError):
     """A message does not decode to a valid distribution."""
+
+
+class WorkerPoolError(CompressLearnError):
+    """A worker process of the selection pool died mid-tournament."""

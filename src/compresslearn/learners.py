@@ -1,9 +1,13 @@
 """Learning algorithms built on the compression codecs.
 
 ``select_candidate`` runs a Scheffe tournament over a finite candidate
-list.  ``learn_from_compression`` turns any codec into a learner by
-enumerating (or sampling) candidate messages, decoding them against a
-held sample prefix, and selecting on a fresh holdout.
+list.  Its ``O(m^2 n)`` strategies split their work into units that a
+lazily created ``fork`` process pool, one worker per available CPU, runs
+in parallel (in-process where that pool cannot be used), with results bit
+for bit those of one serial loop.  ``learn_from_compression`` turns any
+codec into a learner by enumerating (or sampling) candidate messages,
+decoding them against a held sample prefix, and selecting on a fresh
+holdout.
 ``learn_gaussian_efficient`` is the polynomial-time single-Gaussian
 estimator, and ``learn_mixture_agnostic`` assembles mixture candidates
 from per-component messages of the contamination-robust codec.
@@ -14,15 +18,22 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtr
 
-from ._kernels import pairwise_greater_fraction
+# pairwise_greater_fraction is not called here; the name stays bound for
+# callers that patch this module's kernel names
+from ._kernels import (pairwise_greater_counts,
+                       pairwise_greater_fraction)  # noqa: F401
 from .compression import CompressionMessage, Codec, gd_codec
-from .errors import DecodingError, ValidationError
+from .errors import DecodingError, ValidationError, WorkerPoolError
 from .gaussmodels import (Gaussian, LabeledSample, Mixture, log_densities,
                           log_density, sample)
 from .nets import Net, net_simplex
@@ -33,6 +44,8 @@ Distribution = Union[Gaussian, Mixture]
 SCHEFFE_MC_POOL = 5000      # MC draws per candidate for d > 1 region masses
 SCHEFFE_GRID_POINTS = 8193  # shared quadrature grid for 1-D mixtures
 SCHEFFE_GRID_SIGMAS = 10.0
+# MC pool row blocks per worker process, so uneven blocks even out
+POOL_BLOCKS_PER_WORKER = 2
 # relative width, against the size of the log-density terms, of the bands
 # around 1-D region roots where holdout points are compared on stored values
 REGION_BAND_TOL = 2.0 ** -36
@@ -305,6 +318,147 @@ def _pool_seed(dist: Distribution, salt: int) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+# ---------------------------------------------------------------------------
+# Tournament work units and the process pool that runs them
+
+_POOL: Optional[ProcessPoolExecutor] = None
+
+
+def _forget_pool() -> None:
+    global _POOL
+    _POOL = None
+
+
+# a forked child must not submit to its parent's workers
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _worker_pool():
+    """``(pool, workers)``; the pool is ``None`` where units run in-process.
+
+    The pool is created at the first call that can use one: a ``fork``
+    pool with one worker per CPU this process may run on.  Work stays
+    in-process on one CPU, without ``fork``, and inside a child process
+    (for example a harness worker), which would otherwise fork again.
+    """
+    global _POOL
+    workers = len(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else 1
+    if workers < 2 or multiprocessing.parent_process() is not None \
+            or "fork" not in multiprocessing.get_all_start_methods():
+        return None, 1
+    if _POOL is None:
+        _POOL = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"))
+    return _POOL, workers
+
+
+def _run_units(pool: Optional[ProcessPoolExecutor], units: list) -> list:
+    """``[fn(*args) for fn, *args in units]``, on ``pool`` when given."""
+    if pool is None:
+        return [fn(*args) for fn, *args in units]
+    futures = []
+    try:
+        futures = [pool.submit(*unit) for unit in units]
+        return [f.result() for f in futures]
+    except BrokenProcessPool as exc:
+        if _POOL is pool:
+            _forget_pool()
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise WorkerPoolError(
+            f"a selection worker process died ({exc}); the next "
+            "selection starts a new pool") from exc
+    finally:
+        for f in futures:
+            f.cancel()
+
+
+def _blocks(weights, parts: int) -> list:
+    """At most ``parts`` contiguous, nonempty ``(start, stop)`` blocks of
+    ``range(len(weights))``, each holding about an equal share of weight."""
+    cum = np.cumsum(weights)
+    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, parts) / parts,
+                           side="right")
+    bounds = [0, *cuts.tolist(), len(cum)]
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+def _holdout_counts(cands, points: np.ndarray) -> np.ndarray:
+    """Points where ``log f_i > log f_j``, per pair ``i < j`` in
+    ``np.triu_indices`` order.  A column block's counts add up exactly."""
+    return pairwise_greater_counts(log_densities(cands, points))
+
+
+def _grid_masses(cands, grid: np.ndarray, start: int, stop: int):
+    """``(p_i, p_j)`` on ``grid`` for the pairs ``(i, j)``, ``i < j``, of
+    rows ``start <= i < stop``, in ``np.triu_indices`` order.
+
+    Trapezoid masses: each is one sum over the masked grid, so a pair's
+    mass does not depend on how the pairs are split into blocks.
+    """
+    dx = grid[1] - grid[0]
+    weights = np.full(grid.shape, dx)
+    weights[0] = weights[-1] = 0.5 * dx
+    # row r is candidate start + r; a row's bits do not depend on the batch
+    ld = log_densities(cands[start:], grid[:, None])
+    dens_w = np.exp(ld) * weights
+    p_i = []
+    p_j = []
+    for i in range(stop - start):
+        for j in range(i + 1, len(ld)):
+            mask = ld[i] > ld[j]
+            p_i.append(min(1.0, float(dens_w[i][mask].sum())))
+            p_j.append(min(1.0, float(dens_w[j][mask].sum())))
+    return np.array(p_i), np.array(p_j)
+
+
+def _pool_fractions(cands, start: int, stop: int, salt: int,
+                    n_pool: int) -> np.ndarray:
+    """Rows ``start:stop`` of ``prob_own``: ``prob_own[i, j]`` is the share
+    of candidate i's own MC pool where ``f_i > f_j``."""
+    out = np.empty((stop - start, len(cands)))
+    for r, i in enumerate(range(start, stop)):
+        pool = sample(cands[i], n_pool, _pool_seed(cands[i], salt)).points
+        ld = log_densities(cands, pool)
+        out[r] = np.count_nonzero(ld[i][None, :] > ld, axis=1) / n_pool
+    return out
+
+
+def _split_tournament(cands, points: np.ndarray, strategy: str, seed,
+                      n_pool: int):
+    """``(p_hat, p_i, p_j)`` per pair ``i < j`` for ``grid_1d`` and
+    ``mc_pools``, computed in units on the worker pool (see
+    :func:`select_candidate`)."""
+    m = len(cands)
+    pool, workers = _worker_pool()
+    # holdout column blocks first: they are the largest units
+    cols = _blocks(np.ones(len(points)), workers)
+    units = [(_holdout_counts, cands, points[a:b]) for a, b in cols]
+    if strategy == "grid_1d":
+        # pair rows, balanced by pair count (row i has m - 1 - i)
+        rows = _blocks(np.arange(m - 1, -1, -1), workers)
+        grid = _shared_grid(cands)
+        units += [(_grid_masses, cands, grid, a, b) for a, b in rows]
+    else:
+        salt = int(as_generator(seed).integers(1 << 62))
+        rows = _blocks(np.ones(m), POOL_BLOCKS_PER_WORKER * workers)
+        units += [(_pool_fractions, cands, a, b, salt, n_pool)
+                  for a, b in rows]
+    done = _run_units(pool, units)
+    p_hat = sum(done[:len(cols)]) / len(points)
+    done = done[len(cols):]
+    if strategy == "grid_1d":
+        return (p_hat, np.concatenate([p_i for p_i, _ in done]),
+                np.concatenate([p_j for _, p_j in done]))
+    # prob_own[i, j] = mass candidate i assigns to {f_i > f_j}, estimated
+    # from candidate i's own pool
+    prob_own = np.concatenate(done)
+    I, J = np.triu_indices(m, 1)
+    # complement of {f_j > f_i} under f_j; ties between distinct densities
+    # have measure zero
+    return p_hat, prob_own[I, J], 1.0 - prob_own[J, I]
+
+
 def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
                      n_pool: int = SCHEFFE_MC_POOL) -> SelectionResult:
     """Pick the candidate whose density best matches the holdout sample.
@@ -326,15 +480,30 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
     compares stored log densities only for points next to an endpoint and
     for near-degenerate pairs; the counts equal the all-pairs comparison
     exactly, in ``O((m^2 + n) log n)`` time.  Strategies ``grid_1d`` and
-    ``mc_pools`` evaluate every candidate on the holdout and compare all
-    pairs of rows with :func:`pairwise_greater_fraction`, in ``O(m^2 n)``.
+    ``mc_pools`` evaluate every candidate on the holdout and count, for all
+    pairs of rows, the points where one exceeds the other
+    (:func:`pairwise_greater_counts`), in ``O(m^2 n)``.
 
     Both evaluate candidates with one :func:`log_densities` call per point
-    set (the holdout, the ``grid_1d`` grid, and each of the ``m`` MC pools),
-    which runs the batched, tiled kernel and gives the same bits as
-    per-candidate :func:`log_density` calls.  The work is still
-    ``O(m^2 n_pool)`` density terms for ``mc_pools`` and ``O(m^2 n)``
+    set (a block of holdout columns, the ``grid_1d`` grid, and each of the
+    ``m`` MC pools), which runs the batched, tiled kernel and gives the
+    same bits as per-candidate :func:`log_density` calls.  The work is
+    still ``O(m^2 n_pool)`` density terms for ``mc_pools`` and ``O(m^2 n)``
     comparisons for both; batching only shrinks its constant.
+
+    That work is split into independent units, each with the same result
+    wherever it runs: contiguous blocks of holdout columns (integer pair
+    counts, summed and divided by ``holdout.n`` once), blocks of MC pool
+    rows (a candidate's pool, its log densities, and its row of own-pool
+    fractions), and blocks of ``grid_1d`` pair rows (each pair's mass one
+    sum over the whole masked grid).  On Linux the units run on a shared
+    ``fork`` process pool with one worker per available CPU, created at
+    the first such tournament; they run in-process, one after the other,
+    on a single CPU, without ``fork``, and inside a child process such as
+    a harness worker.  Either way the winner and win vector are bit for bit
+    those of a serial all-pairs loop.  A worker that dies raises
+    :class:`WorkerPoolError`, and the next tournament starts a new pool.
+    ``closed_form_1d`` always runs in-process.
     """
     if isinstance(cands, CandidateSet):
         cands = cands.candidates
@@ -364,35 +533,8 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
     if strategy == "closed_form_1d":
         p_hat, p_i, p_j = _closed_form_1d(cands, holdout.points, I, J)
     else:
-        p_hat = pairwise_greater_fraction(
-            log_densities(cands, holdout.points))[I, J]
-
-    if strategy == "grid_1d":
-        grid = _shared_grid(cands)
-        dx = grid[1] - grid[0]
-        weights = np.full(grid.shape, dx)
-        weights[0] = weights[-1] = 0.5 * dx
-        ld_grid = log_densities(cands, grid[:, None])
-        dens_w = np.exp(ld_grid) * weights
-        p_i = np.empty(len(I))
-        p_j = np.empty(len(I))
-        for k, (i, j) in enumerate(zip(I, J)):
-            mask = ld_grid[i] > ld_grid[j]
-            p_i[k] = min(1.0, float(dens_w[i][mask].sum()))
-            p_j[k] = min(1.0, float(dens_w[j][mask].sum()))
-    elif strategy == "mc_pools":
-        salt = int(as_generator(seed).integers(1 << 62))
-        # prob_own[i, j] = mass candidate i assigns to {f_i > f_j},
-        # estimated from candidate i's own pool
-        prob_own = np.zeros((m_cands, m_cands))
-        for i, cand in enumerate(cands):
-            pool = sample(cand, n_pool, _pool_seed(cand, salt)).points
-            ld = log_densities(cands, pool)
-            prob_own[i] = (ld[i][None, :] > ld).mean(axis=1)
-        p_i = prob_own[I, J]
-        # complement of {f_j > f_i} under f_j; ties between distinct
-        # densities have measure zero
-        p_j = 1.0 - prob_own[J, I]
+        p_hat, p_i, p_j = _split_tournament(cands, holdout.points, strategy,
+                                            seed, n_pool)
 
     i_wins = np.abs(p_i - p_hat) <= np.abs(p_j - p_hat)
     wins = np.bincount(I[i_wins], minlength=m_cands) \

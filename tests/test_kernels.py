@@ -147,3 +147,13 @@ def test_gauss_logpdf_many_empty_batch():
     out = _kernels.gauss_logpdf_many_np(np.empty((0, 2)), means, inv_covs,
                                         log_dets)
     assert out.shape == (4, 0)
+
+
+def test_pairwise_greater_counts_follow_triu_order(rng):
+    values = rng.integers(0, 3, size=(6, 25)).astype(float)
+    I, J = np.triu_indices(6, 1)
+    want = [np.count_nonzero(values[i] > values[j]) for i, j in zip(I, J)]
+    got = _kernels.pairwise_greater_counts(values)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+    assert _kernels.pairwise_greater_counts(values[:1]).shape == (0,)
