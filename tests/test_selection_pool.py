@@ -155,6 +155,17 @@ def test_work_stays_in_process_in_a_child_or_on_one_cpu(monkeypatch):
     assert learners._worker_pool() == (None, 1)
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_does_not_reuse_the_parent_pool(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert learners._worker_pool()[0] is not None
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if learners._POOL is None else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
 def test_dead_worker_raises_and_the_next_selection_recovers(monkeypatch):
     rng = np.random.default_rng(71)
     cands = gaussians_2d(5, rng)
