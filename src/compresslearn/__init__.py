@@ -18,7 +18,7 @@ from .distances import (TvEstimate, degenerate_pair_divergences, kl_gaussians,
                         logdet_divergence, pinsker_check, tv_1d,
                         tv_frobenius_proxy, tv_mc)
 from .errors import (CompressLearnError, DecodingError,
-                     DimensionMismatchError, MessageSizeError, NetSizeError,
+                     DimensionMismatchError, MessageSizeError,
                      SingularCovarianceError, ValidationError,
                      WorkerPoolError)
 from .gaussmodels import (Gaussian, LabeledSample, Mixture, density,
@@ -28,17 +28,16 @@ from .gaussmodels import (Gaussian, LabeledSample, Mixture, density,
 from .harness import (ExperimentConfig, ExperimentRow, derive_seed,
                       run_experiment, summarize, write_outputs)
 from .learners import (CandidateSet, LearnResult, SelectionResult,
-                       agnostic_sample_size, compression_sample_size,
-                       efficient_sample_size, holdout_size,
-                       learn_from_compression, learn_gaussian_efficient,
-                       learn_mixture_agnostic, select_candidate)
+                       compression_sample_size, efficient_sample_size,
+                       holdout_size, learn_from_compression,
+                       learn_gaussian_efficient, select_candidate)
 from .lowerbound import (Codebook, FanoInputs, LowerBoundFamily,
                          fano_error_bound, fano_sample_lower, kl_pair,
                          kl_upper_bound, make_codebook, make_lb_family,
                          make_mixture_lb_family, mixture_mean_separation,
                          random_orthonormal, tv_pair_lower, tv_separation,
                          verify_codebook)
-from .nets import Net, hull_contains_ball, net_simplex
+from .nets import hull_contains_ball
 
 __all__ = [
     "CandidateSet",
@@ -58,8 +57,6 @@ __all__ = [
     "LowerBoundFamily",
     "MessageSizeError",
     "Mixture",
-    "Net",
-    "NetSizeError",
     "SCHEME_CHOICES",
     "SchemeSpec",
     "SelectionResult",
@@ -67,7 +64,6 @@ __all__ = [
     "TvEstimate",
     "ValidationError",
     "WorkerPoolError",
-    "agnostic_sample_size",
     "backend_name",
     "codec_for",
     "compose_mixture",
@@ -93,7 +89,6 @@ __all__ = [
     "kl_upper_bound",
     "learn_from_compression",
     "learn_gaussian_efficient",
-    "learn_mixture_agnostic",
     "log_densities",
     "log_density",
     "logdet_divergence",
@@ -101,7 +96,6 @@ __all__ = [
     "make_lb_family",
     "make_mixture_lb_family",
     "mixture_mean_separation",
-    "net_simplex",
     "pinsker_check",
     "random_orthonormal",
     "run_experiment",

@@ -17,10 +17,6 @@ class SingularCovarianceError(ValidationError):
     """Covariance matrix is not symmetric positive definite."""
 
 
-class NetSizeError(ValidationError):
-    """A requested net would exceed the enumeration size guard."""
-
-
 class MessageSizeError(CompressLearnError):
     """A compression message exceeds its scheme's size budget."""
 

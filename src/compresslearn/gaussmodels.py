@@ -342,6 +342,15 @@ def dist_to_json(dist: Distribution) -> dict:
     raise ValidationError(f"cannot serialize {type(dist).__name__}")
 
 
+def _json_floats(obj: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(obj[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{key!r} must be a number or a rectangular list of numbers"
+        ) from None
+
+
 def dist_from_json(obj: dict) -> Distribution:
     """Parse and validate the JSON form produced by :func:`dist_to_json`."""
     if not isinstance(obj, dict):
@@ -350,18 +359,20 @@ def dist_from_json(obj: dict) -> Distribution:
     if kind == "gaussian":
         if "mean" not in obj or "cov" not in obj:
             raise ValidationError("gaussian JSON needs 'mean' and 'cov'")
-        mean = np.asarray(obj["mean"], dtype=float)
-        cov = np.asarray(obj["cov"], dtype=float)
+        mean = _json_floats(obj, "mean")
+        cov = _json_floats(obj, "cov")
         if cov.ndim != 2:
             raise ValidationError("'cov' must be a row-major nested list")
         return Gaussian(mean, cov)
     if kind == "mixture":
         if "weights" not in obj or "components" not in obj:
             raise ValidationError("mixture JSON needs 'weights' and 'components'")
+        if not isinstance(obj["components"], list):
+            raise ValidationError("'components' must be a list")
         comps = [dist_from_json(c) for c in obj["components"]]
         if not all(isinstance(c, Gaussian) for c in comps):
             raise ValidationError("mixture components must be gaussians")
-        return Mixture(obj["weights"], comps)
+        return Mixture(_json_floats(obj, "weights"), comps)
     raise ValidationError(f"unknown distribution type {kind!r}")
 
 

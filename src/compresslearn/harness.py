@@ -64,6 +64,15 @@ def derive_seed(master: int, grid_idx: int, trial_idx: int) -> int:
     return _splitmix64(state ^ (trial_idx + 1))
 
 
+def _config_field(name: str, convert, value):
+    """``convert(value)``, with a malformed value as a ValidationError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"config field {name!r}: malformed value {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """What to run: experiment name, grid, trial count, master seed.
@@ -91,9 +100,11 @@ class ExperimentConfig:
                 f"config field 'experiment': unknown value {self.experiment!r}")
         if self.grid_kind not in ("eps", "n"):
             raise ValidationError("config field 'grid_kind': must be eps or n")
-        if len(self.grid) == 0:
+        grid = _config_field("grid", lambda g: tuple(map(float, g)),
+                             self.grid)
+        if len(grid) == 0:
             raise ValidationError("config field 'grid': must be nonempty")
-        object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
+        object.__setattr__(self, "grid", grid)
         if self.trials < 1:
             raise ValidationError("config field 'trials': must be >= 1")
         want_kind = {"scheme_roundtrip": "eps", "learn_curve": "n",
@@ -126,6 +137,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValidationError("config must be a JSON object")
         known = {"experiment", "grid_kind", "grid", "trials", "seed",
                  "scheme", "target", "budget", "params"}
         unknown = set(data) - known
@@ -137,10 +150,12 @@ class ExperimentConfig:
             raise ValidationError(f"config fields missing: {sorted(missing)}")
         return cls(
             experiment=data["experiment"], grid_kind=data["grid_kind"],
-            grid=tuple(data["grid"]), trials=int(data["trials"]),
-            seed=int(data["seed"]), scheme=data.get("scheme"),
-            target=data.get("target"), budget=data.get("budget"),
-            params=dict(data.get("params", {})))
+            grid=data["grid"],
+            trials=_config_field("trials", int, data["trials"]),
+            seed=_config_field("seed", int, data["seed"]),
+            scheme=data.get("scheme"), target=data.get("target"),
+            budget=data.get("budget"),
+            params=_config_field("params", dict, data.get("params", {})))
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ in parallel (in-process where that pool cannot be used), with results bit
 for bit those of one serial loop.  ``learn_from_compression`` turns any
 codec into a learner by enumerating (or sampling) candidate messages,
 decoding them against a held sample prefix, and selecting on a fresh
-holdout.
+holdout; it is the one reduction, for single Gaussians and, through
+``compose_mixture``, for k-mixtures.
 ``learn_gaussian_efficient`` is the polynomial-time single-Gaussian
-estimator, and ``learn_mixture_agnostic`` assembles mixture candidates
-from per-component messages of the contamination-robust codec.
+estimator.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ from scipy.special import ndtr
 # callers that patch this module's kernel names
 from ._kernels import (pairwise_greater_counts,
                        pairwise_greater_fraction)  # noqa: F401
-from .compression import CompressionMessage, Codec, gd_codec
+from .compression import CompressionMessage, Codec
 from .errors import DecodingError, ValidationError, WorkerPoolError
 from .gaussmodels import (Gaussian, LabeledSample, Mixture, log_densities,
                           log_density, sample)
-from .nets import Net, net_simplex
 from .utils import as_generator
 
 Distribution = Union[Gaussian, Mixture]
@@ -54,8 +53,6 @@ EFFICIENT_SAMPLE_CONST = 8.0
 # 3*opt + 4*eps_sel guarantee lands within eps overall
 ENUM_ACCURACY_DIV = 6.0
 SELECT_ACCURACY_DIV = 16.0
-AGNOSTIC_COMPONENT_DIV = 10.0
-AGNOSTIC_SELECT_DIV = 40.0
 
 
 def holdout_size(n_candidates: int, eps: float, delta: float) -> int:
@@ -563,16 +560,26 @@ class LearnResult:
     enumeration: str
 
 
-def _boost_rounds(delta: float, arms: int = 2) -> int:
-    # disjoint-batch retries drive failure below delta/arms
-    return math.ceil(math.log(arms / delta) / math.log(3.0))
+def _boost_rounds(delta: float) -> int:
+    # disjoint-batch retries drive failure below delta/2
+    return math.ceil(math.log(2.0 / delta) / math.log(3.0))
+
+
+def _encoding_size(codec: Codec, eps: float, delta: float,
+                   budget: int) -> int:
+    """Check the reduction's arguments; return its encoding prefix length."""
+    if not (0.0 < eps <= 1.0) or not (0.0 < delta < 1.0):
+        raise ValidationError("eps must be in (0, 1] and delta in (0, 1)")
+    if budget < 1:
+        raise ValidationError("budget must be at least 1")
+    return codec.spec.m_samples(eps / ENUM_ACCURACY_DIV) * _boost_rounds(delta)
 
 
 def compression_sample_size(codec: Codec, eps: float, delta: float,
                             budget: int) -> int:
     """Upper bound on the points :func:`learn_from_compression` consumes."""
-    n_enc = codec.spec.m_samples(eps / ENUM_ACCURACY_DIV) * _boost_rounds(delta)
-    return n_enc + holdout_size(budget, eps / SELECT_ACCURACY_DIV, delta / 2.0)
+    return _encoding_size(codec, eps, delta, budget) + holdout_size(
+        budget, eps / SELECT_ACCURACY_DIV, delta / 2.0)
 
 
 def learn_from_compression(codec: Codec, samp: LabeledSample, eps: float,
@@ -587,23 +594,27 @@ def learn_from_compression(codec: Codec, samp: LabeledSample, eps: float,
     ``extra_messages``, which are decoded first), a uniform random subset
     of messages is drawn instead and the result is flagged
     ``budget_capped``.  Selection runs on a fresh holdout slice at
-    accuracy ``eps/16``.  Messages that fail to decode are dropped, so
-    ``candidate_count`` can fall well below ``budget``.  A sampled g1d
-    payload pairs a random-sign scale ratio with random references, and
-    about half such messages decode to a negative scale (126 to 138 of
-    300 decoded in four seeded learns at eps 0.2).
+    accuracy ``eps/16``.  Its ``3*opt + 4*eps`` bound, at that accuracy,
+    is relative to the best candidate decoded: ``opt`` is that
+    candidate's distance to the target, whatever the target, so when no
+    decoded candidate is close the bound says little.  Messages that fail
+    to decode are dropped, so ``candidate_count`` can fall well below
+    ``budget``.  A sampled g1d payload pairs a random-sign scale ratio
+    with random references, and about half such messages decode to a
+    negative scale (126 to 138 of 300 decoded in four seeded learns at
+    eps 0.2).
+
+    A k-mixture is learned by passing ``compose_mixture(base, k)``, which
+    is what ``codec_for("mixture")`` does.  That codec claims no
+    contamination radius (``robustness=0.0``).
     """
-    if not (0.0 < eps <= 1.0) or not (0.0 < delta < 1.0):
-        raise ValidationError("eps must be in (0, 1] and delta in (0, 1)")
-    if budget < 1:
-        raise ValidationError("budget must be at least 1")
+    n_enc = _encoding_size(codec, eps, delta, budget)
     extras = list(extra_messages)
     if len(extras) > budget:
         raise ValidationError("extra messages exceed the budget")
     e_enum = eps / ENUM_ACCURACY_DIV
     e_sel = eps / SELECT_ACCURACY_DIV
     rng = as_generator(seed)
-    n_enc = codec.spec.m_samples(e_enum) * _boost_rounds(delta)
     if samp.n < n_enc:
         raise ValidationError(f"need at least {n_enc} encoding points")
     tau = codec.spec.tau(e_enum)
@@ -687,145 +698,3 @@ def learn_gaussian_efficient(samp: LabeledSample,
     diffs = samp.points[1::2] - samp.points[0::2]
     cov = diffs.T @ diffs / (2.0 * m)
     return Gaussian(mean, cov)
-
-
-def agnostic_component_codec(d: int) -> Codec:
-    """The contamination-robust base codec the mixture learner composes."""
-    return gd_codec(d)
-
-
-def agnostic_main_size(k: int, d: int, eps: float, delta: float) -> int:
-    """Main-phase sample count for :func:`learn_mixture_agnostic`.
-
-    Sized so every component of weight at least ``eps/(10k)`` receives
-    several disjoint encoding batches with high probability.
-    """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    m_base = agnostic_component_codec(d).spec.m_samples(
-        eps / AGNOSTIC_COMPONENT_DIV)
-    mult = math.ceil(160.0 * k * math.log(3.0 * k / delta) / eps)
-    return mult * m_base
-
-
-def agnostic_sample_size(k: int, d: int, eps: float, delta: float,
-                         budget: int) -> int:
-    """Upper bound on the points :func:`learn_mixture_agnostic` consumes."""
-    return agnostic_main_size(k, d, eps, delta) + holdout_size(
-        budget, eps / AGNOSTIC_SELECT_DIV, delta / 2.0)
-
-
-def _nearest_net_weights(net: Net, weights: np.ndarray) -> np.ndarray:
-    gaps = np.abs(net.points - weights[None, :]).max(axis=1)
-    return net.points[int(np.argmin(gaps))]
-
-
-def _oracle_candidate(base: Codec, oracle: Mixture, pts: np.ndarray,
-                      labels: np.ndarray, k: int, e_comp: float,
-                      net: Net, d: int) -> Mixture:
-    """Assemble the candidate an exhaustive enumeration would contain.
-
-    Encodes each non-negligible component of the known target from its own
-    labeled points (retrying over disjoint batches) and snaps the true
-    weights to the weight net.  Components that stay unencoded get the
-    standard-Gaussian placeholder, mirroring the decoder's convention.
-    """
-    m_base = base.spec.m_samples(e_comp)
-    comps = []
-    for i in range(k):
-        decoded = None
-        weight = oracle.weights[i] if i < oracle.n_components else 0.0
-        if weight > net.radius:
-            rows = np.nonzero(labels == i)[0]
-            for b in range(len(rows) // m_base):
-                chunk = rows[b * m_base:(b + 1) * m_base]
-                outcome = base.encode(oracle.components[i],
-                                      LabeledSample(pts[chunk]), e_comp)
-                if outcome.ok:
-                    msg = CompressionMessage(
-                        base.scheme_id,
-                        chunk[outcome.message.sample_refs],
-                        outcome.message.bits)
-                    decoded = base.decode(msg, pts, e_comp)
-                    break
-        comps.append(decoded if decoded is not None
-                     else Gaussian(np.zeros(d), np.eye(d)))
-    padded = np.zeros(k)
-    padded[:oracle.n_components] = oracle.weights
-    return Mixture(_nearest_net_weights(net, padded), comps)
-
-
-def learn_mixture_agnostic(samp: LabeledSample, k: int, eps: float,
-                           delta: float, budget: int, seed,
-                           oracle_target: Optional[Mixture] = None
-                           ) -> LearnResult:
-    """Learn a k-component mixture from labeled samples, tolerating junk.
-
-    Candidates are mixtures assembled from a weight-net point plus one
-    message of the robust per-component codec per slot, drawn uniformly at
-    random (the full space always dwarfs any practical budget, so this
-    learner is budget-capped by construction).  ``oracle_target`` is a test
-    hook standing in for exhaustiveness: when set, the candidate an actual
-    encoder run would produce is planted at index 0 and counts against the
-    budget.  Against a target within L1 distance rho of some k-component
-    mixture, the aimed-for selection error is ``6 rho / r + eps`` with the
-    base codec's contamination radius ``r``.
-    """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if not (0.0 < eps <= 1.0) or not (0.0 < delta < 1.0):
-        raise ValidationError("eps must be in (0, 1] and delta in (0, 1)")
-    if budget < 1:
-        raise ValidationError("budget must be at least 1")
-    if samp.labels is None:
-        raise ValidationError("agnostic mixture learning needs labels")
-    d = samp.dim
-    base = agnostic_component_codec(d)
-    e_comp = eps / AGNOSTIC_COMPONENT_DIV
-    e_sel = eps / AGNOSTIC_SELECT_DIV
-    rng = as_generator(seed)
-    n_main = agnostic_main_size(k, d, eps, delta)
-    if samp.n < n_main:
-        raise ValidationError(f"need at least {n_main} main-phase points")
-    pts = samp.points[:n_main]
-    labels = samp.labels[:n_main]
-    net = net_simplex(k, eps / (AGNOSTIC_COMPONENT_DIV * k))
-    tau_b = base.spec.tau(e_comp)
-
-    decoded = []
-    tags = []
-    if oracle_target is not None:
-        if not isinstance(oracle_target, Mixture) \
-                or oracle_target.n_components > k or oracle_target.dim != d:
-            raise ValidationError(
-                "oracle target must be a mixture of at most k components")
-        decoded.append(_oracle_candidate(base, oracle_target, pts, labels,
-                                         k, e_comp, net, d))
-        tags.append("oracle")
-    n_fill = budget - len(decoded)
-    for _ in range(n_fill):
-        weights = net.points[int(rng.integers(net.size))]
-        comps = []
-        for _slot in range(k):
-            msg = CompressionMessage(base.scheme_id,
-                                     rng.integers(n_main, size=tau_b),
-                                     base.random_payload(e_comp, rng))
-            try:
-                comps.append(base.decode(msg, pts, e_comp))
-            except DecodingError:
-                comps.append(Gaussian(np.zeros(d), np.eye(d)))
-        decoded.append(Mixture(weights, comps))
-        tags.append("random")
-    cand_set = CandidateSet(tuple(decoded), tuple(tags))
-
-    n_hold = holdout_size(len(decoded), e_sel, delta / 2.0)
-    if samp.n < n_main + n_hold:
-        raise ValidationError(
-            f"need at least {n_main + n_hold} points for this budget")
-    holdout = LabeledSample(samp.points[n_main:n_main + n_hold])
-    sel = select_candidate(cand_set, holdout, e_sel, rng)
-    space = net.size * (n_main ** tau_b * base.payload_count(e_comp)) ** k
-    return LearnResult(
-        estimate=decoded[sel.index], selection=sel,
-        candidate_count=len(decoded), candidate_space=space,
-        budget_capped=True, enumeration="sampled")

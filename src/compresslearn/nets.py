@@ -1,79 +1,23 @@
-"""The simplex epsilon-net, and convex hull certificates.
+"""Convex hull certificates for the gd codec and the hull probe.
 
-The simplex net covers mixture weight vectors in the sup norm; the
-agnostic mixture learner crosses it with its component candidates.  Hull
-membership is tested on a dense deterministic set of directions, so a pass
-is approximate while a returned violation certificate is exact; hull
+Hull membership is tested on a dense deterministic set of directions, so a
+pass is approximate while a returned violation certificate is exact; hull
 coefficients express a target over the symmetric hull of sample points.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .errors import NetSizeError, ValidationError
+from .errors import ValidationError
 
-NET_SIZE_GUARD = 1_000_000_000
 HULL_DIRECTION_SEED = 0x5EED_D1B5  # fixed so certificates are reproducible
 HULL_MAX_DIM = 8
 HULL_RESIDUAL_RTOL = 1e-8
 _BISECT_ITERS = 14
-
-
-@dataclass(frozen=True)
-class Net:
-    """A finite point set with its covering radius and metric tag."""
-
-    points: np.ndarray
-    radius: float
-    metric: str  # "linf_simplex_embedding", the only net built here
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2:
-            raise ValidationError("net points must have shape (N, d)")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        if self.radius <= 0.0:
-            raise ValidationError("net radius must be positive")
-
-    @property
-    def size(self) -> int:
-        return int(self.points.shape[0])
-
-
-def net_simplex(k: int, eps: float) -> Net:
-    """Sup-norm net of the probability simplex on ``k`` outcomes.
-
-    Points are integer compositions of ``N = ceil(1/eps)`` scaled by
-    ``1/N``, so every weight vector is within ``eps`` per coordinate of a
-    net point.  Raises :class:`NetSizeError` beyond 1e9 points.
-    """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if eps <= 0.0:
-        raise ValidationError("eps must be positive")
-    n_steps = max(1, math.ceil(1.0 / eps))
-    est_size = math.comb(n_steps + k - 1, k - 1)
-    if est_size > NET_SIZE_GUARD:
-        raise NetSizeError(f"simplex net would have {est_size} points")
-    pts = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            pts.append(prefix + [remaining])
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], n_steps, k)
-    arr = np.asarray(pts, dtype=float) / n_steps
-    return Net(points=arr, radius=eps, metric="linf_simplex_embedding")
 
 
 def _hull_directions(d: int) -> np.ndarray:

@@ -121,6 +121,19 @@ def test_learn_rejects_scheme_target_mismatch(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("target, delta", [
+    (GAUSS_A, "0"),
+    ('{"type": "gaussian", "mean": "x", "cov": [[1]]}', "0.3"),
+], ids=["delta 0", "string mean"])
+def test_learn_rejects_bad_input_in_one_line(capsys, target, delta):
+    code = learn_main([
+        "--target", target, "--scheme", "g1d", "--eps", "0.3",
+        "--delta", delta, "--budget", "8"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("learn: ") and err.count("\n") == 1
+
+
 def test_lowerbound_outputs(tmp_path, capsys):
     out = tmp_path / "family.json"
     code = lowerbound_main([
@@ -177,3 +190,15 @@ def test_compresslearn_run_rejects_bad_config(tmp_path, capsys):
                                "--out", str(tmp_path / "o")])
     assert code == 2
     assert "compresslearn" in capsys.readouterr().err
+
+
+def test_compresslearn_run_rejects_malformed_number(tmp_path, capsys):
+    cfg = dict(experiment="hull_probe", grid_kind="n", grid=[200],
+               trials="x", seed=9)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = compresslearn_main(["run", "--config", str(cfg_path),
+                               "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("compresslearn: ") and err.count("\n") == 1

@@ -159,6 +159,23 @@ def test_dist_from_json_rejects_unknown_type():
         dist_from_json({"type": "cauchy", "loc": 0.0})
 
 
+ONE_COMPONENT = [{"type": "gaussian", "mean": [0.0], "cov": [[1.0]]}]
+
+
+@pytest.mark.parametrize("obj", [
+    {"type": "gaussian", "mean": "x", "cov": [[1.0]]},
+    {"type": "gaussian", "mean": [0.0, [1.0]], "cov": np.eye(2).tolist()},
+    {"type": "gaussian", "mean": {"a": 1}, "cov": [[1.0]]},
+    {"type": "gaussian", "mean": [0.0], "cov": [[1.0], [1.0, 2.0]]},
+    {"type": "mixture", "weights": ["a"], "components": ONE_COMPONENT},
+    {"type": "mixture", "weights": [1.0], "components": 5},
+], ids=["string mean", "ragged mean", "object mean", "ragged cov",
+        "string weight", "scalar components"])
+def test_dist_from_json_rejects_malformed_numbers(obj):
+    with pytest.raises(ValidationError):
+        dist_from_json(obj)
+
+
 def test_log_density_handles_tiny_scales():
     g = Gaussian([0.0], [[1e-6]])
     x = np.array([[0.0]])

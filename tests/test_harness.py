@@ -53,6 +53,22 @@ def test_config_validation_messages():
             seed=0, typo_field=1))
 
 
+@pytest.mark.parametrize("overrides", [
+    {"trials": "x"}, {"trials": [1]}, {"seed": "x"}, {"grid": ["a"]},
+    {"grid": 5}, {"params": [1]}],
+    ids=["string trials", "list trials", "string seed", "string grid",
+         "scalar grid", "list params"])
+def test_config_rejects_malformed_values(overrides):
+    with pytest.raises(ValidationError, match=next(iter(overrides))):
+        small_config(**overrides)
+
+
+@pytest.mark.parametrize("data", [[1], "config", None])
+def test_config_must_be_an_object(data):
+    with pytest.raises(ValidationError, match="must be a JSON object"):
+        ExperimentConfig.from_dict(data)
+
+
 def test_config_roundtrips_through_dict():
     cfg = small_config()
     again = ExperimentConfig.from_dict(cfg.to_dict())

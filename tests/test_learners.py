@@ -14,13 +14,13 @@ import pytest
 from scipy.special import ndtr
 
 from compresslearn import (CandidateSet, Gaussian, LabeledSample, Mixture,
-                           ValidationError, agnostic_sample_size,
-                           compression_sample_size, efficient_sample_size,
-                           holdout_size, learn_from_compression,
-                           learn_gaussian_efficient, learn_mixture_agnostic,
+                           ValidationError, compression_sample_size,
+                           efficient_sample_size, holdout_size,
+                           learn_from_compression, learn_gaussian_efficient,
                            log_density, sample, select_candidate, tv_1d)
 from compresslearn.compression import (CompressionMessage, Codec, SCHEME_G1D,
-                                       SchemeSpec, g1d_codec)
+                                       SchemeSpec, compose_mixture, g1d_codec,
+                                       gd_codec)
 from compresslearn.learners import _boost_rounds, _closed_form_1d
 
 from helpers import encode_with_retries
@@ -364,6 +364,19 @@ def test_learn_from_compression_extras_count_against_budget():
                                extra_messages=(extra,))
 
 
+@pytest.mark.parametrize("eps, delta, budget", [
+    (0.3, 0.0, 10), (0.0, 0.3, 10), (1.5, 0.3, 10), (0.3, 1.0, 10),
+    (0.3, 0.3, 0)])
+def test_sample_size_and_learner_share_one_argument_check(eps, delta, budget):
+    codec = toy_codec()
+    with pytest.raises(ValidationError) as sized:
+        compression_sample_size(codec, eps, delta, budget)
+    samp = sample(Gaussian([0.0], [[1.0]]), 10, 71)
+    with pytest.raises(ValidationError) as learned:
+        learn_from_compression(codec, samp, eps, delta, budget, 12)
+    assert str(sized.value) == str(learned.value)
+
+
 def test_learn_from_compression_checks_sample_before_messages():
     def no_payloads(*args):
         raise AssertionError("messages generated before the sample check")
@@ -377,9 +390,13 @@ def test_learn_from_compression_checks_sample_before_messages():
         learn_from_compression(codec, samp, eps, delta, budget, 11)
 
 
-def test_learn_from_compression_with_real_scheme():
-    codec = g1d_codec()
-    target = Gaussian([1.0], [[0.25]])
+@pytest.mark.parametrize("codec, target", [
+    (g1d_codec(), Gaussian([1.0], [[0.25]])),
+    (compose_mixture(gd_codec(1), 2),
+     Mixture([0.5, 0.5], [Gaussian([0.0], [[1.0]]),
+                          Gaussian([6.0], [[1.0]])])),
+], ids=["g1d", "mixture"])
+def test_learn_from_compression_with_real_scheme(codec, target):
     eps, delta, budget = 0.2, 0.2, 48
     n = compression_sample_size(codec, eps, delta, budget)
     samp = sample(target, n, 69)
@@ -421,29 +438,3 @@ def test_learn_gaussian_efficient_accuracy():
     est = learn_gaussian_efficient(sample(target, n, rng))
     np.testing.assert_allclose(est.mean, target.mean, atol=0.3)
     np.testing.assert_allclose(est.cov, target.cov, atol=0.5)
-
-
-def test_agnostic_sample_size_monotone():
-    small = agnostic_sample_size(2, 1, 0.5, 0.3, 16)
-    big = agnostic_sample_size(2, 1, 0.25, 0.3, 16)
-    assert big > small
-
-
-def test_learn_mixture_agnostic_with_oracle():
-    k, d = 2, 1
-    target = Mixture([0.5, 0.5], [Gaussian([0.0], [[1.0]]),
-                                  Gaussian([6.0], [[1.0]])])
-    eps, delta, budget = 0.4, 0.3, 16
-    n = agnostic_sample_size(k, d, eps, delta, budget)
-    samp = sample(target, n, 71)
-    res = learn_mixture_agnostic(samp, k, eps, delta, budget, 12,
-                                 oracle_target=target)
-    assert res.budget_capped and res.enumeration == "sampled"
-    assert res.candidate_count == budget
-    assert tv_1d(target, res.estimate).value <= eps
-
-
-def test_learn_mixture_agnostic_requires_labels():
-    with pytest.raises(ValidationError):
-        learn_mixture_agnostic(LabeledSample(np.zeros((100, 1))), 2,
-                               0.4, 0.3, 8, 0)

@@ -1,40 +1,12 @@
-"""The simplex net, and convex hull containment."""
+"""Convex hull containment and hull coefficients."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from compresslearn import NetSizeError, ValidationError
-from compresslearn.nets import (hull_contains_ball, net_simplex,
-                                solve_hull_coefficients)
-
-
-def test_net_size_guard():
-    # C(1005, 5), about 8.5e12 points, is past NET_SIZE_GUARD
-    with pytest.raises(NetSizeError):
-        net_simplex(6, 1e-3)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(2, 4), st.sampled_from([0.5, 0.25, 0.125]))
-def test_simplex_net_covers_simplex(k, eps):
-    net = net_simplex(k, eps)
-    assert net.radius == eps
-    np.testing.assert_allclose(net.points.sum(axis=1), 1.0, atol=1e-12)
-    rng = np.random.default_rng(k)
-    w = rng.dirichlet(np.ones(k), size=50)
-    for t in w:
-        dists = np.max(np.abs(net.points - t), axis=1)
-        assert dists.min() <= eps + 1e-12
-
-
-def test_simplex_net_contains_vertices():
-    net = net_simplex(3, 0.5)
-    for v in np.eye(3):
-        assert np.min(np.max(np.abs(net.points - v), axis=1)) <= 1e-12
+from compresslearn import ValidationError
+from compresslearn.nets import hull_contains_ball, solve_hull_coefficients
 
 
 def test_hull_contains_ball_on_cross_polytope():
