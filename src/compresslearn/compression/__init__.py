@@ -14,8 +14,7 @@ from .combinators import compose_mixture, compose_product, weight_grid_points
 from .g1d import decode_g1d, encode_g1d, g1d_codec
 from .g1d_robust import (decode_g1d_robust_message, encode_g1d_robust,
                          g1d_robust_codec)
-from .gd import (DEFAULT_GD_CONFIG, GdConfig, decode_gd, decode_gd_detailed,
-                 encode_gd, gd_codec)
+from .gd import decode_gd, decode_gd_detailed, encode_gd, gd_codec
 from .grids import SymmetricGrid
 from .message import (SCHEME_G1D, SCHEME_G1D_ROBUST, SCHEME_GD,
                       SCHEME_MIXTURE, SCHEME_PRODUCT, CompressionMessage,
@@ -61,9 +60,7 @@ def codec_for(scheme: str, target) -> Codec:
 __all__ = [
     "Codec",
     "CompressionMessage",
-    "DEFAULT_GD_CONFIG",
     "EncodeOutcome",
-    "GdConfig",
     "PayloadLayout",
     "SCHEME_CHOICES",
     "SCHEME_G1D",

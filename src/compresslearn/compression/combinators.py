@@ -33,12 +33,6 @@ def _diag_or_raise(cov: np.ndarray) -> np.ndarray:
     return diag
 
 
-def _base_layout(base: Codec):
-    if base.layout is None:
-        raise ValidationError("the base codec has no payload layout")
-    return base.layout
-
-
 def compose_product(base: Codec, d: int) -> Codec:
     """Codec for d-dimensional axis-aligned Gaussians built from a 1-D codec.
 
@@ -50,7 +44,6 @@ def compose_product(base: Codec, d: int) -> Codec:
     """
     if d < 1:
         raise ValidationError("d must be >= 1")
-    base_layout = _base_layout(base)
     n_batches = math.ceil(math.log(3 * d) / math.log(3.0))
 
     def sub_eps(eps: float) -> float:
@@ -122,7 +115,7 @@ def compose_product(base: Codec, d: int) -> Codec:
     @lru_cache(maxsize=256)
     def layout(eps: float) -> PayloadLayout:
         # marginal j is digit j of the index, base-layout ordered inside
-        return PayloadLayout.concat([base_layout(sub_eps(eps))] * d)
+        return PayloadLayout.concat([base.layout(sub_eps(eps))] * d)
 
     spec = SchemeSpec(
         name=f"product[{base.name}]^{d}",
@@ -163,7 +156,6 @@ def compose_mixture(base: Codec, k: int) -> Codec:
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    base_layout = _base_layout(base)
 
     def sub_eps(eps: float) -> float:
         if not (0.0 < eps <= 1.0):
@@ -174,7 +166,7 @@ def compose_mixture(base: Codec, k: int) -> Codec:
     def layout(eps: float) -> PayloadLayout:
         # weights, then component i as digit i, base-layout ordered inside
         return PayloadLayout.concat([_weight_layout(eps, k)]
-                                    + [base_layout(sub_eps(eps))] * k)
+                                    + [base.layout(sub_eps(eps))] * k)
 
     def m_samples(eps: float) -> int:
         mult = math.ceil(48.0 * k * math.log(6.0 * k) / eps)

@@ -2,12 +2,12 @@
 
 The encoder forwards three raw sample points.  The scaled difference of the
 first two carries the scale: with ``g = (g1 - g2) / sqrt(2)`` the ratio
-``sigma / g`` is quantized on a symmetric grid over ``[-1/c_low, 1/c_low]``.
+``sigma / g`` is quantized on a symmetric grid over ``[-1/C_LOW, 1/C_LOW]``.
 The third point anchors the mean through the standardized offset
-``(mu - g3) / sigma`` quantized over ``[-c_high, c_high]``.  Encoding fails
-when ``|g|`` falls outside ``(c_low * sigma, c_high * sigma)`` or the third
-point is farther than ``c_high * sigma`` from the mean; both events together
-occur with probability below 0.03.
+``(mu - g3) / sigma`` quantized over ``[-C_HIGH, C_HIGH]``.  Encoding fails
+when ``|g|`` falls outside ``(C_LOW * sigma, C_HIGH * sigma)`` or the third
+point is farther than ``C_HIGH * sigma`` from the mean; both events together
+occur with probability below 0.03 at ``C_LOW = 0.0125`` and ``C_HIGH = 2.6``.
 """
 
 from __future__ import annotations
@@ -23,23 +23,22 @@ from .grids import SymmetricGrid
 from .message import SCHEME_G1D, CompressionMessage, PayloadLayout
 from .scheme import Codec, EncodeOutcome, SchemeSpec
 
-C_LOW_DEFAULT = 0.0125
-C_HIGH_DEFAULT = 2.6
+C_LOW = 0.0125
+C_HIGH = 2.6
 _TAU = 3
 _M_SAMPLES = 3
 
 
 @lru_cache(maxsize=256)
-def scale_ratio_grid(eps: float, c_low: float = C_LOW_DEFAULT,
-                     c_high: float = C_HIGH_DEFAULT) -> SymmetricGrid:
-    """Grid for sigma/g: spacing ``eps / (2 * c_high^2)`` out to ``1/c_low``."""
-    return SymmetricGrid.from_bound(1.0 / c_low, eps / (2.0 * c_high * c_high))
+def scale_ratio_grid(eps: float) -> SymmetricGrid:
+    """Grid for sigma/g: spacing ``eps / (2 * C_HIGH^2)`` out to ``1/C_LOW``."""
+    return SymmetricGrid.from_bound(1.0 / C_LOW, eps / (2.0 * C_HIGH * C_HIGH))
 
 
 @lru_cache(maxsize=256)
-def mean_offset_grid(eps: float, c_high: float = C_HIGH_DEFAULT) -> SymmetricGrid:
-    """Grid for the standardized mean offset: spacing ``eps/2`` out to ``c_high``."""
-    return SymmetricGrid.from_bound(c_high, eps / 2.0)
+def mean_offset_grid(eps: float) -> SymmetricGrid:
+    """Grid for the standardized mean offset: spacing ``eps/2`` out to ``C_HIGH``."""
+    return SymmetricGrid.from_bound(C_HIGH, eps / 2.0)
 
 
 def _check_eps(eps: float) -> None:
@@ -54,22 +53,18 @@ def _sigma_mu(target: Gaussian) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=256)
-def g1d_layout(eps: float, c_low: float = C_LOW_DEFAULT,
-               c_high: float = C_HIGH_DEFAULT) -> PayloadLayout:
+def g1d_layout(eps: float) -> PayloadLayout:
     """Ratio offset, then mean offset; the mean offset is the low digit."""
     return PayloadLayout.of_grids(
-        (scale_ratio_grid(eps, c_low, c_high), mean_offset_grid(eps, c_high)),
-        order=(1, 0))
+        (scale_ratio_grid(eps), mean_offset_grid(eps)), order=(1, 0))
 
 
-def t_bits_g1d(eps: float, c_low: float = C_LOW_DEFAULT,
-               c_high: float = C_HIGH_DEFAULT) -> int:
-    return g1d_layout(eps, c_low, c_high).n_bits
+def t_bits_g1d(eps: float) -> int:
+    return g1d_layout(eps).n_bits
 
 
-def encode_g1d(target: Gaussian, sample: LabeledSample, eps: float,
-               c_low: float = C_LOW_DEFAULT,
-               c_high: float = C_HIGH_DEFAULT) -> EncodeOutcome:
+def encode_g1d(target: Gaussian, sample: LabeledSample,
+               eps: float) -> EncodeOutcome:
     """Encode a 1-D Gaussian from its first three sample points.
 
     Returns a failed outcome (never raises) when the sample realization
@@ -81,25 +76,24 @@ def encode_g1d(target: Gaussian, sample: LabeledSample, eps: float,
         raise ValidationError("need at least 3 one-dimensional sample points")
     g1, g2, g3 = (float(v) for v in sample.points[:3, 0])
     g = (g1 - g2) / math.sqrt(2.0)
-    if not (c_low * sigma < abs(g) < c_high * sigma):
-        return EncodeOutcome.failure("scale difference outside (c_low, c_high) band")
-    if abs(g3 - mu) > c_high * sigma:
+    if not (C_LOW * sigma < abs(g) < C_HIGH * sigma):
+        return EncodeOutcome.failure("scale difference outside (C_LOW, C_HIGH) band")
+    if abs(g3 - mu) > C_HIGH * sigma:
         return EncodeOutcome.failure("anchor point too far from the mean")
-    ratio_grid = scale_ratio_grid(eps, c_low, c_high)
-    offset_grid = mean_offset_grid(eps, c_high)
+    ratio_grid = scale_ratio_grid(eps)
+    offset_grid = mean_offset_grid(eps)
     lam_idx = ratio_grid.quantize(sigma / g)
     eta_idx = offset_grid.quantize((mu - g3) / sigma)
-    bits = g1d_layout(eps, c_low, c_high).pack(
+    bits = g1d_layout(eps).pack(
         [ratio_grid.to_offset(lam_idx), offset_grid.to_offset(eta_idx)])
     msg = CompressionMessage.checked(
         SCHEME_G1D, np.arange(3), bits,
-        max_refs=_TAU, max_bits=t_bits_g1d(eps, c_low, c_high))
+        max_refs=_TAU, max_bits=t_bits_g1d(eps))
     return EncodeOutcome.success(msg)
 
 
-def decode_g1d(message: CompressionMessage, points: np.ndarray, eps: float,
-               c_low: float = C_LOW_DEFAULT,
-               c_high: float = C_HIGH_DEFAULT) -> Gaussian:
+def decode_g1d(message: CompressionMessage, points: np.ndarray,
+               eps: float) -> Gaussian:
     """Deterministically rebuild the Gaussian from three referenced points."""
     _check_eps(eps)
     pts = np.asarray(points, dtype=float)
@@ -110,10 +104,9 @@ def decode_g1d(message: CompressionMessage, points: np.ndarray, eps: float,
     if message.sample_refs.max() >= pts.shape[0]:
         raise DecodingError("sample reference out of range")
     g1, g2, g3 = (float(pts[r, 0]) for r in message.sample_refs)
-    lam_off, eta_off = g1d_layout(eps, c_low, c_high).unpack(
-        message.bits).tolist()
-    ratio_grid = scale_ratio_grid(eps, c_low, c_high)
-    offset_grid = mean_offset_grid(eps, c_high)
+    lam_off, eta_off = g1d_layout(eps).unpack(message.bits).tolist()
+    ratio_grid = scale_ratio_grid(eps)
+    offset_grid = mean_offset_grid(eps)
     lam = ratio_grid.value(ratio_grid.from_offset(lam_off))
     eta = offset_grid.value(offset_grid.from_offset(eta_off))
     sigma_hat = lam * (g1 - g2) / math.sqrt(2.0)
@@ -123,19 +116,14 @@ def decode_g1d(message: CompressionMessage, points: np.ndarray, eps: float,
     return Gaussian([mu_hat], [[sigma_hat * sigma_hat]])
 
 
-def g1d_codec(c_low: float = C_LOW_DEFAULT,
-              c_high: float = C_HIGH_DEFAULT) -> Codec:
+def g1d_codec() -> Codec:
     """Codec wrapper: tau = 3 references, O(log(1/eps)) bits, m = 3 samples."""
     spec = SchemeSpec(
         name="g1d",
         tau=lambda eps: _TAU,
-        t_bits=lambda eps: t_bits_g1d(eps, c_low, c_high),
+        t_bits=t_bits_g1d,
         m_samples=lambda eps: _M_SAMPLES,
         robustness=0.0,
     )
-    return Codec.from_layout(
-        spec, SCHEME_G1D,
-        encode=lambda target, sample, eps: encode_g1d(target, sample, eps,
-                                                      c_low, c_high),
-        decode=lambda msg, pts, eps: decode_g1d(msg, pts, eps, c_low, c_high),
-        layout=lambda eps: g1d_layout(eps, c_low, c_high))
+    return Codec.from_layout(spec, SCHEME_G1D, encode_g1d, decode_g1d,
+                             g1d_layout)

@@ -2,7 +2,8 @@
 
 Four raw sample points and a single bit suffice.  The encoder partitions
 ``[mu - 2*sigma, mu + 2*sigma)`` into ``4M`` cells of width ``eps * sigma``
-(``M = ceil(1/eps)``) and looks for occupied cell pairs:
+(``M = ceil(1/eps)``), reads the first ``ceil(M_MULT / eps)`` sample points
+(``M_MULT = 60``) and looks for occupied cell pairs:
 
 * variance, preferred rule (bit 0): cells ``i`` and ``i + M`` for
   ``i in {M+1..2M}``, one scale apart, so ``|y1 - y2|`` is within
@@ -30,7 +31,7 @@ from ..gaussmodels import Gaussian, LabeledSample
 from .message import SCHEME_G1D_ROBUST, CompressionMessage, PayloadLayout
 from .scheme import Codec, EncodeOutcome, SchemeSpec
 
-M_MULT_DEFAULT = 60.0
+M_MULT = 60.0
 ROBUSTNESS_L1 = 0.773
 _TAU = 4
 _T_BITS = 1
@@ -42,9 +43,9 @@ def _check_eps(eps: float) -> None:
         raise ValidationError("eps must lie in (0, 1]")
 
 
-def m_samples_robust(eps: float, m_mult: float = M_MULT_DEFAULT) -> int:
+def m_samples_robust(eps: float) -> int:
     _check_eps(eps)
-    return math.ceil(m_mult / eps)
+    return math.ceil(M_MULT / eps)
 
 
 def decode_g1d_robust(x1: float, x2: float, y1: float, y2: float,
@@ -60,13 +61,13 @@ def decode_g1d_robust(x1: float, x2: float, y1: float, y2: float,
     return Gaussian([(x1 + x2) / 2.0], [[sd * sd]])
 
 
-def encode_g1d_robust(target: Gaussian, sample: LabeledSample, eps: float,
-                      m_mult: float = M_MULT_DEFAULT) -> EncodeOutcome:
+def encode_g1d_robust(target: Gaussian, sample: LabeledSample,
+                      eps: float) -> EncodeOutcome:
     """Pick one mean pair and one variance pair of occupied cells."""
     _check_eps(eps)
     if not isinstance(target, Gaussian) or target.dim != 1:
         raise ValidationError("this scheme encodes one-dimensional Gaussians")
-    m_need = m_samples_robust(eps, m_mult)
+    m_need = m_samples_robust(eps)
     if sample.n < m_need or sample.dim != 1:
         raise ValidationError(f"need at least {m_need} one-dimensional points")
     sigma = math.sqrt(float(target.cov[0, 0]))
@@ -125,18 +126,14 @@ def decode_g1d_robust_message(message: CompressionMessage, points: np.ndarray,
     return decode_g1d_robust(x1, x2, y1, y2, int(message.bits[0]))
 
 
-def g1d_robust_codec(m_mult: float = M_MULT_DEFAULT) -> Codec:
-    """Codec wrapper: 4 references, 1 bit, m = ceil(m_mult/eps) samples."""
+def g1d_robust_codec() -> Codec:
+    """Codec wrapper: 4 references, 1 bit, m = ceil(M_MULT/eps) samples."""
     spec = SchemeSpec(
         name="g1d_robust",
         tau=lambda eps: _TAU,
         t_bits=lambda eps: _T_BITS,
-        m_samples=lambda eps: m_samples_robust(eps, m_mult),
+        m_samples=m_samples_robust,
         robustness=ROBUSTNESS_L1,
     )
-    return Codec.from_layout(
-        spec, SCHEME_G1D_ROBUST,
-        encode=lambda target, sample, eps: encode_g1d_robust(target, sample,
-                                                             eps, m_mult),
-        decode=decode_g1d_robust_message,
-        layout=lambda eps: _LAYOUT)
+    return Codec.from_layout(spec, SCHEME_G1D_ROBUST, encode_g1d_robust,
+                             decode_g1d_robust_message, lambda eps: _LAYOUT)

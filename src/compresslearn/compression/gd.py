@@ -1,14 +1,15 @@
 """Contamination-robust compression of a d-dimensional Gaussian.
 
 The encoder whitens consecutive sample differences,
-``Y_i = S^-1 (X_{2i} - X_{2i-1}) / sqrt(2)`` with ``S`` the symmetric
-square root of the covariance, keeps the ``Y_i`` with norm at most
-``4 * sqrt(d)``, and writes each scaled eigenvector direction
-``w_j / c_hull`` (norm ``1 / c_hull``, the certified hull radius) as a
-bounded combination of the kept vectors.  The decoder only ever sees raw
-sample differences, so the quantized combination coefficients reconstruct
-``v_j = sqrt(e_j) w_j`` from the referenced points alone and the
-covariance returns as ``sum_j v_j v_j^T``.
+``Y_i = S^-1 (X_{2i} - X_{2i-1}) / sqrt(2)`` over
+``m = ceil(M_MULT * d * (1 + ln d))`` pairs (``M_MULT = 40``) with ``S``
+the symmetric square root of the covariance, keeps the ``Y_i`` with norm
+at most ``4 * sqrt(d)``, and writes each scaled eigenvector direction
+``w_j / C_HULL`` (norm ``1 / C_HULL = 1/20``, the certified hull radius)
+as a bounded combination of the kept vectors.  The decoder only ever sees
+raw sample differences, so the quantized combination coefficients
+reconstruct ``v_j = sqrt(e_j) w_j`` from the referenced points alone and
+the covariance returns as ``sum_j v_j v_j^T``.
 
 The mean rides on one anchor point: the first of the two leading samples
 whose whitened offset has norm at most ``4 * sqrt(d)`` is expressed as
@@ -35,46 +36,27 @@ from .grids import SymmetricGrid
 from .message import SCHEME_GD, CompressionMessage, PayloadLayout
 from .scheme import Codec, EncodeOutcome, SchemeSpec
 
+C_HULL = 20.0  # hull targets w_j / C_HULL: certified radius 1 / C_HULL
+M_MULT = 40.0  # difference pairs m = ceil(M_MULT * d * (1 + ln d))
 ROBUSTNESS_L1 = 2.0 / 3.0
 _RIDGE_REL = 1e-10
 
 
-@dataclass(frozen=True)
-class GdConfig:
-    """Constants of the d-dimensional scheme.
-
-    ``c_hull`` scales the hull targets (certified radius ``1 / c_hull``)
-    and ``m_mult`` scales the number of difference pairs
-    ``m = ceil(m_mult * d * (1 + ln d))``.
-    """
-
-    c_hull: float = 20.0
-    m_mult: float = 40.0
-
-    def __post_init__(self):
-        if self.c_hull <= 0.0 or self.m_mult <= 0.0:
-            raise ValidationError("c_hull and m_mult must be positive")
-
-
-DEFAULT_GD_CONFIG = GdConfig()
-
-
-def n_pairs(d: int, config: GdConfig = DEFAULT_GD_CONFIG) -> int:
+def n_pairs(d: int) -> int:
     if d < 1:
         raise ValidationError("d must be >= 1")
-    return math.ceil(config.m_mult * d * (1.0 + math.log(d)))
+    return math.ceil(M_MULT * d * (1.0 + math.log(d)))
 
 
-def m_samples_gd(d: int, config: GdConfig = DEFAULT_GD_CONFIG) -> int:
-    return 2 * n_pairs(d, config)
+def m_samples_gd(d: int) -> int:
+    return 2 * n_pairs(d)
 
 
 @lru_cache(maxsize=256)
-def coefficient_grid(eps: float, d: int,
-                     config: GdConfig = DEFAULT_GD_CONFIG) -> SymmetricGrid:
-    """Grid for hull coefficients: spacing ``eps / (96 c_hull m d^3)`` on [-1, 1]."""
-    m = n_pairs(d, config)
-    step = eps / (96.0 * config.c_hull * m * d ** 3)
+def coefficient_grid(eps: float, d: int) -> SymmetricGrid:
+    """Grid for hull coefficients: spacing ``eps / (96 C_HULL m d^3)`` on [-1, 1]."""
+    m = n_pairs(d)
+    step = eps / (96.0 * C_HULL * m * d ** 3)
     return SymmetricGrid.from_bound(1.0, step)
 
 
@@ -90,21 +72,20 @@ def anchor_grid(eps: float, d: int) -> SymmetricGrid:
 
 
 @lru_cache(maxsize=256)
-def gd_layout(eps: float, d: int, m: int,
-              config: GdConfig = DEFAULT_GD_CONFIG) -> PayloadLayout:
+def gd_layout(eps: float, d: int, m: int) -> PayloadLayout:
     """``d * m`` hull coefficients (direction-major), then ``d`` anchor
     coefficients; the first field is the low digit."""
-    return PayloadLayout.of_grids([coefficient_grid(eps, d, config)] * (d * m)
+    return PayloadLayout.of_grids([coefficient_grid(eps, d)] * (d * m)
                                   + [anchor_grid(eps, d)] * d)
 
 
-def t_bits_gd(eps: float, d: int, config: GdConfig = DEFAULT_GD_CONFIG) -> int:
-    return gd_layout(eps, d, n_pairs(d, config), config).n_bits
+def t_bits_gd(eps: float, d: int) -> int:
+    return gd_layout(eps, d, n_pairs(d)).n_bits
 
 
-def tau_gd(d: int, config: GdConfig = DEFAULT_GD_CONFIG) -> int:
+def tau_gd(d: int) -> int:
     # all 2m difference points plus the anchor reference
-    return 2 * n_pairs(d, config) + 1
+    return 2 * n_pairs(d) + 1
 
 
 def _check_eps(eps: float) -> None:
@@ -112,8 +93,8 @@ def _check_eps(eps: float) -> None:
         raise ValidationError("eps must lie in (0, 1]")
 
 
-def encode_gd(target: Gaussian, sample: LabeledSample, eps: float,
-              config: GdConfig = DEFAULT_GD_CONFIG) -> EncodeOutcome:
+def encode_gd(target: Gaussian, sample: LabeledSample,
+              eps: float) -> EncodeOutcome:
     """Encode a d-dimensional Gaussian from ``2m`` samples plus an anchor.
 
     Fails (never raises) when some scaled eigenvector direction falls
@@ -124,7 +105,7 @@ def encode_gd(target: Gaussian, sample: LabeledSample, eps: float,
     if not isinstance(target, Gaussian):
         raise ValidationError("this scheme encodes Gaussians")
     d = target.dim
-    m = n_pairs(d, config)
+    m = n_pairs(d)
     if sample.dim != d:
         raise ValidationError("sample dimension does not match the target")
     if sample.n < 2 * m:
@@ -140,11 +121,11 @@ def encode_gd(target: Gaussian, sample: LabeledSample, eps: float,
     kept = whitened[keep]
     keep_idx = np.nonzero(keep)[0]
 
-    # eigenvectors of the covariance carry the targets w_j / c_hull
+    # eigenvectors of the covariance carry the targets w_j / C_HULL
     eigvecs = target.eigvecs
     theta = np.zeros((d, m))
     for j in range(d):
-        sol = solve_hull_coefficients(kept, eigvecs[:, j] / config.c_hull)
+        sol = solve_hull_coefficients(kept, eigvecs[:, j] / C_HULL)
         if sol is None:
             return EncodeOutcome.failure(
                 f"eigen direction {j} escapes the difference hull")
@@ -161,13 +142,13 @@ def encode_gd(target: Gaussian, sample: LabeledSample, eps: float,
     if anchor_ref < 0:
         return EncodeOutcome.failure("both anchor candidates are outliers")
 
-    bits = gd_layout(eps, d, m, config).pack(np.concatenate(
-        [coefficient_grid(eps, d, config).offsets(theta.ravel()),
+    bits = gd_layout(eps, d, m).pack(np.concatenate(
+        [coefficient_grid(eps, d).offsets(theta.ravel()),
          anchor_grid(eps, d).offsets(lam)]))
     refs = np.concatenate([np.arange(2 * m), [anchor_ref]])
     msg = CompressionMessage.checked(
         SCHEME_GD, refs, bits,
-        max_refs=tau_gd(d, config), max_bits=t_bits_gd(eps, d, config))
+        max_refs=tau_gd(d), max_bits=t_bits_gd(eps, d))
     return EncodeOutcome.success(msg)
 
 
@@ -186,8 +167,7 @@ class GdDecoded:
 
 
 def decode_gd_detailed(message: CompressionMessage, points: np.ndarray,
-                       eps: float,
-                       config: GdConfig = DEFAULT_GD_CONFIG) -> GdDecoded:
+                       eps: float) -> GdDecoded:
     """Decode and also expose the per-direction reconstruction."""
     _check_eps(eps)
     pts = np.asarray(points, dtype=float)
@@ -199,13 +179,12 @@ def decode_gd_detailed(message: CompressionMessage, points: np.ndarray,
     m = (message.n_refs - 1) // 2
     if message.sample_refs.max() >= pts.shape[0]:
         raise DecodingError("sample reference out of range")
-    offsets = gd_layout(eps, d, m, config).unpack(message.bits)
-    theta = coefficient_grid(eps, d, config).values(
-        offsets[:d * m]).reshape(d, m)
+    offsets = gd_layout(eps, d, m).unpack(message.bits)
+    theta = coefficient_grid(eps, d).values(offsets[:d * m]).reshape(d, m)
     lam = anchor_grid(eps, d).values(offsets[d * m:])
     pair_refs = message.sample_refs[:2 * m]
     diffs = pts[pair_refs[1::2]] - pts[pair_refs[0::2]]
-    vecs = (config.c_hull / math.sqrt(2.0)) * (theta @ diffs)  # rows v_j
+    vecs = (C_HULL / math.sqrt(2.0)) * (theta @ diffs)  # rows v_j
     cov = vecs.T @ vecs
     cov = 0.5 * (cov + cov.T)
     mean = pts[message.sample_refs[-1]] - lam @ vecs
@@ -222,23 +201,20 @@ def decode_gd_detailed(message: CompressionMessage, points: np.ndarray,
     return GdDecoded(gaussian=gauss, scaled_vectors=vecs, anchor_coeffs=lam)
 
 
-def decode_gd(message: CompressionMessage, points: np.ndarray, eps: float,
-              config: GdConfig = DEFAULT_GD_CONFIG) -> Gaussian:
-    return decode_gd_detailed(message, points, eps, config).gaussian
+def decode_gd(message: CompressionMessage, points: np.ndarray,
+              eps: float) -> Gaussian:
+    return decode_gd_detailed(message, points, eps).gaussian
 
 
-def gd_codec(d: int, config: GdConfig = DEFAULT_GD_CONFIG) -> Codec:
+def gd_codec(d: int) -> Codec:
     """Codec wrapper for fixed dimension ``d``."""
-    m = n_pairs(d, config)
+    m = n_pairs(d)
     spec = SchemeSpec(
         name=f"gd[d={d}]",
-        tau=lambda eps: tau_gd(d, config),
-        t_bits=lambda eps: t_bits_gd(eps, d, config),
-        m_samples=lambda eps: m_samples_gd(d, config),
+        tau=lambda eps: tau_gd(d),
+        t_bits=lambda eps: t_bits_gd(eps, d),
+        m_samples=lambda eps: m_samples_gd(d),
         robustness=ROBUSTNESS_L1,
     )
-    return Codec.from_layout(
-        spec, SCHEME_GD,
-        encode=lambda target, sample, eps: encode_gd(target, sample, eps, config),
-        decode=lambda msg, pts, eps: decode_gd(msg, pts, eps, config),
-        layout=lambda eps: gd_layout(eps, d, m, config))
+    return Codec.from_layout(spec, SCHEME_GD, encode_gd, decode_gd,
+                             lambda eps: gd_layout(eps, d, m))

@@ -71,9 +71,9 @@ class Codec:
     ``payload_count(eps)`` is the exact number of distinct payloads, and
     ``payload_by_index`` / ``random_payload`` produce payload bit arrays
     for candidate enumeration in the compression-to-learning reduction.
-    Codecs built by :meth:`from_layout` take all three from
-    ``layout(eps)``, the :class:`PayloadLayout` their decoder accepts;
-    the combinators concatenate their base's layouts.
+    ``layout(eps)`` is the :class:`PayloadLayout` the decoder accepts;
+    codecs built by :meth:`from_layout` take all three from it, and the
+    combinators concatenate their base's layouts.
     """
 
     spec: SchemeSpec
@@ -83,7 +83,7 @@ class Codec:
     payload_count: Callable[[float], int]
     payload_by_index: Callable[[float, int], np.ndarray]
     random_payload: Callable[[float, np.random.Generator], np.ndarray]
-    layout: Optional[Callable[[float], PayloadLayout]] = None
+    layout: Callable[[float], PayloadLayout]
 
     @classmethod
     def from_layout(cls, spec: SchemeSpec, scheme_id: int, encode, decode,

@@ -21,6 +21,8 @@ QUAD_SUCCESSIVE_TOL = 1e-7
 QUAD_MAX_POINTS = (1 << 21) + 1
 MC_DEFAULT_N = 200_000
 PINSKER_SLACK = 1e-9
+# eigenvalues at most this fraction of the largest count as zero
+RANK_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -200,8 +202,8 @@ def tv_frobenius_proxy(p: Gaussian, q: Gaussian) -> float:
     return float(np.linalg.norm(p.inv_cov @ q.cov - np.eye(d)))
 
 
-def degenerate_pair_divergences(cov_p: np.ndarray, cov_q: np.ndarray,
-                                rel_tol: float = 1e-9) -> tuple[float, float]:
+def degenerate_pair_divergences(cov_p: np.ndarray,
+                                cov_q: np.ndarray) -> tuple[float, float]:
     """(KL, TV) for a full-rank versus rank-deficient covariance pair.
 
     When ``cov_p`` is nonsingular and ``cov_q`` is singular, the second
@@ -213,8 +215,8 @@ def degenerate_pair_divergences(cov_p: np.ndarray, cov_q: np.ndarray,
     cov_q = np.asarray(cov_q, dtype=float)
     ep = np.linalg.eigvalsh(0.5 * (cov_p + cov_p.T))
     eq = np.linalg.eigvalsh(0.5 * (cov_q + cov_q.T))
-    floor_p = rel_tol * float(np.max(np.abs(ep)))
-    floor_q = rel_tol * float(np.max(np.abs(eq)))
+    floor_p = RANK_REL_TOL * float(np.max(np.abs(ep)))
+    floor_q = RANK_REL_TOL * float(np.max(np.abs(eq)))
     full_p = bool(ep.min() > floor_p)
     rank_deficient_q = bool(eq.min() <= floor_q)
     if not (full_p and rank_deficient_q):

@@ -36,28 +36,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def sqrt_spd(a: np.ndarray) -> np.ndarray:
-    """Symmetric positive definite square root via eigendecomposition.
-
-    Parameters
-    ----------
-    a : ndarray
-        Symmetric positive definite matrix.
-
-    Returns
-    -------
-    ndarray
-        The unique SPD matrix ``b`` with ``b @ b == a``.
-    """
-    a = np.asarray(a, dtype=float)
-    _check_spd_shape(a)
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (a + a.T))
-    scale = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
-    if scale <= 0.0 or float(eigvals.min()) < COV_MIN_EIG_REL * scale:
-        raise SingularCovarianceError("matrix is not positive definite")
-    return (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
-
-
 def _check_spd_shape(a: np.ndarray) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")

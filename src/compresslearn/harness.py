@@ -45,6 +45,10 @@ _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_MUL_1 = 0xBF58476D1CE4E5B9
 _MIX_MUL_2 = 0x94D049BB133111EB
 
+# every experiment-specific knob a config's ``params`` may carry
+PARAMS = {"n_mc": int, "d": int, "r": int, "m_family": int, "rho": float,
+          "contamination": float, "junk_scale": float}
+
 
 def _splitmix64(x: int) -> int:
     x = (x + _GOLDEN_GAMMA) & _MASK64
@@ -79,9 +83,9 @@ class ExperimentConfig:
 
     ``grid_kind`` says what the grid values mean: accuracy targets
     (``eps``) or sample counts (``n``).  ``target`` is a distribution in
-    its JSON form; ``params`` carries experiment-specific knobs
-    (``n_mc``, ``d``, ``r``, ``m_family``, ``rho``, ``contamination``,
-    ``junk_scale``).
+    its JSON form; ``params`` carries experiment-specific knobs, the
+    names in ``PARAMS``, each converted to its type when the config is
+    built.
     """
 
     experiment: str
@@ -91,7 +95,6 @@ class ExperimentConfig:
     seed: int
     scheme: Optional[str] = None
     target: Optional[dict] = None
-    budget: Optional[int] = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -121,6 +124,13 @@ class ExperimentConfig:
         if self.experiment == "scheme_roundtrip" and self.scheme is None:
             raise ValidationError(
                 "config field 'scheme': required for scheme_roundtrip")
+        unknown = set(self.params) - set(PARAMS)
+        if unknown:
+            raise ValidationError(
+                f"config field 'params': unknown names {sorted(unknown)}")
+        object.__setattr__(self, "params", {
+            name: _config_field(f"params.{name}", PARAMS[name], value)
+            for name, value in self.params.items()})
 
     def to_dict(self) -> dict:
         return {
@@ -131,7 +141,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "scheme": self.scheme,
             "target": self.target,
-            "budget": self.budget,
             "params": self.params,
         }
 
@@ -140,7 +149,7 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ValidationError("config must be a JSON object")
         known = {"experiment", "grid_kind", "grid", "trials", "seed",
-                 "scheme", "target", "budget", "params"}
+                 "scheme", "target", "params"}
         unknown = set(data) - known
         if unknown:
             raise ValidationError(f"config fields unknown: {sorted(unknown)}")
@@ -154,7 +163,6 @@ class ExperimentConfig:
             trials=_config_field("trials", int, data["trials"]),
             seed=_config_field("seed", int, data["seed"]),
             scheme=data.get("scheme"), target=data.get("target"),
-            budget=data.get("budget"),
             params=_config_field("params", dict, data.get("params", {})))
 
 
@@ -188,7 +196,7 @@ def _trial_scheme_roundtrip(cfg: ExperimentConfig, eps: float,
     if not outcome.ok:
         return False, math.nan, math.nan
     decoded = codec.decode(outcome.message, samp.points, eps)
-    tv = _tv_between(decoded, target, int(cfg.params.get("n_mc", 20000)), rng)
+    tv = _tv_between(decoded, target, cfg.params.get("n_mc", 20000), rng)
     kl = math.nan
     if isinstance(decoded, Gaussian) and isinstance(target, Gaussian):
         kl = kl_gaussians(target, decoded)
@@ -207,15 +215,15 @@ def _trial_learn_curve(cfg: ExperimentConfig, n_value: float,
         est = learn_gaussian_efficient(samp)
     except CompressLearnError:
         return False, math.nan, math.nan
-    tv = _tv_between(est, target, int(cfg.params.get("n_mc", 20000)), rng)
+    tv = _tv_between(est, target, cfg.params.get("n_mc", 20000), rng)
     return True, tv, kl_gaussians(target, est)
 
 
 def _trial_lowerbound_audit(cfg: ExperimentConfig, eps: float,
                             seed: int) -> tuple:
-    d = int(cfg.params.get("d", 18))
-    r = int(cfg.params.get("r", 9))
-    m_family = int(cfg.params.get("m_family", 8))
+    d = cfg.params.get("d", 18)
+    r = cfg.params.get("r", 9)
+    m_family = cfg.params.get("m_family", 8)
     try:
         fam = make_lb_family(d, r, eps, m_family, seed)
     except ValidationError:
@@ -234,10 +242,10 @@ def _trial_lowerbound_audit(cfg: ExperimentConfig, eps: float,
 
 def _trial_hull_probe(cfg: ExperimentConfig, n_value: float,
                       seed: int) -> tuple:
-    d = int(cfg.params.get("d", 3))
-    rho = float(cfg.params.get("rho", 1.0 / 20.0))
-    contamination = float(cfg.params.get("contamination", 0.0))
-    junk_scale = float(cfg.params.get("junk_scale", 30.0))
+    d = cfg.params.get("d", 3)
+    rho = cfg.params.get("rho", 1.0 / 20.0)
+    contamination = cfg.params.get("contamination", 0.0)
+    junk_scale = cfg.params.get("junk_scale", 30.0)
     rng = as_generator(seed)
     pts = rng.standard_normal((int(n_value), d))
     if contamination > 0.0:

@@ -666,18 +666,17 @@ def learn_from_compression(codec: Codec, samp: LabeledSample, eps: float,
         enumeration="sampled" if capped else "exhaustive")
 
 
-def efficient_sample_size(d: int, eps: float, delta: float,
-                          c: float = EFFICIENT_SAMPLE_CONST) -> int:
+def efficient_sample_size(d: int, eps: float, delta: float) -> int:
     """Even sample size ``2m`` for :func:`learn_gaussian_efficient`."""
     if d < 1:
         raise ValidationError("d must be >= 1")
     if not (0.0 < eps < 1.0) or not (0.0 < delta < 1.0):
         raise ValidationError("eps and delta must lie in (0, 1)")
-    return 2 * math.ceil(c * (d * d + d * math.log(1.0 / delta)) / eps ** 2)
+    return 2 * math.ceil(EFFICIENT_SAMPLE_CONST
+                         * (d * d + d * math.log(1.0 / delta)) / eps ** 2)
 
 
-def learn_gaussian_efficient(samp: LabeledSample,
-                             d: Optional[int] = None) -> Gaussian:
+def learn_gaussian_efficient(samp: LabeledSample) -> Gaussian:
     """Moment estimator: sample mean plus difference-pair covariance.
 
     With ``2m`` points, the mean is averaged over the first ``m`` and the
@@ -686,10 +685,7 @@ def learn_gaussian_efficient(samp: LabeledSample,
     Raises when the pair count cannot produce a full-rank covariance or the
     draw happens to be degenerate.
     """
-    if d is None:
-        d = samp.dim
-    elif d != samp.dim:
-        raise ValidationError("d does not match the sample dimension")
+    d = samp.dim
     if samp.n % 2 != 0 or samp.n < 2 * (d + 1):
         raise ValidationError(
             f"need an even sample of at least {2 * (d + 1)} points")

@@ -120,13 +120,12 @@ def cross_bound(d: int, r: int) -> float:
 
 
 def make_lb_family(d: int, r: int, eps: float, m_family: int, seed,
-                   c_lambda: float = 1.0,
-                   max_rounds: int = FAMILY_MAX_ROUNDS) -> LowerBoundFamily:
+                   c_lambda: float = 1.0) -> LowerBoundFamily:
     """Draw ``m_family`` random subspaces, resampling until all pairs separate.
 
     Subspaces involved in any pair with ``|U_a^T U_b|_F^2 > d/(2r)`` are
-    redrawn, up to ``max_rounds`` rounds; a persistent failure raises with
-    the count of violating pairs.
+    redrawn, up to ``FAMILY_MAX_ROUNDS`` rounds; a persistent failure raises
+    with the count of violating pairs.
     """
     if r < 9:
         raise ValidationError("subspace ratio r must be at least 9")
@@ -139,7 +138,7 @@ def make_lb_family(d: int, r: int, eps: float, m_family: int, seed,
     rng = as_generator(seed)
     us = [random_orthonormal(d, cols, rng) for _ in range(m_family)]
     bound = cross_bound(d, r)
-    for _ in range(max_rounds):
+    for _ in range(FAMILY_MAX_ROUNDS):
         bad = violating_pairs(us, bound)
         if not bad:
             break
@@ -149,7 +148,7 @@ def make_lb_family(d: int, r: int, eps: float, m_family: int, seed,
         bad = violating_pairs(us, bound)
         raise ValidationError(
             f"family construction failed: {len(bad)} pairs still violate "
-            f"the alignment bound after {max_rounds} rounds")
+            f"the alignment bound after {FAMILY_MAX_ROUNDS} rounds")
     sigmas = tuple(np.eye(d) + lam * (u @ u.T) for u in us)
     return LowerBoundFamily(d=d, r=r, lam=lam, us=tuple(us), sigmas=sigmas)
 
@@ -234,13 +233,12 @@ def verify_codebook(book: Codebook) -> bool:
 
 
 def make_codebook(t_alphabet: int, k: int, seed,
-                  cap: int = CODEBOOK_CAP,
-                  patience: int = CODEBOOK_PATIENCE) -> Codebook:
+                  cap: int = CODEBOOK_CAP) -> Codebook:
     """Greedy random code with pairwise Hamming distance >= ceil(k/4).
 
     Uniform words are kept when far from all kept words; the build stops at
-    ``cap`` words or after ``patience`` consecutive rejections.  Raises if
-    even two words cannot be placed.
+    ``cap`` words or after ``CODEBOOK_PATIENCE`` consecutive rejections.
+    Raises if even two words cannot be placed.
     """
     if t_alphabet < 4:
         raise ValidationError("alphabet size must be at least 4")
@@ -250,7 +248,7 @@ def make_codebook(t_alphabet: int, k: int, seed,
     rng = as_generator(seed)
     kept = np.empty((0, k), dtype=np.int64)
     rejects = 0
-    while kept.shape[0] < cap and rejects < patience:
+    while kept.shape[0] < cap and rejects < CODEBOOK_PATIENCE:
         cand = rng.integers(t_alphabet, size=k).astype(np.int64)
         if kept.shape[0] == 0 or hamming_at_least(kept, cand, dmin):
             kept = np.vstack([kept, cand[None, :]])

@@ -2,7 +2,9 @@
 
 Hull membership is tested on a dense deterministic set of directions, so a
 pass is approximate while a returned violation certificate is exact; hull
-coefficients express a target over the symmetric hull of sample points.
+coefficients express a target over the symmetric hull of sample points, up
+to a residual of ``HULL_RESIDUAL_RTOL * (1 + |target|)`` with
+``HULL_RESIDUAL_RTOL = 1e-8``.
 """
 
 from __future__ import annotations
@@ -53,23 +55,22 @@ def hull_contains_ball(points: np.ndarray, rho: float
     return True, None
 
 
-def solve_hull_coefficients(points: np.ndarray, target: np.ndarray,
-                            rtol: float = HULL_RESIDUAL_RTOL
-                            ) -> Optional[np.ndarray]:
+def solve_hull_coefficients(points: np.ndarray,
+                            target: np.ndarray) -> Optional[np.ndarray]:
     """Coefficients ``theta`` with ``sum theta_i t_i = target``, ``|theta|_inf <= 1``.
 
     Expresses ``target`` over the symmetric hull ``conv(points U -points)``.
     The sup norm of ``theta`` is (approximately) minimized by bisection on
     the box bound with a box-constrained least-squares feasibility
     subproblem at each step.  Returns ``None`` when no coefficient vector
-    reproduces the target within ``rtol * (1 + |target|)``.
+    reproduces the target within ``HULL_RESIDUAL_RTOL * (1 + |target|)``.
     """
     a = np.asarray(points, dtype=float).T  # (d, m)
     target = np.asarray(target, dtype=float)
     if a.ndim != 2 or target.ndim != 1 or a.shape[0] != target.shape[0]:
         raise ValidationError("points must be (m, d) and target (d,)")
     m = a.shape[1]
-    tol = rtol * (1.0 + float(np.linalg.norm(target)))
+    tol = HULL_RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(target)))
 
     theta0, *_ = np.linalg.lstsq(a, target, rcond=None)
     if float(np.linalg.norm(a @ theta0 - target)) > tol:

@@ -193,12 +193,14 @@ def test_compresslearn_run_rejects_bad_config(tmp_path, capsys):
 
 
 def test_compresslearn_run_rejects_malformed_number(tmp_path, capsys):
-    cfg = dict(experiment="hull_probe", grid_kind="n", grid=[200],
-               trials="x", seed=9)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    code = compresslearn_main(["run", "--config", str(cfg_path),
-                               "--out", str(tmp_path / "o")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("compresslearn: ") and err.count("\n") == 1
+    for bad in ({"trials": "x"}, {"params": {"d": "x"}}):
+        cfg = dict(experiment="hull_probe", grid_kind="n", grid=[200],
+                   trials=2, seed=9)
+        cfg.update(bad)
+        cfg_path.write_text(json.dumps(cfg))
+        code = compresslearn_main(["run", "--config", str(cfg_path),
+                                   "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("compresslearn: ") and err.count("\n") == 1

@@ -1,6 +1,5 @@
 """Product and mixture combinators: size accounting, roundtrip, filler slots."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -201,11 +200,3 @@ def test_mixture_rejects_off_grid_weight():
         else:
             with pytest.raises(DecodingError, match="malformed payload"):
                 mix_codec.decode(msg, pts, eps)
-
-
-def test_combinators_need_a_base_layout():
-    bare = dataclasses.replace(g1d_codec(), layout=None)
-    with pytest.raises(ValidationError):
-        compose_product(bare, 2)
-    with pytest.raises(ValidationError):
-        compose_mixture(bare, 2)

@@ -9,10 +9,9 @@ from scipy.special import ndtr
 from compresslearn import (DecodingError, Gaussian, LabeledSample,
                            ValidationError, sample, tv_1d)
 from compresslearn.compression import CompressionMessage, g1d_codec
-from compresslearn.compression.g1d import (C_HIGH_DEFAULT, C_LOW_DEFAULT,
-                                           decode_g1d, encode_g1d,
-                                           mean_offset_grid, scale_ratio_grid,
-                                           t_bits_g1d)
+from compresslearn.compression.g1d import (C_HIGH, C_LOW, decode_g1d,
+                                           encode_g1d, mean_offset_grid,
+                                           scale_ratio_grid, t_bits_g1d)
 
 # Pr[c < |N(0,1)| < C] at the default constants, frozen from
 # 2 * (Phi(2.6) - Phi(0.0125)); the anchor event Pr[|N(0,1)| <= 2.6]
@@ -22,8 +21,8 @@ ANCHOR_EVENT_PROB = 0.9906776239525625
 
 
 def test_event_probabilities_match_frozen_values():
-    scale = 2.0 * (float(ndtr(C_HIGH_DEFAULT)) - float(ndtr(C_LOW_DEFAULT)))
-    anchor = 2.0 * float(ndtr(C_HIGH_DEFAULT)) - 1.0
+    scale = 2.0 * (float(ndtr(C_HIGH)) - float(ndtr(C_LOW)))
+    anchor = 2.0 * float(ndtr(C_HIGH)) - 1.0
     assert scale == pytest.approx(SCALE_EVENT_PROB, abs=1e-12)
     assert anchor == pytest.approx(ANCHOR_EVENT_PROB, abs=1e-12)
     assert scale * anchor > 2.0 / 3.0
@@ -43,10 +42,10 @@ def test_grid_bounds():
     eps = 0.2
     rg = scale_ratio_grid(eps)
     og = mean_offset_grid(eps)
-    assert rg.step == pytest.approx(eps / (2.0 * C_HIGH_DEFAULT ** 2))
-    assert rg.value(rg.n_half) >= 1.0 / C_LOW_DEFAULT
+    assert rg.step == pytest.approx(eps / (2.0 * C_HIGH ** 2))
+    assert rg.value(rg.n_half) >= 1.0 / C_LOW
     assert og.step == pytest.approx(eps / 2.0)
-    assert og.value(og.n_half) >= C_HIGH_DEFAULT
+    assert og.value(og.n_half) >= C_HIGH
 
 
 def test_roundtrip_accuracy_across_scales():

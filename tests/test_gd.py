@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from compresslearn import DecodingError, Gaussian, LabeledSample, sample
-from compresslearn.compression import (CompressionMessage, DEFAULT_GD_CONFIG,
-                                       GdConfig, gd_codec)
-from compresslearn.compression.gd import (anchor_grid, coefficient_grid,
-                                          decode_gd_detailed, encode_gd,
-                                          m_samples_gd, n_pairs)
+from compresslearn.compression import CompressionMessage, gd_codec
+from compresslearn.compression.gd import (C_HULL, M_MULT, anchor_grid,
+                                          coefficient_grid, decode_gd_detailed,
+                                          n_pairs)
 
 from helpers import encode_with_retries, spd_with_condition
 
@@ -178,8 +177,6 @@ def test_random_payload_has_right_width():
     assert len(bits) == codec.spec.t_bits(0.4)
 
 
-def test_config_validation():
-    with pytest.raises(Exception):
-        GdConfig(c_hull=-1.0)
-    assert DEFAULT_GD_CONFIG.c_hull == 20.0
-    assert DEFAULT_GD_CONFIG.m_mult == 40.0
+def test_scheme_constants():
+    assert C_HULL == 20.0
+    assert M_MULT == 40.0

@@ -51,16 +51,29 @@ def test_config_validation_messages():
         ExperimentConfig.from_dict(dict(
             experiment="hull_probe", grid_kind="n", grid=[100], trials=1,
             seed=0, typo_field=1))
+    # no experiment reads a budget, so it is not a config field
+    with pytest.raises(ValidationError, match=r"unknown: \['budget'\]"):
+        small_config(budget=100)
+    with pytest.raises(ValidationError, match=r"unknown names \['dim'\]"):
+        small_config(params={"dim": 3})
 
 
 @pytest.mark.parametrize("overrides", [
     {"trials": "x"}, {"trials": [1]}, {"seed": "x"}, {"grid": ["a"]},
-    {"grid": 5}, {"params": [1]}],
+    {"grid": 5}, {"params": [1]}, {"params": {"n_mc": "x"}}],
     ids=["string trials", "list trials", "string seed", "string grid",
-         "scalar grid", "list params"])
+         "scalar grid", "list params", "string param"])
 def test_config_rejects_malformed_values(overrides):
     with pytest.raises(ValidationError, match=next(iter(overrides))):
         small_config(**overrides)
+
+
+def test_config_converts_params_when_built():
+    cfg = ExperimentConfig.from_dict(dict(
+        experiment="hull_probe", grid_kind="n", grid=[100], trials=1,
+        seed=0, params={"d": 3.0, "rho": 1}))
+    assert cfg.params == {"d": 3, "rho": 1.0}
+    assert type(cfg.params["d"]) is int and type(cfg.params["rho"]) is float
 
 
 @pytest.mark.parametrize("data", [[1], "config", None])

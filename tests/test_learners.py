@@ -19,8 +19,8 @@ from compresslearn import (CandidateSet, Gaussian, LabeledSample, Mixture,
                            learn_from_compression, learn_gaussian_efficient,
                            log_density, sample, select_candidate, tv_1d)
 from compresslearn.compression import (CompressionMessage, Codec, SCHEME_G1D,
-                                       SchemeSpec, compose_mixture, g1d_codec,
-                                       gd_codec)
+                                       PayloadLayout, SchemeSpec,
+                                       compose_mixture, g1d_codec, gd_codec)
 from compresslearn.learners import _boost_rounds, _closed_form_1d
 
 from helpers import encode_with_retries
@@ -51,7 +51,8 @@ def toy_codec() -> Codec:
         payload_count=lambda eps: 2,
         payload_by_index=payload_by_index,
         random_payload=lambda eps, rng: np.array([rng.integers(2)],
-                                                 dtype=np.uint8))
+                                                 dtype=np.uint8),
+        layout=lambda eps: PayloadLayout([2], [1]))
 
 
 def test_holdout_size_formula():
@@ -413,7 +414,7 @@ def test_efficient_sample_size_formula():
     d, eps, delta, c = 5, 0.25, 0.1, 8.0
     expected = 2 * math.ceil(c * (d * d + d * math.log(1.0 / delta))
                              / eps ** 2)
-    assert efficient_sample_size(d, eps, delta, c) == expected
+    assert efficient_sample_size(d, eps, delta) == expected
 
 
 def test_learn_gaussian_efficient_exact_arithmetic():
