@@ -194,28 +194,47 @@ class LabeledSample:
         return int(self.points.shape[1])
 
 
+def _affine(z: np.ndarray, g: Gaussian) -> np.ndarray:
+    """``g.mean + z @ g.sqrt_cov``, adding the mean into the product."""
+    x = z @ g.sqrt_cov
+    x += g.mean
+    return x
+
+
 def sample(dist: Distribution, n: int, seed) -> LabeledSample:
     """Draw ``n`` points from ``dist``.
 
-    Gaussian draws are ``mean + sqrt_cov @ z``; mixture draws carry the
-    component index of each point in ``labels``.
+    Gaussian draws are ``mean + z @ sqrt_cov`` with ``z`` standard normal;
+    mixture draws carry the component index of each point in ``labels``.
+    ``n`` must be a Python or numpy integer.
+
+    Temporary memory: a Gaussian holds ``z`` next to the output, so it
+    peaks at about twice the output.  A mixture draws ``z`` into the
+    output array and transforms one component's rows at a time, so beyond
+    the output (points and labels) it holds that component's gathered rows
+    twice, before and after the transform, plus a boolean mask.  The bits
+    are those of ``mean + z @ sqrt_cov`` computed in fresh arrays: the RNG
+    calls are the same, each component gets one matmul over the same rows,
+    and ``x + mean == mean + x`` exactly.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValidationError("n must be nonnegative")
     rng = as_generator(seed)
     if isinstance(dist, Gaussian):
-        z = rng.standard_normal((n, dist.dim))
-        return LabeledSample(points=dist.mean + z @ dist.sqrt_cov)
+        return LabeledSample(
+            points=_affine(rng.standard_normal((n, dist.dim)), dist))
     if isinstance(dist, Mixture):
         k = dist.n_components
         labels = rng.choice(k, size=n, p=dist.weights)
-        z = rng.standard_normal((n, dist.dim))
-        pts = np.empty((n, dist.dim))
+        pts = rng.standard_normal((n, dist.dim))
         for c in range(k):
             mask = labels == c
             if np.any(mask):
-                comp = dist.components[c]
-                pts[mask] = comp.mean + z[mask] @ comp.sqrt_cov
+                # one matmul per component: BLAS picks its kernel by row
+                # count, so splitting the rows could change the last bit
+                pts[mask] = _affine(pts[mask], dist.components[c])
         return LabeledSample(points=pts, labels=labels)
     raise ValidationError(f"cannot sample from {type(dist).__name__}")
 

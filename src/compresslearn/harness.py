@@ -45,9 +45,31 @@ _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_MUL_1 = 0xBF58476D1CE4E5B9
 _MIX_MUL_2 = 0x94D049BB133111EB
 
-# every experiment-specific knob a config's ``params`` may carry
-PARAMS = {"n_mc": int, "d": int, "r": int, "m_family": int, "rho": float,
-          "contamination": float, "junk_scale": float}
+
+def _integer(value) -> int:
+    """``int(value)`` for an integer, an integral float or an integer
+    string; a bool or a float with a fractional part (which ``int`` would
+    truncate) is malformed."""
+    if isinstance(value, (bool, np.bool_)) or (
+            isinstance(value, (float, np.floating))
+            and not float(value).is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
+# every experiment-specific knob a config's ``params`` may carry: its
+# converter and the rule its value must meet (None: any value)
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+PARAMS = {
+    "n_mc": (_integer, _AT_LEAST_ONE),
+    "d": (_integer, _AT_LEAST_ONE),
+    "r": (_integer, _AT_LEAST_ONE),
+    "m_family": (_integer, _AT_LEAST_ONE),
+    "rho": (float, (lambda v: v > 0.0, "must be > 0")),
+    "contamination": (float, (lambda v: 0.0 <= v <= 1.0,
+                              "must be in [0, 1]")),
+    "junk_scale": (float, None),
+}
 
 
 def _splitmix64(x: int) -> int:
@@ -84,8 +106,9 @@ class ExperimentConfig:
     ``grid_kind`` says what the grid values mean: accuracy targets
     (``eps``) or sample counts (``n``).  ``target`` is a distribution in
     its JSON form; ``params`` carries experiment-specific knobs, the
-    names in ``PARAMS``, each converted to its type when the config is
-    built.
+    names in ``PARAMS``.  ``trials``, ``seed`` and each param are
+    converted to their type, and checked against their range, when the
+    config is built.
     """
 
     experiment: str
@@ -108,8 +131,12 @@ class ExperimentConfig:
         if len(grid) == 0:
             raise ValidationError("config field 'grid': must be nonempty")
         object.__setattr__(self, "grid", grid)
-        if self.trials < 1:
+        trials = _config_field("trials", _integer, self.trials)
+        if trials < 1:
             raise ValidationError("config field 'trials': must be >= 1")
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed",
+                           _config_field("seed", _integer, self.seed))
         want_kind = {"scheme_roundtrip": "eps", "learn_curve": "n",
                      "lowerbound_audit": "eps", "hull_probe": "n"}
         if self.grid_kind != want_kind[self.experiment]:
@@ -128,9 +155,15 @@ class ExperimentConfig:
         if unknown:
             raise ValidationError(
                 f"config field 'params': unknown names {sorted(unknown)}")
-        object.__setattr__(self, "params", {
-            name: _config_field(f"params.{name}", PARAMS[name], value)
-            for name, value in self.params.items()})
+        params = {}
+        for name, value in self.params.items():
+            convert, rule = PARAMS[name]
+            value = _config_field(f"params.{name}", convert, value)
+            if rule is not None and not rule[0](value):
+                raise ValidationError(
+                    f"config field 'params.{name}': {rule[1]}, got {value!r}")
+            params[name] = value
+        object.__setattr__(self, "params", params)
 
     def to_dict(self) -> dict:
         return {
@@ -159,9 +192,7 @@ class ExperimentConfig:
             raise ValidationError(f"config fields missing: {sorted(missing)}")
         return cls(
             experiment=data["experiment"], grid_kind=data["grid_kind"],
-            grid=data["grid"],
-            trials=_config_field("trials", int, data["trials"]),
-            seed=_config_field("seed", int, data["seed"]),
+            grid=data["grid"], trials=data["trials"], seed=data["seed"],
             scheme=data.get("scheme"), target=data.get("target"),
             params=_config_field("params", dict, data.get("params", {})))
 

@@ -10,7 +10,8 @@ decoding them against a held sample prefix, and selecting on a fresh
 holdout; it is the one reduction, for single Gaussians and, through
 ``compose_mixture``, for k-mixtures.
 ``learn_gaussian_efficient`` is the polynomial-time single-Gaussian
-estimator.
+estimator.  ``scipy.special`` loads on the first closed-form 1-D
+tournament, not on import.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 # pairwise_greater_fraction is not called here; the name stays bound for
 # callers that patch this module's kernel names
@@ -127,6 +127,9 @@ def _region_masses(mu, var, I, J, a, b, c):
     written as two intervals ``(lo, hi)``; an unused one is ``(inf, inf)``,
     which adds exactly zero mass.
     """
+    # scipy.special loads on first use, not when the package is imported
+    from scipy.special import ndtr
+
     inf = math.inf
     lo = np.full((2, len(I)), inf)
     hi = np.full((2, len(I)), inf)

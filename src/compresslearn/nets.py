@@ -4,7 +4,8 @@ Hull membership is tested on a dense deterministic set of directions, so a
 pass is approximate while a returned violation certificate is exact; hull
 coefficients express a target over the symmetric hull of sample points, up
 to a residual of ``HULL_RESIDUAL_RTOL * (1 + |target|)`` with
-``HULL_RESIDUAL_RTOL = 1e-8``.
+``HULL_RESIDUAL_RTOL = 1e-8``.  ``scipy.optimize`` loads on the first call
+to ``solve_hull_coefficients``, not on import.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .errors import ValidationError
 
@@ -65,6 +65,9 @@ def solve_hull_coefficients(points: np.ndarray,
     subproblem at each step.  Returns ``None`` when no coefficient vector
     reproduces the target within ``HULL_RESIDUAL_RTOL * (1 + |target|)``.
     """
+    # scipy.optimize loads on first use, not when the package is imported
+    from scipy.optimize import lsq_linear
+
     a = np.asarray(points, dtype=float).T  # (d, m)
     target = np.asarray(target, dtype=float)
     if a.ndim != 2 or target.ndim != 1 or a.shape[0] != target.shape[0]:

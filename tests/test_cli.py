@@ -204,3 +204,21 @@ def test_compresslearn_run_rejects_malformed_number(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("compresslearn: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", [{"params": {"d": -1}}, {"trials": 2.7}],
+                         ids=["negative d", "fractional trials"])
+def test_compresslearn_run_rejects_out_of_range_config(tmp_path, capsys, bad):
+    cfg = dict(experiment="hull_probe", grid_kind="n", grid=[200], trials=2,
+               seed=9)
+    cfg.update(bad)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "o"
+    code = compresslearn_main(["run", "--config", str(cfg_path),
+                               "--out", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("compresslearn: ") and err.count("\n") == 1
+    assert next(iter(bad)) in err
+    assert not out_dir.exists()

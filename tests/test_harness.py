@@ -68,6 +68,39 @@ def test_config_rejects_malformed_values(overrides):
         small_config(**overrides)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"trials": 2.7}, {"trials": True}, {"seed": 1.5}, {"seed": float("nan")},
+    {"params": {"d": 2.9}}, {"params": {"n_mc": float("inf")}},
+    {"params": {"m_family": np.float32(2.5)}}],
+    ids=["fractional trials", "bool trials", "fractional seed", "nan seed",
+         "fractional d", "infinite n_mc", "numpy fractional m_family"])
+def test_config_rejects_non_integral_counts(overrides):
+    with pytest.raises(ValidationError, match="malformed"):
+        small_config(**overrides)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("d", -1), ("d", 0), ("r", 0), ("m_family", 0), ("n_mc", 0),
+    ("contamination", -0.1), ("contamination", 1.5),
+    ("contamination", float("nan")), ("rho", 0.0), ("rho", -0.05)])
+def test_config_rejects_out_of_range_params(name, value):
+    with pytest.raises(ValidationError, match=rf"'params\.{name}': must"):
+        small_config(params={name: value})
+
+
+def test_config_checks_counts_when_built_directly():
+    base = dict(experiment="hull_probe", grid_kind="n", grid=(100,))
+    with pytest.raises(ValidationError, match="trials"):
+        ExperimentConfig(**base, trials=2.7, seed=0)
+    with pytest.raises(ValidationError, match="params.d"):
+        ExperimentConfig(**base, trials=1, seed=0, params={"d": -1})
+    cfg = ExperimentConfig(**base, trials=np.int64(2), seed=3.0,
+                           params={"contamination": 1, "d": "4"})
+    assert (cfg.trials, cfg.seed) == (2, 3)
+    assert type(cfg.trials) is int and type(cfg.seed) is int
+    assert cfg.params == {"contamination": 1.0, "d": 4}
+
+
 def test_config_converts_params_when_built():
     cfg = ExperimentConfig.from_dict(dict(
         experiment="hull_probe", grid_kind="n", grid=[100], trials=1,
