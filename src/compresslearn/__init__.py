@@ -27,7 +27,7 @@ from .gaussmodels import (Gaussian, LabeledSample, Mixture, density,
                           sample)
 from .harness import (ExperimentConfig, ExperimentRow, derive_seed,
                       run_experiment, summarize, write_outputs)
-from .learners import (CandidateSet, LearnResult, SelectionResult,
+from .learners import (LearnResult, SelectionResult,
                        compression_sample_size, efficient_sample_size,
                        holdout_size, learn_from_compression,
                        learn_gaussian_efficient, select_candidate)
@@ -40,7 +40,6 @@ from .lowerbound import (Codebook, FanoInputs, LowerBoundFamily,
 from .nets import hull_contains_ball
 
 __all__ = [
-    "CandidateSet",
     "Codebook",
     "Codec",
     "CompressLearnError",

@@ -18,7 +18,7 @@ from ..errors import DecodingError, ValidationError
 from ..gaussmodels import Gaussian, LabeledSample, Mixture
 from .message import (SCHEME_MIXTURE, SCHEME_PRODUCT, CompressionMessage,
                       PayloadLayout)
-from .scheme import Codec, EncodeOutcome, SchemeSpec
+from .scheme import Codec, EncodeOutcome, check_eps
 
 # negligible mixture weight: at most eps / (NEGLIGIBLE_DIV * k)
 NEGLIGIBLE_DIV = 6.0
@@ -47,8 +47,7 @@ def compose_product(base: Codec, d: int) -> Codec:
     n_batches = math.ceil(math.log(3 * d) / math.log(3.0))
 
     def sub_eps(eps: float) -> float:
-        if not (0.0 < eps <= 1.0):
-            raise ValidationError("eps must lie in (0, 1]")
+        check_eps(eps)
         return eps / d
 
     def m_samples(eps: float) -> int:
@@ -85,7 +84,7 @@ def compose_product(base: Codec, d: int) -> Codec:
         msg = CompressionMessage.checked(
             SCHEME_PRODUCT, np.concatenate(all_refs),
             np.concatenate(all_bits),
-            max_refs=d * base.spec.tau(e), max_bits=d * base.spec.t_bits(e))
+            max_refs=d * base.spec.tau(e), max_bits=layout(eps).n_bits)
         return EncodeOutcome.success(msg)
 
     def decode(message: CompressionMessage, points: np.ndarray,
@@ -95,7 +94,7 @@ def compose_product(base: Codec, d: int) -> Codec:
             raise ValidationError(f"points must have shape (n, {d})")
         e = sub_eps(eps)
         tau_b = base.spec.tau(e)
-        t_b = base.spec.t_bits(e)
+        t_b = base.layout(e).n_bits
         if message.n_refs != d * tau_b:
             raise DecodingError("reference count does not match the layout")
         if message.n_bits != d * t_b:
@@ -117,20 +116,15 @@ def compose_product(base: Codec, d: int) -> Codec:
         # marginal j is digit j of the index, base-layout ordered inside
         return PayloadLayout.concat([base.layout(sub_eps(eps))] * d)
 
-    spec = SchemeSpec(
-        name=f"product[{base.name}]^{d}",
-        tau=lambda eps: d * base.spec.tau(sub_eps(eps)),
-        t_bits=lambda eps: d * base.spec.t_bits(sub_eps(eps)),
-        m_samples=m_samples,
-        robustness=base.spec.robustness,
-    )
-    return Codec.from_layout(spec, SCHEME_PRODUCT, encode, decode, layout)
+    return Codec.from_layout(
+        f"product[{base.name}]^{d}", SCHEME_PRODUCT, encode, decode, layout,
+        tau=lambda eps: d * base.spec.tau(sub_eps(eps)), m_samples=m_samples,
+        robustness=base.spec.robustness)
 
 
 def weight_grid_points(eps: float, k: int) -> int:
     """Number of grid points for one mixture weight on ``[0, 1]``."""
-    if not (0.0 < eps <= 1.0):
-        raise ValidationError("eps must lie in (0, 1]")
+    check_eps(eps)
     if k < 1:
         raise ValidationError("k must be >= 1")
     return math.ceil(3 * k / eps)
@@ -158,8 +152,7 @@ def compose_mixture(base: Codec, k: int) -> Codec:
         raise ValidationError("k must be >= 1")
 
     def sub_eps(eps: float) -> float:
-        if not (0.0 < eps <= 1.0):
-            raise ValidationError("eps must lie in (0, 1]")
+        check_eps(eps)
         return eps / 3.0
 
     @lru_cache(maxsize=256)
@@ -182,7 +175,7 @@ def compose_mixture(base: Codec, k: int) -> Codec:
         e = sub_eps(eps)
         m_base = base.spec.m_samples(e)
         tau_b = base.spec.tau(e)
-        t_b = base.spec.t_bits(e)
+        t_b = base.layout(e).n_bits
         n_w = weight_grid_points(eps, k)
         negligible = eps / (NEGLIGIBLE_DIV * k)
         weight_bits = _weight_layout(eps, k).pack(
@@ -223,7 +216,7 @@ def compose_mixture(base: Codec, k: int) -> Codec:
         d = pts.shape[1]
         e = sub_eps(eps)
         tau_b = base.spec.tau(e)
-        t_b = base.spec.t_bits(e)
+        t_b = base.layout(e).n_bits
         w_layout = _weight_layout(eps, k)
         if message.n_refs != k * tau_b:
             raise DecodingError("reference count does not match the layout")
@@ -250,12 +243,8 @@ def compose_mixture(base: Codec, k: int) -> Codec:
             weights = np.full(k, 1.0 / k)
         return Mixture(weights, comps)
 
-    spec = SchemeSpec(
-        name=f"mixture[{base.name}]x{k}",
-        tau=lambda eps: k * base.spec.tau(sub_eps(eps)),
-        t_bits=lambda eps: layout(eps).n_bits,
-        m_samples=m_samples,
+    return Codec.from_layout(
+        f"mixture[{base.name}]x{k}", SCHEME_MIXTURE, encode, decode, layout,
+        tau=lambda eps: k * base.spec.tau(sub_eps(eps)), m_samples=m_samples,
         # contamination tolerance does not compose through mixtures here
-        robustness=0.0,
-    )
-    return Codec.from_layout(spec, SCHEME_MIXTURE, encode, decode, layout)
+        robustness=0.0)

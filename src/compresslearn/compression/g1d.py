@@ -21,7 +21,7 @@ from ..errors import DecodingError, ValidationError
 from ..gaussmodels import Gaussian, LabeledSample
 from .grids import SymmetricGrid
 from .message import SCHEME_G1D, CompressionMessage, PayloadLayout
-from .scheme import Codec, EncodeOutcome, SchemeSpec
+from .scheme import Codec, EncodeOutcome, check_eps
 
 C_LOW = 0.0125
 C_HIGH = 2.6
@@ -41,11 +41,6 @@ def mean_offset_grid(eps: float) -> SymmetricGrid:
     return SymmetricGrid.from_bound(C_HIGH, eps / 2.0)
 
 
-def _check_eps(eps: float) -> None:
-    if not (0.0 < eps <= 1.0):
-        raise ValidationError("eps must lie in (0, 1]")
-
-
 def _sigma_mu(target: Gaussian) -> tuple[float, float]:
     if not isinstance(target, Gaussian) or target.dim != 1:
         raise ValidationError("this scheme encodes one-dimensional Gaussians")
@@ -59,10 +54,6 @@ def g1d_layout(eps: float) -> PayloadLayout:
         (scale_ratio_grid(eps), mean_offset_grid(eps)), order=(1, 0))
 
 
-def t_bits_g1d(eps: float) -> int:
-    return g1d_layout(eps).n_bits
-
-
 def encode_g1d(target: Gaussian, sample: LabeledSample,
                eps: float) -> EncodeOutcome:
     """Encode a 1-D Gaussian from its first three sample points.
@@ -70,7 +61,7 @@ def encode_g1d(target: Gaussian, sample: LabeledSample,
     Returns a failed outcome (never raises) when the sample realization
     misses the encoder's acceptance events.
     """
-    _check_eps(eps)
+    check_eps(eps)
     sigma, mu = _sigma_mu(target)
     if sample.n < _M_SAMPLES or sample.dim != 1:
         raise ValidationError("need at least 3 one-dimensional sample points")
@@ -84,18 +75,19 @@ def encode_g1d(target: Gaussian, sample: LabeledSample,
     offset_grid = mean_offset_grid(eps)
     lam_idx = ratio_grid.quantize(sigma / g)
     eta_idx = offset_grid.quantize((mu - g3) / sigma)
-    bits = g1d_layout(eps).pack(
+    layout = g1d_layout(eps)
+    bits = layout.pack(
         [ratio_grid.to_offset(lam_idx), offset_grid.to_offset(eta_idx)])
     msg = CompressionMessage.checked(
         SCHEME_G1D, np.arange(3), bits,
-        max_refs=_TAU, max_bits=t_bits_g1d(eps))
+        max_refs=_TAU, max_bits=layout.n_bits)
     return EncodeOutcome.success(msg)
 
 
 def decode_g1d(message: CompressionMessage, points: np.ndarray,
                eps: float) -> Gaussian:
     """Deterministically rebuild the Gaussian from three referenced points."""
-    _check_eps(eps)
+    check_eps(eps)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 1:
         raise ValidationError("points must have shape (n, 1)")
@@ -118,12 +110,7 @@ def decode_g1d(message: CompressionMessage, points: np.ndarray,
 
 def g1d_codec() -> Codec:
     """Codec wrapper: tau = 3 references, O(log(1/eps)) bits, m = 3 samples."""
-    spec = SchemeSpec(
-        name="g1d",
-        tau=lambda eps: _TAU,
-        t_bits=t_bits_g1d,
-        m_samples=lambda eps: _M_SAMPLES,
-        robustness=0.0,
-    )
-    return Codec.from_layout(spec, SCHEME_G1D, encode_g1d, decode_g1d,
-                             g1d_layout)
+    return Codec.from_layout("g1d", SCHEME_G1D, encode_g1d, decode_g1d,
+                             g1d_layout, tau=lambda eps: _TAU,
+                             m_samples=lambda eps: _M_SAMPLES,
+                             robustness=0.0)

@@ -29,22 +29,16 @@ from .._kernels import first_occupants
 from ..errors import DecodingError, ValidationError
 from ..gaussmodels import Gaussian, LabeledSample
 from .message import SCHEME_G1D_ROBUST, CompressionMessage, PayloadLayout
-from .scheme import Codec, EncodeOutcome, SchemeSpec
+from .scheme import Codec, EncodeOutcome, check_eps
 
 M_MULT = 60.0
 ROBUSTNESS_L1 = 0.773
 _TAU = 4
-_T_BITS = 1
-_LAYOUT = PayloadLayout([2], [_T_BITS])  # the variance-rule bit
-
-
-def _check_eps(eps: float) -> None:
-    if not (0.0 < eps <= 1.0):
-        raise ValidationError("eps must lie in (0, 1]")
+_LAYOUT = PayloadLayout([2], [1])  # the variance-rule bit
 
 
 def m_samples_robust(eps: float) -> int:
-    _check_eps(eps)
+    check_eps(eps)
     return math.ceil(M_MULT / eps)
 
 
@@ -64,7 +58,7 @@ def decode_g1d_robust(x1: float, x2: float, y1: float, y2: float,
 def encode_g1d_robust(target: Gaussian, sample: LabeledSample,
                       eps: float) -> EncodeOutcome:
     """Pick one mean pair and one variance pair of occupied cells."""
-    _check_eps(eps)
+    check_eps(eps)
     if not isinstance(target, Gaussian) or target.dim != 1:
         raise ValidationError("this scheme encodes one-dimensional Gaussians")
     m_need = m_samples_robust(eps)
@@ -108,17 +102,17 @@ def encode_g1d_robust(target: Gaussian, sample: LabeledSample,
     refs = np.asarray([mean_pair[0], mean_pair[1], iy1, iy2])
     msg = CompressionMessage.checked(
         SCHEME_G1D_ROBUST, refs, _LAYOUT.pack([b]),
-        max_refs=_TAU, max_bits=_T_BITS)
+        max_refs=_TAU, max_bits=_LAYOUT.n_bits)
     return EncodeOutcome.success(msg)
 
 
 def decode_g1d_robust_message(message: CompressionMessage, points: np.ndarray,
                               eps: float) -> Gaussian:
-    _check_eps(eps)
+    check_eps(eps)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 1:
         raise ValidationError("points must have shape (n, 1)")
-    if message.n_refs != _TAU or message.n_bits != _T_BITS:
+    if message.n_refs != _TAU or message.n_bits != _LAYOUT.n_bits:
         raise DecodingError("expected 4 references and 1 bit")
     if message.sample_refs.max() >= pts.shape[0]:
         raise DecodingError("sample reference out of range")
@@ -128,12 +122,8 @@ def decode_g1d_robust_message(message: CompressionMessage, points: np.ndarray,
 
 def g1d_robust_codec() -> Codec:
     """Codec wrapper: 4 references, 1 bit, m = ceil(M_MULT/eps) samples."""
-    spec = SchemeSpec(
-        name="g1d_robust",
-        tau=lambda eps: _TAU,
-        t_bits=lambda eps: _T_BITS,
-        m_samples=m_samples_robust,
-        robustness=ROBUSTNESS_L1,
-    )
-    return Codec.from_layout(spec, SCHEME_G1D_ROBUST, encode_g1d_robust,
-                             decode_g1d_robust_message, lambda eps: _LAYOUT)
+    return Codec.from_layout("g1d_robust", SCHEME_G1D_ROBUST,
+                             encode_g1d_robust, decode_g1d_robust_message,
+                             lambda eps: _LAYOUT, tau=lambda eps: _TAU,
+                             m_samples=m_samples_robust,
+                             robustness=ROBUSTNESS_L1)

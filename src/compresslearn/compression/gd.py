@@ -34,7 +34,7 @@ from ..gaussmodels import Gaussian, LabeledSample
 from ..nets import solve_hull_coefficients
 from .grids import SymmetricGrid
 from .message import SCHEME_GD, CompressionMessage, PayloadLayout
-from .scheme import Codec, EncodeOutcome, SchemeSpec
+from .scheme import Codec, EncodeOutcome, check_eps
 
 C_HULL = 20.0  # hull targets w_j / C_HULL: certified radius 1 / C_HULL
 M_MULT = 40.0  # difference pairs m = ceil(M_MULT * d * (1 + ln d))
@@ -79,18 +79,9 @@ def gd_layout(eps: float, d: int, m: int) -> PayloadLayout:
                                   + [anchor_grid(eps, d)] * d)
 
 
-def t_bits_gd(eps: float, d: int) -> int:
-    return gd_layout(eps, d, n_pairs(d)).n_bits
-
-
 def tau_gd(d: int) -> int:
     # all 2m difference points plus the anchor reference
     return 2 * n_pairs(d) + 1
-
-
-def _check_eps(eps: float) -> None:
-    if not (0.0 < eps <= 1.0):
-        raise ValidationError("eps must lie in (0, 1]")
 
 
 def encode_gd(target: Gaussian, sample: LabeledSample,
@@ -101,7 +92,7 @@ def encode_gd(target: Gaussian, sample: LabeledSample,
     outside the symmetric hull of the kept whitened differences, or when
     both anchor candidates have whitened norm above ``4 sqrt(d)``.
     """
-    _check_eps(eps)
+    check_eps(eps)
     if not isinstance(target, Gaussian):
         raise ValidationError("this scheme encodes Gaussians")
     d = target.dim
@@ -142,13 +133,14 @@ def encode_gd(target: Gaussian, sample: LabeledSample,
     if anchor_ref < 0:
         return EncodeOutcome.failure("both anchor candidates are outliers")
 
-    bits = gd_layout(eps, d, m).pack(np.concatenate(
+    layout = gd_layout(eps, d, m)
+    bits = layout.pack(np.concatenate(
         [coefficient_grid(eps, d).offsets(theta.ravel()),
          anchor_grid(eps, d).offsets(lam)]))
     refs = np.concatenate([np.arange(2 * m), [anchor_ref]])
     msg = CompressionMessage.checked(
         SCHEME_GD, refs, bits,
-        max_refs=tau_gd(d), max_bits=t_bits_gd(eps, d))
+        max_refs=tau_gd(d), max_bits=layout.n_bits)
     return EncodeOutcome.success(msg)
 
 
@@ -169,7 +161,7 @@ class GdDecoded:
 def decode_gd_detailed(message: CompressionMessage, points: np.ndarray,
                        eps: float) -> GdDecoded:
     """Decode and also expose the per-direction reconstruction."""
-    _check_eps(eps)
+    check_eps(eps)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValidationError("points must have shape (n, d)")
@@ -209,12 +201,8 @@ def decode_gd(message: CompressionMessage, points: np.ndarray,
 def gd_codec(d: int) -> Codec:
     """Codec wrapper for fixed dimension ``d``."""
     m = n_pairs(d)
-    spec = SchemeSpec(
-        name=f"gd[d={d}]",
-        tau=lambda eps: tau_gd(d),
-        t_bits=lambda eps: t_bits_gd(eps, d),
-        m_samples=lambda eps: m_samples_gd(d),
-        robustness=ROBUSTNESS_L1,
-    )
-    return Codec.from_layout(spec, SCHEME_GD, encode_gd, decode_gd,
-                             lambda eps: gd_layout(eps, d, m))
+    return Codec.from_layout(f"gd[d={d}]", SCHEME_GD, encode_gd, decode_gd,
+                             lambda eps: gd_layout(eps, d, m),
+                             tau=lambda eps: tau_gd(d),
+                             m_samples=lambda eps: m_samples_gd(d),
+                             robustness=ROBUSTNESS_L1)

@@ -12,6 +12,10 @@ bytes     field
 ceil(t/8) payload bits packed LSB-first within each byte
 ========  =======================================================
 
+The padding bits after the ``t`` payload bits are zero;
+``CompressionMessage.from_bytes`` rejects a blob where they are not, so
+``to_bytes`` of a parsed message gives back the blob.
+
 A codec's payload is described by a :class:`PayloadLayout`: fixed-width
 fields in wire order, each an unsigned digit written least significant
 bit first.  The layout also ranks the fields by significance, which turns
@@ -148,6 +152,20 @@ class PayloadLayout:
         return self._bits(digits)
 
 
+def _flat_indices(values, bound: int, dtype, error: str) -> np.ndarray:
+    """``values`` as a read-only flat ``dtype`` array of integers in
+    ``[0, bound)``; anything else, such as floats, raises ``error``."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or arr.size and (
+            arr.dtype.kind not in "iu"
+            or (arr.dtype.kind == "i" and arr.min() < 0)
+            or arr.max() >= bound):
+        raise ValidationError(error)
+    arr = arr.astype(dtype, copy=False)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class CompressionMessage:
     """A compression scheme's output: sample references plus payload bits.
@@ -157,9 +175,10 @@ class CompressionMessage:
     scheme_id : int
         Wire identifier of the producing scheme.
     sample_refs : ndarray
-        Indices into the sample presented to the encoder (repeats allowed).
+        Indices into the sample presented to the encoder (repeats allowed),
+        stored as int64; integers in ``[0, 2**32)`` only.
     bits : ndarray
-        Payload bits as a uint8 array of zeros and ones.
+        Payload bits, stored as uint8; integers 0 and 1 only.
     """
 
     scheme_id: int
@@ -169,18 +188,11 @@ class CompressionMessage:
     def __post_init__(self):
         if self.scheme_id not in _KNOWN_SCHEMES:
             raise ValidationError(f"unknown scheme id {self.scheme_id}")
-        refs = np.asarray(self.sample_refs, dtype=np.int64)
-        if refs.ndim != 1 or (refs.size and refs.min() < 0):
-            raise ValidationError("sample_refs must be nonnegative indices")
-        if refs.size and refs.max() >= (1 << 32):
-            raise ValidationError("sample reference exceeds u32 range")
-        refs.setflags(write=False)
-        object.__setattr__(self, "sample_refs", refs)
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 1 or (bits.size and bits.max() > 1):
-            raise ValidationError("bits must be a flat array of 0/1")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "sample_refs", _flat_indices(
+            self.sample_refs, 1 << 32, np.int64,
+            "sample_refs must be a flat array of integers in [0, 2**32)"))
+        object.__setattr__(self, "bits", _flat_indices(
+            self.bits, 2, np.uint8, "bits must be a flat array of 0/1"))
 
     @classmethod
     def checked(cls, scheme_id: int, sample_refs, bits, max_refs: int,
@@ -230,7 +242,7 @@ class CompressionMessage:
         off = 6
         if len(blob) < off + 4 * n_refs + 4:
             raise ValidationError("message blob truncated in references")
-        refs = struct.unpack_from(f"<{n_refs}I", blob, off)
+        refs = np.frombuffer(blob, dtype="<u4", count=n_refs, offset=off)
         off += 4 * n_refs
         (n_bits,) = struct.unpack_from("<I", blob, off)
         off += 4
@@ -238,5 +250,7 @@ class CompressionMessage:
         if len(blob) != off + n_bytes:
             raise ValidationError("message blob has wrong payload length")
         raw = np.frombuffer(blob, dtype=np.uint8, offset=off)
-        bits = np.unpackbits(raw, bitorder="little")[:n_bits]
-        return cls(scheme_id=scheme_id, sample_refs=np.asarray(refs), bits=bits)
+        bits = np.unpackbits(raw, bitorder="little")
+        if bits[n_bits:].any():
+            raise ValidationError("message blob has nonzero padding bits")
+        return cls(scheme_id=scheme_id, sample_refs=refs, bits=bits[:n_bits])

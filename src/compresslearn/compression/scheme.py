@@ -7,10 +7,17 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from ..errors import ValidationError
 from ..gaussmodels import Gaussian, LabeledSample, Mixture
 from .message import CompressionMessage, PayloadLayout
 
 Decoded = Union[Gaussian, Mixture]
+
+
+def check_eps(eps: float) -> None:
+    """Reject a codec accuracy ``eps`` outside ``(0, 1]``."""
+    if not (0.0 < eps <= 1.0):
+        raise ValidationError("eps must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -21,7 +28,8 @@ class SchemeSpec:
     the maximum number of sample references, the maximum number of payload
     bits, and the number of samples the encoder consumes.  ``robustness``
     is the L1 contamination radius the scheme tolerates (0 for non-robust
-    schemes).
+    schemes).  :meth:`Codec.from_layout` derives ``t_bits`` from the
+    codec's payload layout.
     """
 
     name: str
@@ -60,7 +68,7 @@ class EncodeOutcome:
 
 @dataclass(frozen=True)
 class Codec:
-    """A compression scheme: spec, encoder, decoder, and payload enumeration.
+    """A compression scheme: spec, encoder, decoder and payload layout.
 
     ``encode(target, sample, eps)`` consumes ``spec.m_samples(eps)`` points
     from the sample; the encoder knows the target distribution.
@@ -68,30 +76,27 @@ class Codec:
     referenced sample points (as rows of ``points`` indexed by the
     message's references).
 
-    ``payload_count(eps)`` is the exact number of distinct payloads, and
-    ``payload_by_index`` / ``random_payload`` produce payload bit arrays
-    for candidate enumeration in the compression-to-learning reduction.
-    ``layout(eps)`` is the :class:`PayloadLayout` the decoder accepts;
-    codecs built by :meth:`from_layout` take all three from it, and the
-    combinators concatenate their base's layouts.
+    ``layout(eps)`` is the payload's single description: the
+    :class:`PayloadLayout` the decoder accepts, which fixes the payload
+    width ``spec.t_bits(eps)``, the payload count and the payload of each
+    enumeration index.  ``random_payload(eps, rng)`` draws from it.
     """
 
     spec: SchemeSpec
     scheme_id: int
     encode: Callable[[Decoded, LabeledSample, float], EncodeOutcome]
     decode: Callable[[CompressionMessage, np.ndarray, float], Decoded]
-    payload_count: Callable[[float], int]
-    payload_by_index: Callable[[float, int], np.ndarray]
     random_payload: Callable[[float, np.random.Generator], np.ndarray]
     layout: Callable[[float], PayloadLayout]
 
     @classmethod
-    def from_layout(cls, spec: SchemeSpec, scheme_id: int, encode, decode,
-                    layout: Callable[[float], PayloadLayout]) -> "Codec":
-        """Codec whose payload enumeration comes from ``layout(eps)``."""
+    def from_layout(cls, name: str, scheme_id: int, encode, decode,
+                    layout: Callable[[float], PayloadLayout], *, tau,
+                    m_samples, robustness: float) -> "Codec":
+        """Codec whose payload width and draws come from ``layout(eps)``."""
+        spec = SchemeSpec(name, tau, lambda eps: layout(eps).n_bits,
+                          m_samples, robustness)
         return cls(spec, scheme_id, encode, decode,
-                   payload_count=lambda eps: layout(eps).count,
-                   payload_by_index=lambda eps, idx: layout(eps).by_index(idx),
                    random_payload=lambda eps, rng: layout(eps).random(rng),
                    layout=layout)
 

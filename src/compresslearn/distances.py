@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .gaussmodels import Distribution, Gaussian, Mixture, density, log_density, sample
-from .utils import as_generator
+from .gaussmodels import Distribution, Gaussian, density, log_density, sample
 
 QUAD_SUCCESSIVE_TOL = 1e-7
 QUAD_MAX_POINTS = (1 << 21) + 1

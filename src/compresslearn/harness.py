@@ -30,7 +30,7 @@ from .errors import CompressLearnError, ValidationError
 from .gaussmodels import Gaussian, dist_from_json, sample
 from .learners import learn_gaussian_efficient
 from .lowerbound import kl_pair, make_lb_family, tv_pair_lower
-from .nets import hull_contains_ball
+from .nets import HULL_MAX_DIM, hull_contains_ball
 from .utils import as_generator
 
 EXPERIMENTS = ("scheme_roundtrip", "learn_curve", "lowerbound_audit",
@@ -163,6 +163,12 @@ class ExperimentConfig:
                 raise ValidationError(
                     f"config field 'params.{name}': {rule[1]}, got {value!r}")
             params[name] = value
+        # checked here, before a trial draws an (n, d) sample
+        if self.experiment == "hull_probe" \
+                and params.get("d", 3) > HULL_MAX_DIM:
+            raise ValidationError(
+                f"config field 'params.d': hull_probe supports d <= "
+                f"{HULL_MAX_DIM}, got {params['d']}")
         object.__setattr__(self, "params", params)
 
     def to_dict(self) -> dict:

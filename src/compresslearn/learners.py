@@ -71,26 +71,6 @@ def holdout_size(n_candidates: int, eps: float, delta: float) -> int:
 
 
 @dataclass(frozen=True)
-class CandidateSet:
-    """Candidate distributions plus per-candidate provenance tags."""
-
-    candidates: tuple
-    provenance: tuple
-
-    def __post_init__(self):
-        if len(self.candidates) == 0:
-            raise ValidationError("candidate set must be nonempty")
-        if len(self.provenance) != len(self.candidates):
-            raise ValidationError("need one provenance entry per candidate")
-        dims = {c.dim for c in self.candidates}
-        if len(dims) != 1:
-            raise ValidationError("candidates must share one dimension")
-
-    def __len__(self) -> int:
-        return len(self.candidates)
-
-
-@dataclass(frozen=True)
 class SelectionResult:
     """Tournament outcome: winning index, per-candidate wins, holdout size."""
 
@@ -505,8 +485,6 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
     :class:`WorkerPoolError`, and the next tournament starts a new pool.
     ``closed_form_1d`` always runs in-process.
     """
-    if isinstance(cands, CandidateSet):
-        cands = cands.candidates
     cands = list(cands)
     if not cands:
         raise ValidationError("candidate list must be nonempty")
@@ -621,47 +599,40 @@ def learn_from_compression(codec: Codec, samp: LabeledSample, eps: float,
     if samp.n < n_enc:
         raise ValidationError(f"need at least {n_enc} encoding points")
     tau = codec.spec.tau(e_enum)
-    space = n_enc ** tau * codec.payload_count(e_enum)
+    layout = codec.layout(e_enum)
+    space = n_enc ** tau * layout.count
     n_fill = budget - len(extras)
     capped = space > n_fill
 
-    messages = extras.copy()
-    provenance = ["extra"] * len(extras)
+    # messages are made one at a time and decoded at once; decoding draws
+    # nothing, so each message takes its refs, then its payload, from rng
     if capped:
-        for _ in range(n_fill):
-            refs = rng.integers(n_enc, size=tau)
-            messages.append(CompressionMessage(
-                codec.scheme_id, refs, codec.random_payload(e_enum, rng)))
-            provenance.append("sampled")
+        messages = (CompressionMessage(codec.scheme_id,
+                                       rng.integers(n_enc, size=tau),
+                                       codec.random_payload(e_enum, rng))
+                    for _ in range(n_fill))
     else:
-        payloads = [codec.payload_by_index(e_enum, p)
-                    for p in range(codec.payload_count(e_enum))]
-        for refs in itertools.product(range(n_enc), repeat=tau):
-            refs = np.asarray(refs, dtype=np.int64)
-            for payload in payloads:
-                messages.append(CompressionMessage(codec.scheme_id, refs,
-                                                   payload))
-                provenance.append("enumerated")
-
+        payloads = [layout.by_index(p) for p in range(layout.count)]
+        refs = np.array(list(itertools.product(range(n_enc), repeat=tau)),
+                        dtype=np.int64)
+        messages = (CompressionMessage(codec.scheme_id, row, payload)
+                    for row in refs for payload in payloads)
     enc_points = samp.points[:n_enc]
     decoded = []
-    tags = []
-    for msg, tag in zip(messages, provenance):
+    for msg in itertools.chain(extras, messages):
         try:
             decoded.append(codec.decode(msg, enc_points, e_enum))
         except DecodingError:
             continue
-        tags.append(tag)
     if not decoded:
         raise ValidationError("no candidate message decoded to a distribution")
-    cand_set = CandidateSet(tuple(decoded), tuple(tags))
 
     n_hold = holdout_size(len(decoded), e_sel, delta / 2.0)
     if samp.n < n_enc + n_hold:
         raise ValidationError(
             f"need at least {n_enc + n_hold} points for this budget")
     holdout = LabeledSample(samp.points[n_enc:n_enc + n_hold])
-    sel = select_candidate(cand_set, holdout, e_sel, rng)
+    sel = select_candidate(decoded, holdout, e_sel, rng)
     return LearnResult(
         estimate=decoded[sel.index], selection=sel,
         candidate_count=len(decoded), candidate_space=space,

@@ -222,3 +222,18 @@ def test_compresslearn_run_rejects_out_of_range_config(tmp_path, capsys, bad):
     assert err.startswith("compresslearn: ") and err.count("\n") == 1
     assert next(iter(bad)) in err
     assert not out_dir.exists()
+
+
+def test_compresslearn_run_rejects_hull_probe_above_max_dim(tmp_path, capsys):
+    cfg = dict(experiment="hull_probe", grid_kind="n", grid=[200], trials=2,
+               seed=9, params={"d": 9})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "o"
+    code = compresslearn_main(["run", "--config", str(cfg_path),
+                               "--out", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == ("compresslearn: config field 'params.d': hull_probe "
+                   "supports d <= 8, got 9\n")
+    assert not out_dir.exists()

@@ -159,8 +159,8 @@ def test_mixture_payload_count_multiradix():
     mix_codec = compose_mixture(base, k)
     eps = 0.5
     n_w = weight_grid_points(eps, k)
-    assert mix_codec.payload_count(eps) \
-        == (n_w ** k) * (base.payload_count(eps / 3.0) ** k)
+    assert mix_codec.layout(eps).count \
+        == (n_w ** k) * (base.layout(eps / 3.0).count ** k)
 
 
 def test_gd_based_mixture_smoke():
@@ -190,7 +190,8 @@ def test_mixture_rejects_off_grid_weight():
     rng = np.random.default_rng(56)
     pts = rng.standard_normal((10, 1))
     refs = np.arange(mix_codec.spec.tau(eps)) % 10
-    good = mix_codec.payload_by_index(eps, mix_codec.payload_count(eps) // 2)
+    layout = mix_codec.layout(eps)
+    good = layout.by_index(layout.count // 2)
     for digit in (29, 30, 31):
         bits = good.copy()
         bits[:5] = [(digit >> i) & 1 for i in range(5)]

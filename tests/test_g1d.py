@@ -11,7 +11,7 @@ from compresslearn import (DecodingError, Gaussian, LabeledSample,
 from compresslearn.compression import CompressionMessage, g1d_codec
 from compresslearn.compression.g1d import (C_HIGH, C_LOW, decode_g1d,
                                            encode_g1d, mean_offset_grid,
-                                           scale_ratio_grid, t_bits_g1d)
+                                           scale_ratio_grid)
 
 # Pr[c < |N(0,1)| < C] at the default constants, frozen from
 # 2 * (Phi(2.6) - Phi(0.0125)); the anchor event Pr[|N(0,1)| <= 2.6]
@@ -33,9 +33,10 @@ def test_spec_accounting():
     assert codec.spec.tau(0.2) == 3
     assert codec.spec.m_samples(0.2) == 3
     assert codec.spec.robustness == 0.0
-    assert codec.spec.t_bits(0.2) == t_bits_g1d(0.2)
+    assert codec.spec.t_bits(0.2) == (scale_ratio_grid(0.2).index_width
+                                      + mean_offset_grid(0.2).index_width)
     # bits grow as eps shrinks
-    assert t_bits_g1d(0.05) > t_bits_g1d(0.4)
+    assert codec.spec.t_bits(0.05) > codec.spec.t_bits(0.4)
 
 
 def test_grid_bounds():
@@ -128,12 +129,12 @@ def test_payload_enumeration_covers_encoded_message():
     pts = np.array([[0.9], [-0.6], [0.2]])
     out = codec.encode(target, LabeledSample(pts), eps)
     assert out.ok
-    total = codec.payload_count(eps)
+    layout = codec.layout(eps)
+    total = layout.count
     assert total == (scale_ratio_grid(eps).n_points
                      * mean_offset_grid(eps).n_points)
-    match = any(
-        np.array_equal(codec.payload_by_index(eps, i), out.message.bits)
-        for i in range(total))
+    match = any(np.array_equal(layout.by_index(i), out.message.bits)
+                for i in range(total))
     assert match
     with pytest.raises(ValidationError):
-        codec.payload_by_index(eps, total)
+        layout.by_index(total)

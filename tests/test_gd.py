@@ -160,13 +160,14 @@ def test_payload_index_enumeration():
     d = 2
     codec = gd_codec(d)
     eps = 0.9
-    total = codec.payload_count(eps)
+    layout = codec.layout(eps)
+    total = layout.count
     assert total > 0
-    first = codec.payload_by_index(eps, 0)
-    last = codec.payload_by_index(eps, total - 1)
+    first = layout.by_index(0)
+    last = layout.by_index(total - 1)
     assert len(first) == len(last) == codec.spec.t_bits(eps)
     with pytest.raises(Exception):
-        codec.payload_by_index(eps, total)
+        layout.by_index(total)
 
 
 def test_random_payload_has_right_width():

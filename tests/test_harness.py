@@ -11,6 +11,7 @@ from compresslearn import (ExperimentConfig, ExperimentRow, ValidationError,
                            write_outputs)
 from compresslearn.harness import (_splitmix64, rows_to_csv, run_manifest,
                                    summary_to_csv)
+from compresslearn.nets import HULL_MAX_DIM
 
 GAUSS_1D = {"type": "gaussian", "mean": [0.0], "cov": [[1.0]]}
 
@@ -99,6 +100,20 @@ def test_config_checks_counts_when_built_directly():
     assert (cfg.trials, cfg.seed) == (2, 3)
     assert type(cfg.trials) is int and type(cfg.seed) is int
     assert cfg.params == {"contamination": 1.0, "d": 4}
+
+
+def test_config_limits_hull_probe_dimension():
+    base = dict(grid_kind="n", grid=(100,), trials=1, seed=0)
+    assert ExperimentConfig(experiment="hull_probe", **base,
+                            params={"d": HULL_MAX_DIM}).params["d"] == 8
+    with pytest.raises(ValidationError, match=r"'params\.d': hull_probe"):
+        ExperimentConfig(experiment="hull_probe", **base,
+                         params={"d": HULL_MAX_DIM + 1})
+    # the limit is the hull certifier's, not every experiment's
+    audit = ExperimentConfig(experiment="lowerbound_audit", grid_kind="eps",
+                             grid=(0.2,), trials=1, seed=0,
+                             params={"d": 18})
+    assert audit.params["d"] == 18
 
 
 def test_config_converts_params_when_built():

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from compresslearn import (CandidateSet, Gaussian, LabeledSample, Mixture,
+from compresslearn import (Gaussian, LabeledSample, Mixture,
                            ValidationError, compression_sample_size,
                            efficient_sample_size, holdout_size,
                            learn_from_compression, learn_gaussian_efficient,
                            log_density, sample, select_candidate, tv_1d)
 from compresslearn.compression import (CompressionMessage, Codec, SCHEME_G1D,
-                                       PayloadLayout, SchemeSpec,
-                                       compose_mixture, g1d_codec, gd_codec)
+                                       PayloadLayout, compose_mixture,
+                                       g1d_codec, gd_codec)
 from compresslearn.learners import _boost_rounds, _closed_form_1d
 
 from helpers import encode_with_retries
@@ -37,22 +37,10 @@ def toy_codec() -> Codec:
     def encode(target, samp, eps):
         raise NotImplementedError("enumeration-only test codec")
 
-    def payload_by_index(eps, idx):
-        if not 0 <= idx < 2:
-            raise ValidationError("payload index out of range")
-        return np.array([idx], dtype=np.uint8)
-
-    return Codec(
-        spec=SchemeSpec(name="toy", tau=lambda eps: 1, t_bits=lambda eps: 1,
-                        m_samples=lambda eps: 1, robustness=0.0),
-        scheme_id=SCHEME_G1D,
-        encode=encode,
-        decode=decode,
-        payload_count=lambda eps: 2,
-        payload_by_index=payload_by_index,
-        random_payload=lambda eps, rng: np.array([rng.integers(2)],
-                                                 dtype=np.uint8),
-        layout=lambda eps: PayloadLayout([2], [1]))
+    return Codec.from_layout("toy", SCHEME_G1D, encode, decode,
+                             lambda eps: PayloadLayout([2], [1]),
+                             tau=lambda eps: 1, m_samples=lambda eps: 1,
+                             robustness=0.0)
 
 
 def test_holdout_size_formula():
@@ -68,14 +56,14 @@ def test_boost_rounds():
     assert _boost_rounds(2.0 / 3.0) == 1
 
 
-def test_candidate_set_validation():
+def test_select_candidate_rejects_empty_and_mixed_dimensions():
     g = Gaussian([0.0], [[1.0]])
-    cs = CandidateSet((g, g), ("a", "b"))
-    assert len(cs) == 2
-    with pytest.raises(ValidationError):
-        CandidateSet((), ())
-    with pytest.raises(ValidationError):
-        CandidateSet((g, Gaussian([0.0, 0.0], np.eye(2))), ("a", "b"))
+    holdout = sample(g, 10, 60)
+    assert select_candidate((g, g), holdout, 0.1).index == 0
+    with pytest.raises(ValidationError, match="nonempty"):
+        select_candidate((), holdout, 0.1)
+    with pytest.raises(ValidationError, match="one dimension"):
+        select_candidate((g, Gaussian([0.0, 0.0], np.eye(2))), holdout, 0.1)
 
 
 def test_select_candidate_closed_form_picks_planted_best():
@@ -383,7 +371,7 @@ def test_learn_from_compression_checks_sample_before_messages():
         raise AssertionError("messages generated before the sample check")
 
     codec = dataclasses.replace(g1d_codec(), random_payload=no_payloads,
-                                payload_by_index=no_payloads)
+                                layout=no_payloads)
     eps, delta, budget = 0.2, 0.2, 10
     n_enc = codec.spec.m_samples(eps / 6.0) * _boost_rounds(delta)
     samp = sample(Gaussian([0.0], [[1.0]]), n_enc - 1, 70)

@@ -178,3 +178,41 @@ def test_grid_vectorized_offsets_and_values_match_scalar_methods():
                              for x in xs]
     assert grid.values(offs).tolist() == [grid.value(grid.from_offset(int(u)))
                                           for u in offs]
+
+
+@pytest.mark.parametrize("refs, bits", [
+    (np.array([0]), np.array([256, 1])),
+    (np.array([0]), [0.7, 1.0]),
+    (np.array([0]), np.array([2], dtype=np.uint8)),
+    (np.array([0]), np.array([-1, 0])),
+    ([0.9, 1.2, 2.0], np.zeros(0, dtype=np.uint8)),
+    (np.array([1 << 32]), np.zeros(0, dtype=np.uint8)),
+    (np.array([[0, 1]]), np.zeros(0, dtype=np.uint8)),
+    (np.array([0]), np.array(["1"])),
+], ids=["bit 256", "float bits", "bit 2", "negative bit", "float refs",
+        "ref 2**32", "2-D refs", "string bits"])
+def test_message_rejects_values_it_would_cast(refs, bits):
+    with pytest.raises(ValidationError):
+        CompressionMessage(SCHEME_G1D, refs, bits)
+
+
+def test_message_stores_integer_inputs_as_int64_refs_and_uint8_bits():
+    msg = CompressionMessage(SCHEME_G1D, [0, (1 << 32) - 1],
+                             np.array([1, 0], dtype=np.int64))
+    assert msg.sample_refs.dtype == np.int64
+    assert msg.bits.dtype == np.uint8
+    assert msg.sample_refs.tolist() == [0, (1 << 32) - 1]
+    assert msg.bits.tolist() == [1, 0]
+    empty = CompressionMessage(SCHEME_G1D, [], [])
+    assert (empty.n_refs, empty.n_bits) == (0, 0)
+    assert CompressionMessage.from_bytes(empty.to_bytes()).equals(empty)
+
+
+def test_message_from_bytes_rejects_nonzero_padding():
+    msg = CompressionMessage(SCHEME_G1D, np.array([0, 1, 2]),
+                             np.array([1, 0, 1], dtype=np.uint8))
+    blob = msg.to_bytes()
+    assert blob[-1] == 0x05
+    for last in (0x0D, 0x85):
+        with pytest.raises(ValidationError, match="padding"):
+            CompressionMessage.from_bytes(blob[:-1] + bytes([last]))

@@ -6,8 +6,8 @@ The digests were recorded from the bit-at-a-time packing that preceded
 * ``random``: 16 ``random_payload`` draws from ``default_rng(20171014)``,
   then the generator's next ``integers(1 << 62)``, which pins how much of
   the stream the draws consume;
-* ``index``: ``payload_by_index`` at 0, 1, ``count - 1`` and three large
-  indices;
+* ``index``: the layout's ``count`` and ``by_index`` at 0, 1, ``count - 1``
+  and three large indices;
 * ``encode``: ``to_bytes()`` of the message encoded from a fixed sample.
 """
 
@@ -64,10 +64,11 @@ def payload_digests(name: str, eps: float) -> dict:
     h.update(int(rng.integers(1 << 62)).to_bytes(8, "little"))
     out["random"] = h.hexdigest()
 
-    count = codec.payload_count(eps)
+    layout = codec.layout(eps)
+    count = layout.count
     h = hashlib.sha256(count.to_bytes(count.bit_length() // 8 + 1, "little"))
     for idx in (0, 1, count - 1, count // 2, count // 3, (5 * count) // 7):
-        _hash_bits(h, codec.payload_by_index(eps, idx))
+        _hash_bits(h, layout.by_index(idx))
     out["index"] = h.hexdigest()
 
     samp = sample(target, 2 * codec.spec.m_samples(eps), 7)
