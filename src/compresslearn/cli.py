@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .compression import SCHEME_CHOICES, codec_for
-from .distances import kl_gaussians, tv_1d, tv_frobenius_proxy, tv_mc
+from .distances import kl_gaussians, tv_estimate, tv_frobenius_proxy, tv_mc
 from .errors import CompressLearnError, ValidationError
 from .gaussmodels import Gaussian, dist_from_json, dist_to_json, sample
 from .harness import ExperimentConfig, run_experiment, write_outputs
@@ -43,10 +43,7 @@ def _emit(record: dict, out: str | None) -> None:
 
 
 def _tv_record(p, q, n_mc: int, seed) -> dict:
-    if p.dim == 1:
-        est = tv_1d(p, q)
-    else:
-        est = tv_mc(p, q, n_mc, seed)
+    est = tv_estimate(p, q, n_mc, seed)
     return {"value": est.value, "std_error": est.std_error,
             "method": est.method}
 

@@ -3,7 +3,9 @@
 A codec bundles a scheme profile (reference count, bit budget, sample
 budget, contamination tolerance) with an encoder that knows the target
 distribution and a deterministic decoder that sees only referenced sample
-points plus payload bits.
+points plus payload bits.  The codec is each scheme's one entry point:
+its ``encode`` and ``decode`` hold every message to the scheme's id,
+reference count and payload width.
 """
 
 from __future__ import annotations
@@ -11,10 +13,9 @@ from __future__ import annotations
 from ..errors import ValidationError
 from ..gaussmodels import Gaussian, Mixture
 from .combinators import compose_mixture, compose_product, weight_grid_points
-from .g1d import decode_g1d, encode_g1d, g1d_codec
-from .g1d_robust import (decode_g1d_robust_message, encode_g1d_robust,
-                         g1d_robust_codec)
-from .gd import decode_gd, decode_gd_detailed, encode_gd, gd_codec
+from .g1d import g1d_codec
+from .g1d_robust import g1d_robust_codec
+from .gd import decode_gd_detailed, gd_codec
 from .grids import SymmetricGrid
 from .message import (SCHEME_G1D, SCHEME_G1D_ROBUST, SCHEME_GD,
                       SCHEME_MIXTURE, SCHEME_PRODUCT, CompressionMessage,
@@ -73,13 +74,7 @@ __all__ = [
     "codec_for",
     "compose_mixture",
     "compose_product",
-    "decode_g1d",
-    "decode_g1d_robust_message",
-    "decode_gd",
     "decode_gd_detailed",
-    "encode_g1d",
-    "encode_g1d_robust",
-    "encode_gd",
     "g1d_codec",
     "g1d_robust_codec",
     "gd_codec",

@@ -33,6 +33,20 @@ def _diag_or_raise(cov: np.ndarray) -> np.ndarray:
     return diag
 
 
+def _encode_in_batches(base: Codec, target, points: np.ndarray,
+                       rows: np.ndarray, m_base: int, eps: float):
+    """``base.encode`` on consecutive ``m_base``-row batches of ``rows`` until
+    one succeeds: the last outcome (None if there was no full batch) and, on
+    success, its references as rows of ``points``."""
+    outcome = None
+    for start in range(0, len(rows) - m_base + 1, m_base):
+        chunk = rows[start:start + m_base]
+        outcome = base.encode(target, LabeledSample(points[chunk]), eps)
+        if outcome.ok:
+            return outcome, chunk[outcome.message.sample_refs]
+    return outcome, None
+
+
 def compose_product(base: Codec, d: int) -> Codec:
     """Codec for d-dimensional axis-aligned Gaussians built from a 1-D codec.
 
@@ -64,41 +78,30 @@ def compose_product(base: Codec, d: int) -> Codec:
         if samp.n < n_batches * m_base:
             raise ValidationError(
                 f"need at least {n_batches * m_base} sample points")
+        rows = np.arange(n_batches * m_base)
         all_refs = []
         all_bits = []
         for j in range(d):
             marginal = Gaussian([target.mean[j]], [[variances[j]]])
-            outcome = None
-            for b in range(n_batches):
-                start = b * m_base
-                batch = LabeledSample(samp.points[start:start + m_base, j:j + 1])
-                outcome = base.encode(marginal, batch, e)
-                if outcome.ok:
-                    all_refs.append(outcome.message.sample_refs + start)
-                    all_bits.append(outcome.message.bits)
-                    break
-            if outcome is None or not outcome.ok:
+            outcome, refs = _encode_in_batches(
+                base, marginal, samp.points[:, j:j + 1], rows, m_base, e)
+            if refs is None:
                 return EncodeOutcome.failure(
                     f"marginal {j} failed all {n_batches} batches: "
                     f"{outcome.reason if outcome else 'no batch'}")
-        msg = CompressionMessage.checked(
+            all_refs.append(refs)
+            all_bits.append(outcome.message.bits)
+        return EncodeOutcome.success(CompressionMessage(
             SCHEME_PRODUCT, np.concatenate(all_refs),
-            np.concatenate(all_bits),
-            max_refs=d * base.spec.tau(e), max_bits=layout(eps).n_bits)
-        return EncodeOutcome.success(msg)
+            np.concatenate(all_bits)))
 
-    def decode(message: CompressionMessage, points: np.ndarray,
+    def decode(message: CompressionMessage, pts: np.ndarray,
                eps: float) -> Gaussian:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != d:
+        if pts.shape[1] != d:
             raise ValidationError(f"points must have shape (n, {d})")
         e = sub_eps(eps)
         tau_b = base.spec.tau(e)
         t_b = base.layout(e).n_bits
-        if message.n_refs != d * tau_b:
-            raise DecodingError("reference count does not match the layout")
-        if message.n_bits != d * t_b:
-            raise DecodingError("payload size does not match the layout")
         mean = np.empty(d)
         var = np.empty(d)
         for j in range(d):
@@ -188,40 +191,26 @@ def compose_mixture(base: Codec, k: int) -> Codec:
                 all_refs.append(np.zeros(tau_b, dtype=np.int64))
                 payload.append(np.zeros(t_b, dtype=np.uint8))
                 continue
-            rows = np.nonzero(samp.labels == i)[0]
-            outcome = None
-            for b in range(len(rows) // m_base):
-                chunk = rows[b * m_base:(b + 1) * m_base]
-                batch = LabeledSample(samp.points[chunk])
-                outcome = base.encode(target.components[i], batch, e)
-                if outcome.ok:
-                    all_refs.append(chunk[outcome.message.sample_refs])
-                    payload.append(outcome.message.bits)
-                    break
-            if outcome is None or not outcome.ok:
+            outcome, refs = _encode_in_batches(
+                base, target.components[i], samp.points,
+                np.nonzero(samp.labels == i)[0], m_base, e)
+            if refs is None:
                 return EncodeOutcome.failure(
                     f"component {i} exhausted its sample batches: "
                     f"{outcome.reason if outcome else 'too few labeled points'}")
-        msg = CompressionMessage.checked(
+            all_refs.append(refs)
+            payload.append(outcome.message.bits)
+        return EncodeOutcome.success(CompressionMessage(
             SCHEME_MIXTURE, np.concatenate(all_refs),
-            np.concatenate([weight_bits] + payload),
-            max_refs=k * tau_b, max_bits=layout(eps).n_bits)
-        return EncodeOutcome.success(msg)
+            np.concatenate([weight_bits] + payload)))
 
-    def decode(message: CompressionMessage, points: np.ndarray,
+    def decode(message: CompressionMessage, pts: np.ndarray,
                eps: float) -> Mixture:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2:
-            raise ValidationError("points must have shape (n, d)")
         d = pts.shape[1]
         e = sub_eps(eps)
         tau_b = base.spec.tau(e)
         t_b = base.layout(e).n_bits
         w_layout = _weight_layout(eps, k)
-        if message.n_refs != k * tau_b:
-            raise DecodingError("reference count does not match the layout")
-        if message.n_bits != layout(eps).n_bits:
-            raise DecodingError("payload size does not match the layout")
         offset = w_layout.n_bits
         weights = w_layout.unpack(message.bits[:offset]) \
             / (weight_grid_points(eps, k) - 1)

@@ -21,7 +21,7 @@ from ..errors import DecodingError, ValidationError
 from ..gaussmodels import Gaussian, LabeledSample
 from .grids import SymmetricGrid
 from .message import SCHEME_G1D, CompressionMessage, PayloadLayout
-from .scheme import Codec, EncodeOutcome, check_eps
+from .scheme import Codec, EncodeOutcome
 
 C_LOW = 0.0125
 C_HIGH = 2.6
@@ -54,14 +54,13 @@ def g1d_layout(eps: float) -> PayloadLayout:
         (scale_ratio_grid(eps), mean_offset_grid(eps)), order=(1, 0))
 
 
-def encode_g1d(target: Gaussian, sample: LabeledSample,
-               eps: float) -> EncodeOutcome:
+def _encode_g1d(target: Gaussian, sample: LabeledSample,
+                eps: float) -> EncodeOutcome:
     """Encode a 1-D Gaussian from its first three sample points.
 
     Returns a failed outcome (never raises) when the sample realization
     misses the encoder's acceptance events.
     """
-    check_eps(eps)
     sigma, mu = _sigma_mu(target)
     if sample.n < _M_SAMPLES or sample.dim != 1:
         raise ValidationError("need at least 3 one-dimensional sample points")
@@ -75,26 +74,17 @@ def encode_g1d(target: Gaussian, sample: LabeledSample,
     offset_grid = mean_offset_grid(eps)
     lam_idx = ratio_grid.quantize(sigma / g)
     eta_idx = offset_grid.quantize((mu - g3) / sigma)
-    layout = g1d_layout(eps)
-    bits = layout.pack(
+    bits = g1d_layout(eps).pack(
         [ratio_grid.to_offset(lam_idx), offset_grid.to_offset(eta_idx)])
-    msg = CompressionMessage.checked(
-        SCHEME_G1D, np.arange(3), bits,
-        max_refs=_TAU, max_bits=layout.n_bits)
-    return EncodeOutcome.success(msg)
+    return EncodeOutcome.success(
+        CompressionMessage(SCHEME_G1D, np.arange(3), bits))
 
 
-def decode_g1d(message: CompressionMessage, points: np.ndarray,
-               eps: float) -> Gaussian:
+def _decode_g1d(message: CompressionMessage, pts: np.ndarray,
+                eps: float) -> Gaussian:
     """Deterministically rebuild the Gaussian from three referenced points."""
-    check_eps(eps)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 1:
+    if pts.shape[1] != 1:
         raise ValidationError("points must have shape (n, 1)")
-    if message.n_refs != _TAU:
-        raise DecodingError(f"expected {_TAU} references, got {message.n_refs}")
-    if message.sample_refs.max() >= pts.shape[0]:
-        raise DecodingError("sample reference out of range")
     g1, g2, g3 = (float(pts[r, 0]) for r in message.sample_refs)
     lam_off, eta_off = g1d_layout(eps).unpack(message.bits).tolist()
     ratio_grid = scale_ratio_grid(eps)
@@ -110,7 +100,7 @@ def decode_g1d(message: CompressionMessage, points: np.ndarray,
 
 def g1d_codec() -> Codec:
     """Codec wrapper: tau = 3 references, O(log(1/eps)) bits, m = 3 samples."""
-    return Codec.from_layout("g1d", SCHEME_G1D, encode_g1d, decode_g1d,
+    return Codec.from_layout("g1d", SCHEME_G1D, _encode_g1d, _decode_g1d,
                              g1d_layout, tau=lambda eps: _TAU,
                              m_samples=lambda eps: _M_SAMPLES,
                              robustness=0.0)

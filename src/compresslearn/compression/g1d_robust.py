@@ -55,10 +55,9 @@ def decode_g1d_robust(x1: float, x2: float, y1: float, y2: float,
     return Gaussian([(x1 + x2) / 2.0], [[sd * sd]])
 
 
-def encode_g1d_robust(target: Gaussian, sample: LabeledSample,
-                      eps: float) -> EncodeOutcome:
+def _encode_g1d_robust(target: Gaussian, sample: LabeledSample,
+                       eps: float) -> EncodeOutcome:
     """Pick one mean pair and one variance pair of occupied cells."""
-    check_eps(eps)
     if not isinstance(target, Gaussian) or target.dim != 1:
         raise ValidationError("this scheme encodes one-dimensional Gaussians")
     m_need = m_samples_robust(eps)
@@ -100,22 +99,14 @@ def encode_g1d_robust(target: Gaussian, sample: LabeledSample,
         return EncodeOutcome.failure("no occupied mean cell pair")
     iy1, iy2, b = var_pair
     refs = np.asarray([mean_pair[0], mean_pair[1], iy1, iy2])
-    msg = CompressionMessage.checked(
-        SCHEME_G1D_ROBUST, refs, _LAYOUT.pack([b]),
-        max_refs=_TAU, max_bits=_LAYOUT.n_bits)
-    return EncodeOutcome.success(msg)
+    return EncodeOutcome.success(
+        CompressionMessage(SCHEME_G1D_ROBUST, refs, _LAYOUT.pack([b])))
 
 
-def decode_g1d_robust_message(message: CompressionMessage, points: np.ndarray,
-                              eps: float) -> Gaussian:
-    check_eps(eps)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 1:
+def _decode_g1d_robust_message(message: CompressionMessage, pts: np.ndarray,
+                               eps: float) -> Gaussian:
+    if pts.shape[1] != 1:
         raise ValidationError("points must have shape (n, 1)")
-    if message.n_refs != _TAU or message.n_bits != _LAYOUT.n_bits:
-        raise DecodingError("expected 4 references and 1 bit")
-    if message.sample_refs.max() >= pts.shape[0]:
-        raise DecodingError("sample reference out of range")
     x1, x2, y1, y2 = (float(pts[r, 0]) for r in message.sample_refs)
     return decode_g1d_robust(x1, x2, y1, y2, int(message.bits[0]))
 
@@ -123,7 +114,7 @@ def decode_g1d_robust_message(message: CompressionMessage, points: np.ndarray,
 def g1d_robust_codec() -> Codec:
     """Codec wrapper: 4 references, 1 bit, m = ceil(M_MULT/eps) samples."""
     return Codec.from_layout("g1d_robust", SCHEME_G1D_ROBUST,
-                             encode_g1d_robust, decode_g1d_robust_message,
+                             _encode_g1d_robust, _decode_g1d_robust_message,
                              lambda eps: _LAYOUT, tau=lambda eps: _TAU,
                              m_samples=m_samples_robust,
                              robustness=ROBUSTNESS_L1)

@@ -34,7 +34,7 @@ from ..gaussmodels import Gaussian, LabeledSample
 from ..nets import solve_hull_coefficients
 from .grids import SymmetricGrid
 from .message import SCHEME_GD, CompressionMessage, PayloadLayout
-from .scheme import Codec, EncodeOutcome, check_eps
+from .scheme import Codec, EncodeOutcome, message_gate
 
 C_HULL = 20.0  # hull targets w_j / C_HULL: certified radius 1 / C_HULL
 M_MULT = 40.0  # difference pairs m = ceil(M_MULT * d * (1 + ln d))
@@ -84,15 +84,14 @@ def tau_gd(d: int) -> int:
     return 2 * n_pairs(d) + 1
 
 
-def encode_gd(target: Gaussian, sample: LabeledSample,
-              eps: float) -> EncodeOutcome:
+def _encode_gd(target: Gaussian, sample: LabeledSample,
+               eps: float) -> EncodeOutcome:
     """Encode a d-dimensional Gaussian from ``2m`` samples plus an anchor.
 
     Fails (never raises) when some scaled eigenvector direction falls
     outside the symmetric hull of the kept whitened differences, or when
     both anchor candidates have whitened norm above ``4 sqrt(d)``.
     """
-    check_eps(eps)
     if not isinstance(target, Gaussian):
         raise ValidationError("this scheme encodes Gaussians")
     d = target.dim
@@ -133,15 +132,11 @@ def encode_gd(target: Gaussian, sample: LabeledSample,
     if anchor_ref < 0:
         return EncodeOutcome.failure("both anchor candidates are outliers")
 
-    layout = gd_layout(eps, d, m)
-    bits = layout.pack(np.concatenate(
+    bits = gd_layout(eps, d, m).pack(np.concatenate(
         [coefficient_grid(eps, d).offsets(theta.ravel()),
          anchor_grid(eps, d).offsets(lam)]))
     refs = np.concatenate([np.arange(2 * m), [anchor_ref]])
-    msg = CompressionMessage.checked(
-        SCHEME_GD, refs, bits,
-        max_refs=tau_gd(d), max_bits=layout.n_bits)
-    return EncodeOutcome.success(msg)
+    return EncodeOutcome.success(CompressionMessage(SCHEME_GD, refs, bits))
 
 
 @dataclass(frozen=True)
@@ -158,19 +153,10 @@ class GdDecoded:
     anchor_coeffs: np.ndarray
 
 
-def decode_gd_detailed(message: CompressionMessage, points: np.ndarray,
-                       eps: float) -> GdDecoded:
-    """Decode and also expose the per-direction reconstruction."""
-    check_eps(eps)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValidationError("points must have shape (n, d)")
+def _decode_detailed(message: CompressionMessage, pts: np.ndarray,
+                     eps: float) -> GdDecoded:
     d = pts.shape[1]
-    if message.n_refs < 3 or message.n_refs % 2 == 0:
-        raise DecodingError("reference count must be odd and at least 3")
-    m = (message.n_refs - 1) // 2
-    if message.sample_refs.max() >= pts.shape[0]:
-        raise DecodingError("sample reference out of range")
+    m = n_pairs(d)
     offsets = gd_layout(eps, d, m).unpack(message.bits)
     theta = coefficient_grid(eps, d).values(offsets[:d * m]).reshape(d, m)
     lam = anchor_grid(eps, d).values(offsets[d * m:])
@@ -193,15 +179,24 @@ def decode_gd_detailed(message: CompressionMessage, points: np.ndarray,
     return GdDecoded(gaussian=gauss, scaled_vectors=vecs, anchor_coeffs=lam)
 
 
-def decode_gd(message: CompressionMessage, points: np.ndarray,
-              eps: float) -> Gaussian:
-    return decode_gd_detailed(message, points, eps).gaussian
+def decode_gd_detailed(message: CompressionMessage, points: np.ndarray,
+                       eps: float) -> GdDecoded:
+    """Decode through the gate of ``gd_codec(d)``, ``d`` the column count
+    of ``points``, and also expose the per-direction reconstruction."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValidationError("points must have shape (n, d)")
+    codec = gd_codec(pts.shape[1])
+    check = message_gate(SCHEME_GD, codec.spec.tau, codec.layout)
+    return _decode_detailed(message, check(message, pts, eps), eps)
 
 
 def gd_codec(d: int) -> Codec:
     """Codec wrapper for fixed dimension ``d``."""
     m = n_pairs(d)
-    return Codec.from_layout(f"gd[d={d}]", SCHEME_GD, encode_gd, decode_gd,
+    return Codec.from_layout(f"gd[d={d}]", SCHEME_GD, _encode_gd,
+                             lambda message, pts, eps: _decode_detailed(
+                                 message, pts, eps).gaussian,
                              lambda eps: gd_layout(eps, d, m),
                              tau=lambda eps: tau_gd(d),
                              m_samples=lambda eps: m_samples_gd(d),

@@ -14,7 +14,9 @@ ceil(t/8) payload bits packed LSB-first within each byte
 
 The padding bits after the ``t`` payload bits are zero;
 ``CompressionMessage.from_bytes`` rejects a blob where they are not, so
-``to_bytes`` of a parsed message gives back the blob.
+``to_bytes`` of a parsed message gives back the blob.  A codec decodes
+only its own scheme id, ``tau`` references and payload width (see
+:class:`~compresslearn.compression.Codec`).
 
 A codec's payload is described by a :class:`PayloadLayout`: fixed-width
 fields in wire order, each an unsigned digit written least significant
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DecodingError, MessageSizeError, ValidationError
+from ..errors import DecodingError, ValidationError
 
 SCHEME_G1D = 1
 SCHEME_G1D_ROBUST = 2
@@ -193,26 +195,6 @@ class CompressionMessage:
             "sample_refs must be a flat array of integers in [0, 2**32)"))
         object.__setattr__(self, "bits", _flat_indices(
             self.bits, 2, np.uint8, "bits must be a flat array of 0/1"))
-
-    @classmethod
-    def checked(cls, scheme_id: int, sample_refs, bits, max_refs: int,
-                max_bits: int) -> "CompressionMessage":
-        """Construct and enforce the scheme's size budget.
-
-        Raises
-        ------
-        MessageSizeError
-            If the message would exceed ``max_refs`` references or
-            ``max_bits`` payload bits.
-        """
-        msg = cls(scheme_id=scheme_id, sample_refs=sample_refs, bits=bits)
-        if msg.n_refs > max_refs:
-            raise MessageSizeError(
-                f"{msg.n_refs} sample refs exceed the budget of {max_refs}")
-        if msg.n_bits > max_bits:
-            raise MessageSizeError(
-                f"{msg.n_bits} payload bits exceed the budget of {max_bits}")
-        return msg
 
     @property
     def n_refs(self) -> int:

@@ -188,6 +188,14 @@ def tv_mc(p: Distribution, q: Distribution, n_mc: int = MC_DEFAULT_N,
                       n_mc=n_mc, method="monte_carlo")
 
 
+def tv_estimate(p: Distribution, q: Distribution, n_mc: int = MC_DEFAULT_N,
+                seed=0) -> TvEstimate:
+    """TV by :func:`tv_1d` in one dimension, else by :func:`tv_mc`."""
+    if p.dim == 1:
+        return tv_1d(p, q)
+    return tv_mc(p, q, n_mc, seed)
+
+
 def tv_frobenius_proxy(p: Gaussian, q: Gaussian) -> float:
     """Frobenius proxy ``||Sp^-1 Sq - I||_F`` for zero-mean Gaussians.
 
@@ -230,7 +238,7 @@ def pinsker_check(p: Gaussian, q: Gaussian, n_mc: int = MC_DEFAULT_N,
 
     TV comes from quadrature in one dimension and Monte Carlo otherwise.
     """
-    est = tv_1d(p, q) if p.dim == 1 else tv_mc(p, q, n_mc=n_mc, seed=seed)
+    est = tv_estimate(p, q, n_mc, seed)
     kl = kl_gaussians(p, q)
     # clamp: a 3-sigma band reaching below zero carries no evidence
     lower = max(est.value - 3.0 * est.std_error, 0.0)

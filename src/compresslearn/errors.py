@@ -18,7 +18,7 @@ class SingularCovarianceError(ValidationError):
 
 
 class MessageSizeError(CompressLearnError):
-    """A compression message exceeds its scheme's size budget."""
+    """An encoder's message has the wrong scheme id or size for its codec."""
 
 
 class DecodingError(CompressLearnError):

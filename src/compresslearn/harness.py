@@ -25,7 +25,9 @@ import scipy
 from . import __version__
 from ._kernels import backend_name
 from .compression import codec_for
-from .distances import kl_gaussians, tv_1d, tv_mc
+from .distances import kl_gaussians, tv_estimate
+# kept for callers that patch this module's tv_mc; trials call tv_estimate
+from .distances import tv_mc  # noqa: F401
 from .errors import CompressLearnError, ValidationError
 from .gaussmodels import Gaussian, dist_from_json, sample
 from .learners import learn_gaussian_efficient
@@ -217,12 +219,6 @@ class ExperimentRow:
     wall_ms: float
 
 
-def _tv_between(p, q, n_mc: int, rng) -> float:
-    if p.dim == 1:
-        return tv_1d(p, q).value
-    return tv_mc(p, q, n_mc, rng).value
-
-
 def _trial_scheme_roundtrip(cfg: ExperimentConfig, eps: float,
                             seed: int) -> tuple:
     target = dist_from_json(cfg.target)
@@ -233,7 +229,7 @@ def _trial_scheme_roundtrip(cfg: ExperimentConfig, eps: float,
     if not outcome.ok:
         return False, math.nan, math.nan
     decoded = codec.decode(outcome.message, samp.points, eps)
-    tv = _tv_between(decoded, target, cfg.params.get("n_mc", 20000), rng)
+    tv = tv_estimate(decoded, target, cfg.params.get("n_mc", 20000), rng).value
     kl = math.nan
     if isinstance(decoded, Gaussian) and isinstance(target, Gaussian):
         kl = kl_gaussians(target, decoded)
@@ -252,7 +248,7 @@ def _trial_learn_curve(cfg: ExperimentConfig, n_value: float,
         est = learn_gaussian_efficient(samp)
     except CompressLearnError:
         return False, math.nan, math.nan
-    tv = _tv_between(est, target, cfg.params.get("n_mc", 20000), rng)
+    tv = tv_estimate(est, target, cfg.params.get("n_mc", 20000), rng).value
     return True, tv, kl_gaussians(target, est)
 
 

@@ -49,8 +49,9 @@ POOL_BLOCKS_PER_WORKER = 2
 # around 1-D region roots where holdout points are compared on stored values
 REGION_BAND_TOL = 2.0 ** -36
 EFFICIENT_SAMPLE_CONST = 8.0
-# enumeration runs at eps/6 and selection at eps/16 so the tournament's
-# 3*opt + 4*eps_sel guarantee lands within eps overall
+# enumeration runs at eps/6 and selection at eps/16: with a candidate within
+# eps/6 in TV, the selection bound (3*opt + 2*eps_sel in TV; see
+# holdout_size) puts the winner within 5*eps/8 <= eps in TV
 ENUM_ACCURACY_DIV = 6.0
 SELECT_ACCURACY_DIV = 16.0
 
@@ -61,6 +62,10 @@ def holdout_size(n_candidates: int, eps: float, delta: float) -> int:
     The tournament's union bound over candidate pairs needs
     ``ceil(ln(3 M^2 / delta) / (2 eps^2))`` holdout points for the
     3*opt + 4*eps guarantee to hold with probability ``1 - delta/3``.
+    The bound is in L1 distance (``3*opt + 2*eps`` in TV).  Its constant 3
+    is proven for the minimum-distance rule; for the most-wins rule of
+    :func:`select_candidate` it is a rate, which
+    ``test_tournament_selection_guarantee`` checks.
     """
     if n_candidates < 1:
         raise ValidationError("need at least one candidate")
@@ -530,7 +535,7 @@ class LearnResult:
     Python int; it can be astronomically large), ``candidate_count`` the
     number of decoded candidates that entered the tournament, and
     ``budget_capped`` records that uniform message sampling replaced
-    exhaustive enumeration, which voids the 3*opt + 4*eps guarantee.
+    exhaustive enumeration, which voids the 3*opt + 4*eps (L1) guarantee.
     """
 
     estimate: Distribution
@@ -576,7 +581,8 @@ def learn_from_compression(codec: Codec, samp: LabeledSample, eps: float,
     of messages is drawn instead and the result is flagged
     ``budget_capped``.  Selection runs on a fresh holdout slice at
     accuracy ``eps/16``.  Its ``3*opt + 4*eps`` bound, at that accuracy,
-    is relative to the best candidate decoded: ``opt`` is that
+    is in L1 (``3*opt + 2*eps`` in TV; see :func:`holdout_size`) and
+    relative to the best candidate decoded: ``opt`` is that
     candidate's distance to the target, whatever the target, so when no
     decoded candidate is close the bound says little.  Messages that fail
     to decode are dropped, so ``candidate_count`` can fall well below

@@ -129,8 +129,8 @@ def make_lb_family(d: int, r: int, eps: float, m_family: int, seed,
     """
     if r < 9:
         raise ValidationError("subspace ratio r must be at least 9")
-    if d % r != 0:
-        raise ValidationError("d must be divisible by r")
+    if d < 1 or d % r != 0:
+        raise ValidationError(f"d must be a positive multiple of r = {r}")
     if m_family < 1:
         raise ValidationError("family size must be at least 1")
     lam = family_lambda(d, eps, c_lambda)

@@ -168,6 +168,17 @@ def test_lowerbound_deterministic_output(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("d", ["0", "-9"])
+def test_lowerbound_rejects_nonpositive_dimension(tmp_path, capsys, d):
+    out = tmp_path / "x.json"
+    code = lowerbound_main(["--d", d, "--r", "9", "--eps", "0.2", "--M", "4",
+                            "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "lowerbound: d must be a positive multiple of r = 9\n")
+    assert not out.exists()
+
+
 def test_compresslearn_run(tmp_path, capsys):
     cfg = dict(experiment="hull_probe", grid_kind="n", grid=[200],
                trials=2, seed=9, params={"d": 3})

@@ -9,8 +9,7 @@ from scipy.special import ndtr
 from compresslearn import (DecodingError, Gaussian, LabeledSample,
                            ValidationError, sample, tv_1d)
 from compresslearn.compression import CompressionMessage, g1d_codec
-from compresslearn.compression.g1d import (C_HIGH, C_LOW, decode_g1d,
-                                           encode_g1d, mean_offset_grid,
+from compresslearn.compression.g1d import (C_HIGH, C_LOW, mean_offset_grid,
                                            scale_ratio_grid)
 
 # Pr[c < |N(0,1)| < C] at the default constants, frozen from
@@ -72,20 +71,20 @@ def test_roundtrip_accuracy_across_scales():
 def test_encode_failure_reasons():
     target = Gaussian([0.0], [[1.0]])
     near = LabeledSample(np.array([[0.0], [1e-6], [0.0]]))
-    out = near and encode_g1d(target, near, 0.2)
+    out = near and g1d_codec().encode(target, near, 0.2)
     assert not out.ok and "band" in out.reason
     far_anchor = LabeledSample(np.array([[0.0], [1.0], [50.0]]))
-    out2 = encode_g1d(target, far_anchor, 0.2)
+    out2 = g1d_codec().encode(target, far_anchor, 0.2)
     assert not out2.ok and "anchor" in out2.reason
 
 
 def test_decode_is_deterministic_and_matches_quantizer():
     target = Gaussian([2.0], [[4.0]])
     pts = np.array([[3.0], [1.0], [2.5]])
-    out = encode_g1d(target, LabeledSample(pts), 0.2)
+    out = g1d_codec().encode(target, LabeledSample(pts), 0.2)
     assert out.ok
-    a = decode_g1d(out.message, pts, 0.2)
-    b = decode_g1d(out.message, pts, 0.2)
+    a = g1d_codec().decode(out.message, pts, 0.2)
+    b = g1d_codec().decode(out.message, pts, 0.2)
     assert float(a.mean[0]) == float(b.mean[0])
     assert float(a.cov[0, 0]) == float(b.cov[0, 0])
     # reconstruction uses only referenced points and the payload
@@ -102,24 +101,24 @@ def test_decode_is_deterministic_and_matches_quantizer():
 def test_decode_rejects_nonpositive_scale():
     pts = np.array([[1.0], [3.0], [2.0]])  # g < 0 with a positive payload
     target = Gaussian([2.0], [[4.0]])
-    out = encode_g1d(target, LabeledSample(np.array([[3.0], [1.0], [2.0]])),
-                     0.2)
+    out = g1d_codec().encode(
+        target, LabeledSample(np.array([[3.0], [1.0], [2.0]])), 0.2)
     assert out.ok
     with pytest.raises(DecodingError):
-        decode_g1d(out.message, pts, 0.2)
+        g1d_codec().decode(out.message, pts, 0.2)
 
 
 def test_decode_validates_message_shape():
     target = Gaussian([0.0], [[1.0]])
     pts = np.array([[1.0], [-1.0], [0.0]])
-    out = encode_g1d(target, LabeledSample(pts), 0.2)
+    out = g1d_codec().encode(target, LabeledSample(pts), 0.2)
     bad_bits = CompressionMessage(out.message.scheme_id,
                                   out.message.sample_refs,
                                   out.message.bits[:-1])
     with pytest.raises(DecodingError):
-        decode_g1d(bad_bits, pts, 0.2)
+        g1d_codec().decode(bad_bits, pts, 0.2)
     with pytest.raises(DecodingError):
-        decode_g1d(out.message, pts[:2], 0.2)
+        g1d_codec().decode(out.message, pts[:2], 0.2)
 
 
 def test_payload_enumeration_covers_encoded_message():

@@ -10,8 +10,6 @@ from compresslearn import (DecodingError, Gaussian, LabeledSample,
 from compresslearn.compression import g1d_robust_codec
 from compresslearn.compression.g1d_robust import (ROBUSTNESS_L1,
                                                   decode_g1d_robust,
-                                                  decode_g1d_robust_message,
-                                                  encode_g1d_robust,
                                                   m_samples_robust)
 
 
@@ -28,7 +26,7 @@ def test_message_shape_is_four_refs_one_bit():
     target = Gaussian([1.0], [[4.0]])
     eps = 0.2
     samp = sample(target, m_samples_robust(eps), rng)
-    out = encode_g1d_robust(target, samp, eps)
+    out = g1d_robust_codec().encode(target, samp, eps)
     assert out.ok
     assert out.message.n_refs == 4
     assert out.message.n_bits == 1
@@ -96,7 +94,7 @@ def test_encoder_references_lowest_indexed_occupants():
     target = Gaussian([0.0], [[1.0]])
     m = m_samples_robust(eps)
     samp = sample(target, m, rng)
-    out = encode_g1d_robust(target, samp, eps)
+    out = g1d_robust_codec().encode(target, samp, eps)
     assert out.ok
     pts = samp.points[:, 0]
     for ref in out.message.sample_refs:
@@ -108,7 +106,7 @@ def test_encoder_references_lowest_indexed_occupants():
 def test_encode_requires_enough_points():
     target = Gaussian([0.0], [[1.0]])
     with pytest.raises(ValidationError):
-        encode_g1d_robust(target, LabeledSample(np.zeros((5, 1))), 0.2)
+        g1d_robust_codec().encode(target, LabeledSample(np.zeros((5, 1))), 0.2)
 
 
 def test_decode_message_validates_counts():
@@ -116,8 +114,8 @@ def test_decode_message_validates_counts():
     target = Gaussian([0.0], [[1.0]])
     eps = 0.25
     samp = sample(target, m_samples_robust(eps), rng)
-    out = encode_g1d_robust(target, samp, eps)
+    out = g1d_robust_codec().encode(target, samp, eps)
     assert out.ok
     short = samp.points[:int(out.message.sample_refs.max())]
     with pytest.raises(DecodingError):
-        decode_g1d_robust_message(out.message, short, eps)
+        g1d_robust_codec().decode(out.message, short, eps)

@@ -61,6 +61,12 @@ def test_family_validates_divisibility_and_r():
         make_lb_family(16, 8, 0.25, 4, 0)  # r < 9
 
 
+@pytest.mark.parametrize("d", [0, -9])
+def test_family_rejects_nonpositive_dimension(d):
+    with pytest.raises(ValidationError, match="positive multiple of r"):
+        make_lb_family(d, 9, 0.2, 4, 0)
+
+
 def test_kl_pair_matches_closed_form_kl():
     fam = make_lb_family(18, 9, 0.25, 5, 1)
     for a in range(fam.size):

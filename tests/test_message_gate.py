@@ -1,0 +1,118 @@
+"""The message gate of ``Codec.from_layout``: every codec decodes only the
+messages the learner enumerates (its own scheme id, exactly ``tau``
+references into the points, exactly the layout's payload width), and its
+encoder returns only such messages."""
+
+import numpy as np
+import pytest
+
+from compresslearn import (DecodingError, Gaussian, LabeledSample,
+                           MessageSizeError, Mixture, codec_for,
+                           compression_sample_size, learn_from_compression,
+                           sample)
+from compresslearn.compression import (SCHEME_G1D, SCHEME_GD, SCHEME_MIXTURE,
+                                       Codec, CompressionMessage,
+                                       EncodeOutcome, PayloadLayout)
+from compresslearn.learners import ENUM_ACCURACY_DIV, _encoding_size
+
+from helpers import encode_with_retries
+
+EPS = 0.5
+
+# name: (scheme, target)
+CASES = {
+    "g1d": ("g1d", Gaussian([1.5], [[4.0]])),
+    "g1d_robust": ("g1d_robust", Gaussian([-0.5], [[2.0]])),
+    "gd_d2": ("gd", Gaussian([0.5, -1.0], [[2.0, 0.5], [0.5, 1.0]])),
+    "axis_d2": ("axis", Gaussian([0.5, -1.0], [[2.0, 0.0], [0.0, 0.7]])),
+    "mixture_g1d": ("mixture", Mixture([0.4, 0.6], [
+        Gaussian([-2.0], [[1.0]]), Gaussian([3.0], [[2.0]])])),
+}
+
+
+def _encoded(name):
+    scheme, target = CASES[name]
+    codec = codec_for(scheme, target)
+    samp = sample(target, 2 * codec.spec.m_samples(EPS), 11)
+    msg = encode_with_retries(codec, target, samp, EPS)
+    assert msg is not None
+    codec.decode(msg, samp.points, EPS)
+    return codec, msg, samp.points
+
+
+def _other_scheme(scheme_id: int) -> int:
+    return SCHEME_G1D if scheme_id == SCHEME_GD else SCHEME_GD
+
+
+MUTATIONS = {
+    "relabelled": lambda msg, n: CompressionMessage(
+        _other_scheme(msg.scheme_id), msg.sample_refs, msg.bits),
+    "ref_dropped": lambda msg, n: CompressionMessage(
+        msg.scheme_id, msg.sample_refs[:-1], msg.bits),
+    "ref_at_len_points": lambda msg, n: CompressionMessage(
+        msg.scheme_id, np.concatenate([[n], msg.sample_refs[1:]]), msg.bits),
+    "bit_dropped": lambda msg, n: CompressionMessage(
+        msg.scheme_id, msg.sample_refs, msg.bits[:-1]),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_decode_rejects_messages_off_the_envelope(name, mutation):
+    codec, msg, points = _encoded(name)
+    bad = MUTATIONS[mutation](msg, len(points))
+    with pytest.raises(DecodingError):
+        codec.decode(bad, points, EPS)
+
+
+def test_mixture_rejects_references_past_the_points():
+    codec, msg, points = _encoded("mixture_g1d")
+    shifted = CompressionMessage(msg.scheme_id, msg.sample_refs + len(points),
+                                 msg.bits)
+    with pytest.raises(DecodingError):
+        codec.decode(shifted, points, EPS)
+
+
+def test_learn_drops_a_planted_message_of_another_scheme():
+    scheme, target = CASES["g1d"]
+    codec = codec_for(scheme, target)
+    delta, budget = 0.2, 40
+    samp = sample(target, compression_sample_size(codec, EPS, delta, budget),
+                  5)
+    n_enc = _encoding_size(codec, EPS, delta, budget)
+    msg = encode_with_retries(codec, target,
+                              LabeledSample(samp.points[:n_enc]),
+                              EPS / ENUM_ACCURACY_DIV)
+    assert msg is not None
+
+    def count(extra):
+        return learn_from_compression(codec, samp, EPS, delta, budget, 3,
+                                      extra_messages=[extra]).candidate_count
+
+    foreign = CompressionMessage(SCHEME_MIXTURE, msg.sample_refs, msg.bits)
+    assert count(foreign) == count(msg) - 1
+
+
+def test_encode_rejects_messages_off_the_envelope():
+    """An ``ok`` outcome outside the scheme's message space raises."""
+
+    def toy(scheme_id, n_refs, n_bits):
+        def encode(target, samp, eps):
+            return EncodeOutcome.success(CompressionMessage(
+                scheme_id, np.arange(n_refs), np.zeros(n_bits, np.uint8)))
+
+        return Codec.from_layout("toy", SCHEME_G1D, encode, None,
+                                 lambda eps: PayloadLayout([4], [2]),
+                                 tau=lambda eps: 2, m_samples=lambda eps: 4,
+                                 robustness=0.0)
+
+    samp = LabeledSample(np.zeros((4, 1)))
+    assert toy(SCHEME_G1D, 2, 2).encode(None, samp, EPS).ok
+    for scheme_id, n_refs, n_bits in [(SCHEME_G1D, 1, 2), (SCHEME_G1D, 3, 2),
+                                      (SCHEME_G1D, 2, 1), (SCHEME_G1D, 2, 3),
+                                      (SCHEME_GD, 2, 2)]:
+        with pytest.raises(MessageSizeError):
+            toy(scheme_id, n_refs, n_bits).encode(None, samp, EPS)
+    with pytest.raises(MessageSizeError):
+        toy(SCHEME_G1D, 2, 2).encode(None, LabeledSample(np.zeros((1, 1))),
+                                     EPS)

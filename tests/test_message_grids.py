@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compresslearn import DecodingError, MessageSizeError, ValidationError
+from compresslearn import DecodingError, ValidationError
 from compresslearn.compression import (CompressionMessage, PayloadLayout,
                                        SCHEME_G1D, SymmetricGrid)
 
@@ -34,17 +34,6 @@ def test_message_from_bytes_rejects_truncation():
     blob = msg.to_bytes()
     with pytest.raises(ValidationError):
         CompressionMessage.from_bytes(blob[:-1])
-
-
-def test_message_checked_enforces_budgets():
-    with pytest.raises(MessageSizeError):
-        CompressionMessage.checked(SCHEME_G1D, np.arange(4),
-                                   np.zeros(2, dtype=np.uint8),
-                                   max_refs=3, max_bits=8)
-    with pytest.raises(MessageSizeError):
-        CompressionMessage.checked(SCHEME_G1D, np.arange(3),
-                                   np.zeros(9, dtype=np.uint8),
-                                   max_refs=3, max_bits=8)
 
 
 def test_message_rejects_negative_refs():
