@@ -114,9 +114,6 @@ class Gaussian:
                 (self.eigvecs / np.sqrt(self.eigvals)) @ self.eigvecs.T)
         return self._inv_sqrt
 
-    def log_density(self, x) -> Union[float, np.ndarray]:
-        return log_density(self, x)
-
     def __repr__(self) -> str:
         return f"Gaussian(d={self.dim})"
 
@@ -156,9 +153,6 @@ class Mixture:
     @property
     def n_components(self) -> int:
         return len(self.components)
-
-    def log_density(self, x) -> Union[float, np.ndarray]:
-        return log_density(self, x)
 
     def __repr__(self) -> str:
         return f"Mixture(k={self.n_components}, d={self.dim})"

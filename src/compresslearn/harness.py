@@ -15,7 +15,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -33,10 +33,8 @@ from .gaussmodels import Gaussian, dist_from_json, sample
 from .learners import learn_gaussian_efficient
 from .lowerbound import kl_pair, make_lb_family, tv_pair_lower
 from .nets import HULL_MAX_DIM, hull_contains_ball
-from .utils import as_generator
+from .utils import as_generator, usable_cpus
 
-EXPERIMENTS = ("scheme_roundtrip", "learn_curve", "lowerbound_audit",
-               "hull_probe")
 ROWS_SCHEMA = "compresslearn-rows-v1"
 SUMMARY_SCHEMA = "compresslearn-summary-v1"
 MANIFEST_SCHEMA = "compresslearn-run-manifest-v1"
@@ -72,6 +70,11 @@ PARAMS = {
                               "must be in [0, 1]")),
     "junk_scale": (float, None),
 }
+# the same for each grid value, by grid kind (a count stays a float)
+GRID_KINDS = {
+    "eps": (float, (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")),
+    "n": (lambda v: float(_integer(v)), _AT_LEAST_ONE),
+}
 
 
 def _splitmix64(x: int) -> int:
@@ -92,13 +95,18 @@ def derive_seed(master: int, grid_idx: int, trial_idx: int) -> int:
     return _splitmix64(state ^ (trial_idx + 1))
 
 
-def _config_field(name: str, convert, value):
-    """``convert(value)``, with a malformed value as a ValidationError."""
+def _checked(name: str, value, convert, rule=None):
+    """``convert(value)``, which must meet ``rule`` (None: any value); a
+    malformed or out-of-range value is a ValidationError."""
     try:
-        return convert(value)
+        value = convert(value)
     except (TypeError, ValueError):
         raise ValidationError(
             f"config field {name!r}: malformed value {value!r}") from None
+    if rule is not None and not rule[0](value):
+        raise ValidationError(
+            f"config field {name!r}: {rule[1]}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -108,9 +116,9 @@ class ExperimentConfig:
     ``grid_kind`` says what the grid values mean: accuracy targets
     (``eps``) or sample counts (``n``).  ``target`` is a distribution in
     its JSON form; ``params`` carries experiment-specific knobs, the
-    names in ``PARAMS``.  ``trials``, ``seed`` and each param are
-    converted to their type, and checked against their range, when the
-    config is built.
+    names in ``PARAMS``.  Building a config checks it against its
+    experiment's row of ``EXPERIMENTS``, and converts every value to its
+    type and checks it against its range.
     """
 
     experiment: str
@@ -123,86 +131,70 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if not isinstance(self.experiment, str) \
+                or self.experiment not in EXPERIMENTS:
             raise ValidationError(
                 f"config field 'experiment': unknown value {self.experiment!r}")
-        if self.grid_kind not in ("eps", "n"):
-            raise ValidationError("config field 'grid_kind': must be eps or n")
-        grid = _config_field("grid", lambda g: tuple(map(float, g)),
-                             self.grid)
+        _, kind, reads, defaults = EXPERIMENTS[self.experiment]
+        if self.grid_kind != kind:
+            raise ValidationError(
+                f"config field 'grid_kind': {self.experiment} sweeps {kind!r}")
+        grid = tuple(_checked("grid", value, *GRID_KINDS[kind])
+                     for value in _checked("grid", self.grid, tuple))
         if len(grid) == 0:
             raise ValidationError("config field 'grid': must be nonempty")
         object.__setattr__(self, "grid", grid)
-        trials = _config_field("trials", _integer, self.trials)
-        if trials < 1:
-            raise ValidationError("config field 'trials': must be >= 1")
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed",
-                           _config_field("seed", _integer, self.seed))
-        want_kind = {"scheme_roundtrip": "eps", "learn_curve": "n",
-                     "lowerbound_audit": "eps", "hull_probe": "n"}
-        if self.grid_kind != want_kind[self.experiment]:
-            raise ValidationError(
-                f"config field 'grid_kind': {self.experiment} sweeps "
-                f"{want_kind[self.experiment]!r}")
-        if self.experiment in ("scheme_roundtrip", "learn_curve"):
-            if self.target is None:
+        object.__setattr__(self, "trials", _checked(
+            "trials", self.trials, _integer, _AT_LEAST_ONE))
+        object.__setattr__(self, "seed", _checked("seed", self.seed, _integer))
+        for name in ("target", "scheme"):
+            if (getattr(self, name) is None) == (name in reads):
+                verb = "required for" if name in reads else "not read by"
                 raise ValidationError(
-                    f"config field 'target': required for {self.experiment}")
-            dist_from_json(self.target)  # raises with details if malformed
-        if self.experiment == "scheme_roundtrip" and self.scheme is None:
-            raise ValidationError(
-                "config field 'scheme': required for scheme_roundtrip")
-        unknown = set(self.params) - set(PARAMS)
+                    f"config field {name!r}: {verb} {self.experiment}")
+        if self.target is not None:
+            target = dist_from_json(self.target)  # raises if malformed
+            if self.scheme is not None:
+                codec_for(self.scheme, target)  # raises if they do not fit
+        params = _checked("params", self.params, dict)
+        unknown = set(params) - set(PARAMS)
         if unknown:
             raise ValidationError(
                 f"config field 'params': unknown names {sorted(unknown)}")
-        params = {}
-        for name, value in self.params.items():
-            convert, rule = PARAMS[name]
-            value = _config_field(f"params.{name}", convert, value)
-            if rule is not None and not rule[0](value):
-                raise ValidationError(
-                    f"config field 'params.{name}': {rule[1]}, got {value!r}")
-            params[name] = value
+        params = {name: _checked(f"params.{name}", value, *PARAMS[name])
+                  for name, value in params.items()}
+        unread = [name for name in params if name not in defaults]
+        if unread:
+            raise ValidationError(f"config field 'params.{unread[0]}': "
+                                  f"not read by {self.experiment}")
+        object.__setattr__(self, "params", params)
         # checked here, before a trial draws an (n, d) sample
-        if self.experiment == "hull_probe" \
-                and params.get("d", 3) > HULL_MAX_DIM:
+        if self.experiment == "hull_probe" and self.param("d") > HULL_MAX_DIM:
             raise ValidationError(
                 f"config field 'params.d': hull_probe supports d <= "
-                f"{HULL_MAX_DIM}, got {params['d']}")
-        object.__setattr__(self, "params", params)
+                f"{HULL_MAX_DIM}, got {self.param('d')}")
+
+    def param(self, name: str):
+        """Param ``name``, or its default for this experiment."""
+        return self.params.get(name, EXPERIMENTS[self.experiment][3][name])
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "grid_kind": self.grid_kind,
-            "grid": list(self.grid),
-            "trials": self.trials,
-            "seed": self.seed,
-            "scheme": self.scheme,
-            "target": self.target,
-            "params": self.params,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["grid"] = list(self.grid)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ValidationError("config must be a JSON object")
-        known = {"experiment", "grid_kind", "grid", "trials", "seed",
-                 "scheme", "target", "params"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"config fields unknown: {sorted(unknown)}")
-        missing = {"experiment", "grid_kind", "grid", "trials", "seed"} \
-            - set(data)
+        missing = {f.name for f in fields(cls) if f.default is MISSING
+                   and f.default_factory is MISSING} - set(data)
         if missing:
             raise ValidationError(f"config fields missing: {sorted(missing)}")
-        return cls(
-            experiment=data["experiment"], grid_kind=data["grid_kind"],
-            grid=data["grid"], trials=data["trials"], seed=data["seed"],
-            scheme=data.get("scheme"), target=data.get("target"),
-            params=_config_field("params", dict, data.get("params", {})))
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -229,7 +221,7 @@ def _trial_scheme_roundtrip(cfg: ExperimentConfig, eps: float,
     if not outcome.ok:
         return False, math.nan, math.nan
     decoded = codec.decode(outcome.message, samp.points, eps)
-    tv = tv_estimate(decoded, target, cfg.params.get("n_mc", 20000), rng).value
+    tv = tv_estimate(decoded, target, cfg.param("n_mc"), rng).value
     kl = math.nan
     if isinstance(decoded, Gaussian) and isinstance(target, Gaussian):
         kl = kl_gaussians(target, decoded)
@@ -248,17 +240,15 @@ def _trial_learn_curve(cfg: ExperimentConfig, n_value: float,
         est = learn_gaussian_efficient(samp)
     except CompressLearnError:
         return False, math.nan, math.nan
-    tv = tv_estimate(est, target, cfg.params.get("n_mc", 20000), rng).value
+    tv = tv_estimate(est, target, cfg.param("n_mc"), rng).value
     return True, tv, kl_gaussians(target, est)
 
 
 def _trial_lowerbound_audit(cfg: ExperimentConfig, eps: float,
                             seed: int) -> tuple:
-    d = cfg.params.get("d", 18)
-    r = cfg.params.get("r", 9)
-    m_family = cfg.params.get("m_family", 8)
     try:
-        fam = make_lb_family(d, r, eps, m_family, seed)
+        fam = make_lb_family(cfg.param("d"), cfg.param("r"), eps,
+                             cfg.param("m_family"), seed)
     except ValidationError:
         return False, math.nan, math.nan
     max_kl = 0.0
@@ -275,37 +265,40 @@ def _trial_lowerbound_audit(cfg: ExperimentConfig, eps: float,
 
 def _trial_hull_probe(cfg: ExperimentConfig, n_value: float,
                       seed: int) -> tuple:
-    d = cfg.params.get("d", 3)
-    rho = cfg.params.get("rho", 1.0 / 20.0)
-    contamination = cfg.params.get("contamination", 0.0)
-    junk_scale = cfg.params.get("junk_scale", 30.0)
+    d = cfg.param("d")
     rng = as_generator(seed)
     pts = rng.standard_normal((int(n_value), d))
-    if contamination > 0.0:
-        junk = rng.random(pts.shape[0]) < contamination
-        pts[junk] = junk_scale * rng.standard_normal((int(junk.sum()), d))
+    if cfg.param("contamination") > 0.0:
+        junk = rng.random(pts.shape[0]) < cfg.param("contamination")
+        pts[junk] = cfg.param("junk_scale") \
+            * rng.standard_normal((int(junk.sum()), d))
     kept = pts[np.linalg.norm(pts, axis=1) <= 4.0 * math.sqrt(d)]
     if kept.shape[0] == 0:
         return False, math.nan, math.nan
-    ok, _ = hull_contains_ball(kept, rho)
+    ok, _ = hull_contains_ball(kept, cfg.param("rho"))
     return bool(ok), math.nan, math.nan
 
 
-_TRIALS = {
-    "scheme_roundtrip": _trial_scheme_roundtrip,
-    "learn_curve": _trial_learn_curve,
-    "lowerbound_audit": _trial_lowerbound_audit,
-    "hull_probe": _trial_hull_probe,
+# name: (trial, grid kind, the optional config fields it reads, the params
+# it reads with their defaults); a config may set nothing else
+EXPERIMENTS = {
+    "scheme_roundtrip": (_trial_scheme_roundtrip, "eps", ("scheme", "target"),
+                         {"n_mc": 20000}),
+    "learn_curve": (_trial_learn_curve, "n", ("target",), {"n_mc": 20000}),
+    "lowerbound_audit": (_trial_lowerbound_audit, "eps", (),
+                         {"d": 18, "r": 9, "m_family": 8}),
+    "hull_probe": (_trial_hull_probe, "n", (),
+                   {"d": 3, "rho": 1.0 / 20.0, "contamination": 0.0,
+                    "junk_scale": 30.0}),
 }
 
 
 def _run_one(args: tuple) -> tuple:
-    cfg_dict, grid_idx, trial_idx = args
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    grid_value = cfg.grid[grid_idx]
+    cfg, grid_idx, trial_idx = args
     seed = derive_seed(cfg.seed, grid_idx, trial_idx)
     start = time.perf_counter()
-    success, tv, kl = _TRIALS[cfg.experiment](cfg, grid_value, seed)
+    success, tv, kl = EXPERIMENTS[cfg.experiment][0](
+        cfg, cfg.grid[grid_idx], seed)
     wall_ms = 1000.0 * (time.perf_counter() - start)
     return grid_idx, trial_idx, seed, success, tv, kl, wall_ms
 
@@ -313,19 +306,23 @@ def _run_one(args: tuple) -> tuple:
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """Run every grid point x trial and return rows in deterministic order.
 
-    ``workers > 1`` fans trials out to a process pool; results are sorted
-    back into (grid, trial) order, so worker count cannot change output.
+    ``workers > 1`` fans trials out to a process pool, capped at one
+    process per task and per CPU this process may run on; results keep
+    (grid, trial) order, so worker count cannot change output.
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")
-    tasks = [(cfg.to_dict(), g, t)
+    tasks = [(cfg, g, t)
              for g in range(len(cfg.grid)) for t in range(cfg.trials)]
+    workers = min(workers, len(tasks), usable_cpus())
     if workers == 1:
         results = [_run_one(task) for task in tasks]
     else:
+        # a chunk or more per worker, up to four to spread slow grid points
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, tasks, chunksize=8))
-    results.sort(key=lambda r: (r[0], r[1]))
+            results = list(pool.map(
+                _run_one, tasks,
+                chunksize=max(1, len(tasks) // (4 * workers))))
     return [
         ExperimentRow(
             experiment=cfg.experiment, grid_value=cfg.grid[g], trial=t,

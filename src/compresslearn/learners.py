@@ -36,7 +36,7 @@ from .compression import CompressionMessage, Codec
 from .errors import DecodingError, ValidationError, WorkerPoolError
 from .gaussmodels import (Gaussian, LabeledSample, Mixture, log_densities,
                           log_density, sample)
-from .utils import as_generator
+from .utils import as_generator, usable_cpus
 
 Distribution = Union[Gaussian, Mixture]
 
@@ -327,8 +327,7 @@ def _worker_pool():
     (for example a harness worker), which would otherwise fork again.
     """
     global _POOL
-    workers = len(os.sched_getaffinity(0)) \
-        if hasattr(os, "sched_getaffinity") else 1
+    workers = usable_cpus()
     if workers < 2 or multiprocessing.parent_process() is not None \
             or "fork" not in multiprocessing.get_all_start_methods():
         return None, 1

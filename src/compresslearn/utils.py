@@ -1,6 +1,8 @@
-"""Small shared helpers: RNG coercion."""
+"""Small shared helpers: RNG coercion and the usable CPU count."""
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -21,3 +23,8 @@ def as_generator(seed) -> np.random.Generator:
         raise ValidationError("seed must be an int or a numpy Generator")
     return np.random.default_rng(int(seed))
 
+
+def usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else 1

@@ -248,3 +248,34 @@ def test_compresslearn_run_rejects_hull_probe_above_max_dim(tmp_path, capsys):
     assert err == ("compresslearn: config field 'params.d': hull_probe "
                    "supports d <= 8, got 9\n")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("cfg, err", [
+    (dict(experiment="hull_probe", grid_kind="n", grid=[-5]),
+     "config field 'grid': must be >= 1, got -5.0"),
+    (dict(experiment="learn_curve", grid_kind="n", grid=[7.9],
+          target={"type": "gaussian", "mean": [0.0], "cov": [[1.0]]}),
+     "config field 'grid': malformed value 7.9"),
+    (dict(experiment="scheme_roundtrip", grid_kind="eps", grid=[0.5, 1.5],
+          scheme="g1d",
+          target={"type": "gaussian", "mean": [0.0], "cov": [[1.0]]}),
+     "config field 'grid': must be in (0, 1], got 1.5"),
+    (dict(experiment="scheme_roundtrip", grid_kind="eps", grid=[0.5],
+          scheme="g1d", target={"type": "gaussian", "mean": [0.0, 0.0],
+                                "cov": [[1.0, 0.0], [0.0, 1.0]]}),
+     "g1d expects a 1-D Gaussian target"),
+    (dict(experiment="hull_probe", grid_kind="n", grid=[200],
+          params={"n_mc": 100}),
+     "config field 'params.n_mc': not read by hull_probe")],
+    ids=["negative n", "fractional n", "eps above 1", "scheme misfit",
+         "unread param"])
+def test_compresslearn_run_rejects_config_before_any_trial(tmp_path, capsys,
+                                                           cfg, err):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(cfg, trials=2, seed=9)))
+    out_dir = tmp_path / "o"
+    code = compresslearn_main(["run", "--config", str(cfg_path),
+                               "--out", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err == f"compresslearn: {err}\n"
+    assert not out_dir.exists()

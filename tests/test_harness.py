@@ -2,12 +2,13 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from compresslearn import (ExperimentConfig, ExperimentRow, ValidationError,
-                           derive_seed, run_experiment, summarize,
+                           derive_seed, harness, run_experiment, summarize,
                            write_outputs)
 from compresslearn.harness import (_splitmix64, rows_to_csv, run_manifest,
                                    summary_to_csv)
@@ -254,3 +255,143 @@ def test_hull_probe_experiment():
 def test_summarize_rejects_empty():
     with pytest.raises(ValidationError):
         summarize([], "eps")
+
+
+# what each experiment reads besides experiment, grid_kind, grid, trials
+# and seed; a config may set nothing else
+READS = {
+    "scheme_roundtrip": {"scheme", "target", "n_mc"},
+    "learn_curve": {"target", "n_mc"},
+    "lowerbound_audit": {"d", "r", "m_family"},
+    "hull_probe": {"d", "rho", "contamination", "junk_scale"},
+}
+BASES = {
+    "scheme_roundtrip": dict(grid_kind="eps", grid=[0.3]),
+    "learn_curve": dict(grid_kind="n", grid=[64]),
+    "lowerbound_audit": dict(grid_kind="eps", grid=[0.2]),
+    "hull_probe": dict(grid_kind="n", grid=[100]),
+}
+VALUES = {"scheme": "g1d", "target": GAUSS_1D, "n_mc": 500, "d": 2, "r": 1,
+          "m_family": 2, "rho": 0.1, "contamination": 0.1,
+          "junk_scale": 5.0}
+
+
+def _config(experiment, names):
+    data = dict(BASES[experiment], experiment=experiment, trials=1, seed=0,
+                params={})
+    for name in names:
+        if name in ("scheme", "target"):
+            data[name] = VALUES[name]
+        else:
+            data["params"][name] = VALUES[name]
+    return ExperimentConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("experiment", sorted(READS))
+def test_config_accepts_everything_its_experiment_reads(experiment):
+    cfg = _config(experiment, READS[experiment])
+    # the five common fields, plus every value the experiment reads
+    settable = 5 + (cfg.scheme is not None) + (cfg.target is not None) \
+        + len(cfg.params)
+    assert settable == {"scheme_roundtrip": 8, "learn_curve": 7,
+                        "lowerbound_audit": 8, "hull_probe": 9}[experiment]
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("experiment, name", [
+    (experiment, name) for experiment in sorted(READS)
+    for name in sorted(VALUES) if name not in READS[experiment]])
+def test_config_rejects_what_its_experiment_does_not_read(experiment, name):
+    needed = READS[experiment] & {"scheme", "target"}
+    field_name = name if name in ("scheme", "target") else f"params.{name}"
+    with pytest.raises(ValidationError,
+                       match=rf"'{field_name}': not read by {experiment}$"):
+        _config(experiment, needed | {name})
+
+
+@pytest.mark.parametrize("name", [["hull_probe"], {"x": 1}, None, 3])
+def test_config_rejects_an_experiment_name_that_is_not_a_string(name):
+    with pytest.raises(ValidationError, match="'experiment': unknown value"):
+        small_config(experiment=name)
+
+
+@pytest.mark.parametrize("grid", [[0.5, 1.5], [0.0], [-0.2], [float("nan")]])
+def test_config_rejects_eps_outside_unit_interval(grid):
+    with pytest.raises(ValidationError,
+                       match=r"'grid': must be in \(0, 1\], got"):
+        small_config(grid=grid)
+
+
+@pytest.mark.parametrize("grid, match", [
+    ([-5], "must be >= 1"), ([0], "must be >= 1"), ([7.9], "malformed"),
+    ([100, True], "malformed"), ([float("inf")], "malformed")])
+def test_config_rejects_n_grids_of_non_positive_integers(grid, match):
+    with pytest.raises(ValidationError, match=rf"'grid': {match}"):
+        ExperimentConfig(experiment="hull_probe", grid_kind="n", grid=grid,
+                         trials=1, seed=0)
+
+
+def test_config_keeps_n_grid_values_as_floats():
+    cfg = ExperimentConfig(experiment="hull_probe", grid_kind="n",
+                           grid=[150, "200", 250.0], trials=1, seed=0)
+    assert cfg.grid == (150.0, 200.0, 250.0)
+    assert all(type(v) is float for v in cfg.grid)
+
+
+@pytest.mark.parametrize("scheme, target, match", [
+    ("g1d", {"type": "gaussian", "mean": [0.0, 0.0],
+             "cov": [[1.0, 0.0], [0.0, 1.0]]}, "1-D Gaussian"),
+    ("mixture", GAUSS_1D, "mixture target"),
+    ("nope", GAUSS_1D, "unknown scheme")])
+def test_config_rejects_a_scheme_the_target_does_not_fit(scheme, target,
+                                                         match):
+    with pytest.raises(ValidationError, match=match):
+        small_config(scheme=scheme, target=target)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and the chunks
+    it is handed, and runs them in-process."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.chunks = []
+        _RecordingPool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        tasks = list(tasks)
+        self.chunks = [tasks[i:i + chunksize]
+                       for i in range(0, len(tasks), chunksize)]
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers, cpus, n_tasks, started", [
+    (4, 8, 3, 3), (8, 2, 6, 2), (2, 2, 64, 2), (3, 8, 5, 3),
+    (2, 1, 6, None), (2, 2, 1, None), (1, 8, 6, None)])
+def test_workers_are_capped_by_tasks_and_cpus(monkeypatch, workers, cpus,
+                                              n_tasks, started):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.made = []
+    cfg = ExperimentConfig(experiment="hull_probe", grid_kind="n",
+                           grid=[20] * n_tasks, trials=1, seed=2)
+    rows = run_experiment(cfg, workers=workers)
+    if started is None:
+        assert _RecordingPool.made == []
+    else:
+        (pool,) = _RecordingPool.made
+        assert pool.max_workers == started
+        # every task once, in order, and a chunk for each started worker
+        assert [task[1:] for chunk in pool.chunks for task in chunk] \
+            == [(g, 0) for g in range(n_tasks)]
+        assert len(pool.chunks) >= started
+    assert rows_to_csv(rows) == rows_to_csv(run_experiment(cfg, workers=1))
