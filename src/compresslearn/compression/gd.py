@@ -32,6 +32,7 @@ import numpy as np
 from ..errors import DecodingError, SingularCovarianceError, ValidationError
 from ..gaussmodels import Gaussian, LabeledSample
 from ..nets import solve_hull_coefficients
+from ..utils import _run_units
 from .grids import SymmetricGrid
 from .message import SCHEME_GD, CompressionMessage, PayloadLayout
 from .scheme import Codec, EncodeOutcome, message_gate
@@ -84,13 +85,23 @@ def tau_gd(d: int) -> int:
     return 2 * n_pairs(d) + 1
 
 
+def _solve_direction(kept: np.ndarray, target: np.ndarray):
+    """One direction's hull coefficients: a worker pool unit that pickles
+    by reference and calls this module's ``solve_hull_coefficients`` as
+    bound when it runs, so a tracer may rebind that name."""
+    return solve_hull_coefficients(kept, target)
+
+
 def _encode_gd(target: Gaussian, sample: LabeledSample,
                eps: float) -> EncodeOutcome:
     """Encode a d-dimensional Gaussian from ``2m`` samples plus an anchor.
 
     Fails (never raises) when some scaled eigenvector direction falls
-    outside the symmetric hull of the kept whitened differences, or when
-    both anchor candidates have whitened norm above ``4 sqrt(d)``.
+    outside the symmetric hull of the kept whitened differences (the
+    reason names the lowest such direction), or when both anchor
+    candidates have whitened norm above ``4 sqrt(d)``.  The ``d`` hull
+    solves run as units on the worker pool (``utils._run_units``); a dead
+    worker raises :class:`WorkerPoolError`.
     """
     if not isinstance(target, Gaussian):
         raise ValidationError("this scheme encodes Gaussians")
@@ -111,11 +122,13 @@ def _encode_gd(target: Gaussian, sample: LabeledSample,
     kept = whitened[keep]
     keep_idx = np.nonzero(keep)[0]
 
-    # eigenvectors of the covariance carry the targets w_j / C_HULL
+    # eigenvectors of the covariance carry the targets w_j / C_HULL; the
+    # d solves are independent units, run on the worker pool
     eigvecs = target.eigvecs
     theta = np.zeros((d, m))
-    for j in range(d):
-        sol = solve_hull_coefficients(kept, eigvecs[:, j] / C_HULL)
+    sols = _run_units([(_solve_direction, kept, eigvecs[:, j] / C_HULL)
+                       for j in range(d)])
+    for j, sol in enumerate(sols):
         if sol is None:
             return EncodeOutcome.failure(
                 f"eigen direction {j} escapes the difference hull")

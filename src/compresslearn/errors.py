@@ -26,4 +26,4 @@ class DecodingError(CompressLearnError):
 
 
 class WorkerPoolError(CompressLearnError):
-    """A worker process of the selection pool died mid-tournament."""
+    """A worker process of the program's worker pool died mid-task."""

@@ -156,6 +156,9 @@ class ExperimentConfig:
             target = dist_from_json(self.target)  # raises if malformed
             if self.scheme is not None:
                 codec_for(self.scheme, target)  # raises if they do not fit
+            if self.experiment == "learn_curve" \
+                    and not isinstance(target, Gaussian):
+                raise ValidationError("learn_curve needs a Gaussian target")
         params = _checked("params", self.params, dict)
         unknown = set(params) - set(PARAMS)
         if unknown:
@@ -231,8 +234,6 @@ def _trial_scheme_roundtrip(cfg: ExperimentConfig, eps: float,
 def _trial_learn_curve(cfg: ExperimentConfig, n_value: float,
                        seed: int) -> tuple:
     target = dist_from_json(cfg.target)
-    if not isinstance(target, Gaussian):
-        raise ValidationError("learn_curve needs a Gaussian target")
     rng = as_generator(seed)
     n = 2 * (int(n_value) // 2)
     samp = sample(target, n, rng)

@@ -1,13 +1,12 @@
 """Learning algorithms built on the compression codecs.
 
 ``select_candidate`` runs a Scheffe tournament over a finite candidate
-list.  Its ``O(m^2 n)`` strategies split their work into units that a
-lazily created ``fork`` process pool, one worker per available CPU, runs
-in parallel (in-process where that pool cannot be used), with results bit
-for bit those of one serial loop.  ``learn_from_compression`` turns any
-codec into a learner by enumerating (or sampling) candidate messages,
-decoding them against a held sample prefix, and selecting on a fresh
-holdout; it is the one reduction, for single Gaussians and, through
+list.  Its ``O(m^2 n)`` strategies split their work into units that the
+program's worker pool (``utils._run_units``) runs in parallel, with
+results bit for bit those of one serial loop.  ``learn_from_compression``
+turns any codec into a learner by enumerating (or sampling) candidate
+messages, decoding them against a held sample prefix, and selecting on a
+fresh holdout; it is the one reduction, for single Gaussians and, through
 ``compose_mixture``, for k-mixtures.
 ``learn_gaussian_efficient`` is the polynomial-time single-Gaussian
 estimator.  ``scipy.special`` loads on the first closed-form 1-D
@@ -19,12 +18,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -33,10 +28,10 @@ import numpy as np
 from ._kernels import (pairwise_greater_counts,
                        pairwise_greater_fraction)  # noqa: F401
 from .compression import CompressionMessage, Codec
-from .errors import DecodingError, ValidationError, WorkerPoolError
+from .errors import DecodingError, ValidationError
 from .gaussmodels import (Gaussian, LabeledSample, Mixture, log_densities,
                           log_density, sample)
-from .utils import as_generator, usable_cpus
+from .utils import _run_units, _worker_pool, as_generator
 
 Distribution = Union[Gaussian, Mixture]
 
@@ -304,57 +299,7 @@ def _pool_seed(dist: Distribution, salt: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Tournament work units and the process pool that runs them
-
-_POOL: Optional[ProcessPoolExecutor] = None
-
-
-def _forget_pool() -> None:
-    global _POOL
-    _POOL = None
-
-
-# a forked child must not submit to its parent's workers
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _worker_pool():
-    """``(pool, workers)``; the pool is ``None`` where units run in-process.
-
-    The pool is created at the first call that can use one: a ``fork``
-    pool with one worker per CPU this process may run on.  Work stays
-    in-process on one CPU, without ``fork``, and inside a child process
-    (for example a harness worker), which would otherwise fork again.
-    """
-    global _POOL
-    workers = usable_cpus()
-    if workers < 2 or multiprocessing.parent_process() is not None \
-            or "fork" not in multiprocessing.get_all_start_methods():
-        return None, 1
-    if _POOL is None:
-        _POOL = ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"))
-    return _POOL, workers
-
-
-def _run_units(pool: Optional[ProcessPoolExecutor], units: list) -> list:
-    """``[fn(*args) for fn, *args in units]``, on ``pool`` when given."""
-    if pool is None:
-        return [fn(*args) for fn, *args in units]
-    futures = []
-    try:
-        futures = [pool.submit(*unit) for unit in units]
-        return [f.result() for f in futures]
-    except BrokenProcessPool as exc:
-        if _POOL is pool:
-            _forget_pool()
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise WorkerPoolError(
-            f"a selection worker process died ({exc}); the next "
-            "selection starts a new pool") from exc
-    finally:
-        for f in futures:
-            f.cancel()
+# Tournament work units for the worker pool (``utils._run_units``)
 
 
 def _blocks(weights, parts: int) -> list:
@@ -414,7 +359,7 @@ def _split_tournament(cands, points: np.ndarray, strategy: str, seed,
     ``mc_pools``, computed in units on the worker pool (see
     :func:`select_candidate`)."""
     m = len(cands)
-    pool, workers = _worker_pool()
+    workers = _worker_pool()[1]
     # holdout column blocks first: they are the largest units
     cols = _blocks(np.ones(len(points)), workers)
     units = [(_holdout_counts, cands, points[a:b]) for a, b in cols]
@@ -428,7 +373,7 @@ def _split_tournament(cands, points: np.ndarray, strategy: str, seed,
         rows = _blocks(np.ones(m), POOL_BLOCKS_PER_WORKER * workers)
         units += [(_pool_fractions, cands, a, b, salt, n_pool)
                   for a, b in rows]
-    done = _run_units(pool, units)
+    done = _run_units(units)
     p_hat = sum(done[:len(cols)]) / len(points)
     done = done[len(cols):]
     if strategy == "grid_1d":
@@ -480,13 +425,14 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
     counts, summed and divided by ``holdout.n`` once), blocks of MC pool
     rows (a candidate's pool, its log densities, and its row of own-pool
     fractions), and blocks of ``grid_1d`` pair rows (each pair's mass one
-    sum over the whole masked grid).  On Linux the units run on a shared
-    ``fork`` process pool with one worker per available CPU, created at
-    the first such tournament; they run in-process, one after the other,
-    on a single CPU, without ``fork``, and inside a child process such as
-    a harness worker.  Either way the winner and win vector are bit for bit
-    those of a serial all-pairs loop.  A worker that dies raises
-    :class:`WorkerPoolError`, and the next tournament starts a new pool.
+    sum over the whole masked grid).  On Linux the units run on the
+    program's ``fork`` worker pool (``utils._run_units``, shared with the
+    gd encoder), one worker per available CPU, created at first use; they
+    run in-process, one after the other, on a single CPU, without
+    ``fork``, and inside a child process such as a harness worker.  Either
+    way the winner and win vector are bit for bit those of a serial
+    all-pairs loop.  A worker that dies raises :class:`WorkerPoolError`,
+    and the next call starts a new pool.
     ``closed_form_1d`` always runs in-process.
     """
     cands = list(cands)

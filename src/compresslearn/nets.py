@@ -60,10 +60,13 @@ def solve_hull_coefficients(points: np.ndarray,
     """Coefficients ``theta`` with ``sum theta_i t_i = target``, ``|theta|_inf <= 1``.
 
     Expresses ``target`` over the symmetric hull ``conv(points U -points)``.
-    The sup norm of ``theta`` is (approximately) minimized by bisection on
-    the box bound with a box-constrained least-squares feasibility
-    subproblem at each step.  Returns ``None`` when no coefficient vector
-    reproduces the target within ``HULL_RESIDUAL_RTOL * (1 + |target|)``.
+    A returned ``theta`` has ``|theta|_inf <= 1`` and reproduces the target
+    within ``HULL_RESIDUAL_RTOL * (1 + |target|)``.  ``None`` means neither
+    the least-squares solution nor the one bounded to ``[-1, 1]`` met that
+    residual bound.  The box bound is then bisected ``_BISECT_ITERS`` times,
+    keeping the last bounded solution that meets the residual bound; this
+    does not minimize ``|theta|_inf``, because near the minimum the bounded
+    solve can stop with a residual just above the bound.
     """
     # scipy.optimize loads on first use, not when the package is imported
     from scipy.optimize import lsq_linear

@@ -1,12 +1,18 @@
-"""Small shared helpers: RNG coercion and the usable CPU count."""
+"""Small shared helpers: RNG coercion, the usable CPU count, and the
+program's one worker pool, which runs the Scheffe tournament's and the gd
+encoder's independent units."""
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, WorkerPoolError
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -28,3 +34,59 @@ def usable_cpus() -> int:
     """CPUs this process may run on; 1 where the platform cannot say."""
     return len(os.sched_getaffinity(0)) \
         if hasattr(os, "sched_getaffinity") else 1
+
+
+_POOL: Optional[ProcessPoolExecutor] = None
+
+
+def _forget_pool() -> None:
+    global _POOL
+    _POOL = None
+
+
+# a forked child must not submit to its parent's workers
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _worker_pool():
+    """``(pool, workers)``; the pool is ``None`` where units run in-process.
+
+    The pool is created at the first call that can use one: a ``fork``
+    pool with one worker per CPU this process may run on.  Work stays
+    in-process on one CPU, without ``fork``, and inside a child process
+    (for example a harness worker), which would otherwise fork again.
+    """
+    global _POOL
+    workers = usable_cpus()
+    if workers < 2 or multiprocessing.parent_process() is not None \
+            or "fork" not in multiprocessing.get_all_start_methods():
+        return None, 1
+    if _POOL is None:
+        _POOL = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"))
+    return _POOL, workers
+
+
+def _run_units(units: list) -> list:
+    """``[fn(*args) for fn, *args in units]``, on the worker pool when
+    there is one and more than one unit (so one unit never forks a pool).
+    Each ``fn`` is a module-level function, so it pickles by reference.
+    A dead worker raises :class:`WorkerPoolError`, and the next call
+    starts a new pool."""
+    pool = _worker_pool()[0] if len(units) > 1 else None
+    if pool is None:
+        return [fn(*args) for fn, *args in units]
+    futures = []
+    try:
+        futures = [pool.submit(*unit) for unit in units]
+        return [f.result() for f in futures]
+    except BrokenProcessPool as exc:
+        if _POOL is pool:
+            _forget_pool()
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise WorkerPoolError(
+            f"a worker process died ({exc}); the next call starts a new "
+            "pool") from exc
+    finally:
+        for f in futures:
+            f.cancel()

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from compresslearn import cli
 from compresslearn.cli import (compresslearn_main, distances_main, learn_main,
                                lowerbound_main)
 
@@ -278,4 +279,28 @@ def test_compresslearn_run_rejects_config_before_any_trial(tmp_path, capsys,
                                "--out", str(out_dir)])
     assert code == 2
     assert capsys.readouterr().err == f"compresslearn: {err}\n"
+    assert not out_dir.exists()
+
+
+def test_compresslearn_run_rejects_a_mixture_learn_curve_before_any_trial(
+        tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda cfg, workers: ran.append(cfg) or [])
+    target = {"type": "mixture", "weights": [0.5, 0.5],
+              "components": [{"type": "gaussian", "mean": [-2.0],
+                              "cov": [[1.0]]},
+                             {"type": "gaussian", "mean": [2.0],
+                              "cov": [[1.0]]}]}
+    cfg = dict(experiment="learn_curve", grid_kind="n", grid=[64], trials=2,
+               seed=9, target=target)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "o"
+    code = compresslearn_main(["run", "--config", str(cfg_path),
+                               "--out", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "compresslearn: learn_curve needs a Gaussian target\n"
+    assert ran == []
     assert not out_dir.exists()

@@ -349,6 +349,20 @@ def test_config_rejects_a_scheme_the_target_does_not_fit(scheme, target,
         small_config(scheme=scheme, target=target)
 
 
+MIXTURE_1D = {"type": "mixture", "weights": [0.5, 0.5],
+              "components": [{"type": "gaussian", "mean": [-2.0],
+                              "cov": [[1.0]]},
+                             {"type": "gaussian", "mean": [2.0],
+                              "cov": [[1.0]]}]}
+
+
+def test_config_rejects_a_learn_curve_target_that_is_not_gaussian():
+    with pytest.raises(ValidationError,
+                       match="^learn_curve needs a Gaussian target$"):
+        ExperimentConfig(experiment="learn_curve", grid_kind="n", grid=[64],
+                         trials=1, seed=0, target=MIXTURE_1D)
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size and the chunks
     it is handed, and runs them in-process."""

@@ -7,8 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+# pinned to one CPU, so the gd encode below runs in this process, not on
+# the worker pool
 SCRIPT = r"""
-import json, sys
+import json, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import scipy
 import compresslearn as cl
 from compresslearn.harness import run_manifest

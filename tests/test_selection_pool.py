@@ -10,7 +10,7 @@ import pytest
 from compresslearn import (CompressLearnError, Gaussian, Mixture,
                            WorkerPoolError, log_densities, sample,
                            select_candidate)
-from compresslearn import learners
+from compresslearn import utils
 from compresslearn.learners import (_blocks, _pool_seed, _shared_grid,
                                     _split_tournament)
 from compresslearn.utils import as_generator
@@ -149,19 +149,19 @@ def test_blocks_cover_the_range_in_order():
 
 def test_work_stays_in_process_in_a_child_or_on_one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert learners._worker_pool() == (None, 1)
+    assert utils._worker_pool() == (None, 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
-    assert learners._worker_pool() == (None, 1)
+    assert utils._worker_pool() == (None, 1)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_does_not_reuse_the_parent_pool(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert learners._worker_pool()[0] is not None
+    assert utils._worker_pool()[0] is not None
     pid = os.fork()
     if pid == 0:
-        os._exit(0 if learners._POOL is None else 1)
+        os._exit(0 if utils._POOL is None else 1)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
 
@@ -173,12 +173,12 @@ def test_dead_worker_raises_and_the_next_selection_recovers(monkeypatch):
     want = reference_selection(cands, holdout, np.random.default_rng(5),
                                N_POOL)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    pool, _ = learners._worker_pool()
+    pool, _ = utils._worker_pool()
     with pytest.raises(BrokenProcessPool):
         pool.submit(os._exit, 1).result()
     with pytest.raises(WorkerPoolError, match="worker process died"):
         run(cands, holdout, 2, monkeypatch)
     assert issubclass(WorkerPoolError, CompressLearnError)
-    fresh, _ = learners._worker_pool()
+    fresh, _ = utils._worker_pool()
     assert fresh is not pool
     assert run(cands, holdout, 2, monkeypatch) == want
