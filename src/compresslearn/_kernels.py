@@ -11,10 +11,10 @@ for bit.  Its temporaries span tiles of whole candidates by up to
 ``LOGPDF_TILE_CELLS`` points, about ``LOGPDF_TILE_CELLS`` cells each, so
 beyond its ``(m, n)`` output it holds ``O(d)`` such tiles.
 
-``pairwise_greater_counts`` counts, per pair ``i < j``, the columns where
-row ``i`` strictly exceeds row ``j``.  ``pairwise_greater_fraction`` fills
-only the strict upper triangle (``i < j``) of its output with those
-integer counts divided by the column count.
+``pairwise_greater_counts`` counts, per pair ``(I[k], J[k])`` of a pair
+list, the columns where row ``I[k]`` strictly exceeds row ``J[k]``.
+``pairwise_greater_fraction`` fills only the strict upper triangle
+(``i < j``) of its output with those counts divided by the column count.
 """
 
 from __future__ import annotations
@@ -136,17 +136,17 @@ def first_occupants(cells: np.ndarray, n_cells: int) -> np.ndarray:
 # Pairwise empirical winner fractions for candidate selection
 
 
-def pairwise_greater_counts(values: np.ndarray) -> np.ndarray:
-    """Columns where ``values[i] > values[j]``, one int64 count per pair.
+def pairwise_greater_counts(values: np.ndarray, I: np.ndarray,
+                            J: np.ndarray) -> np.ndarray:
+    """Columns where ``values[I[k]] > values[J[k]]``, one int64 count per
+    pair ``k``, in the pair list's order.
 
-    Pairs ``i < j`` come in ``np.triu_indices`` order (row-major); ties
-    count for neither side (strict inequality).  Beyond the output it holds
-    one ``n``-element temporary.
+    Ties count for neither side (strict inequality).  Beyond the output it
+    holds one ``n``-element temporary.
     """
     values = np.ascontiguousarray(values)
-    m = values.shape[0]
     return np.array([np.count_nonzero(values[i] > values[j])
-                     for i in range(m) for j in range(i + 1, m)],
+                     for i, j in zip(I.tolist(), J.tolist())],
                     dtype=np.int64)
 
 
@@ -154,12 +154,12 @@ def pairwise_greater_fraction(values: np.ndarray) -> np.ndarray:
     """Strict upper triangle of the pairwise win fractions.
 
     For ``i < j``, ``out[i, j]`` is the fraction of columns where
-    ``values[i] > values[j]``: :func:`pairwise_greater_counts` divided by
-    the column count.  The diagonal and everything below it are zero: the
-    Scheffe tournament only reads pairs with ``i < j``.
+    ``values[i] > values[j]``: :func:`pairwise_greater_counts` over the
+    ``np.triu_indices`` pairs, divided by the column count.  The diagonal
+    and everything below it are zero.
     """
-    values = np.ascontiguousarray(values)
     m, n = values.shape
     out = np.zeros((m, m))
-    out[np.triu_indices(m, 1)] = pairwise_greater_counts(values) / n
+    pairs = np.triu_indices(m, 1)
+    out[pairs] = pairwise_greater_counts(values, *pairs) / n
     return out

@@ -27,6 +27,11 @@ from .lowerbound import (FanoInputs, fano_error_bound, fano_sample_lower,
 from .utils import as_generator
 
 
+# each main prints these in one line and exits 2
+_INPUT_ERRORS = (CompressLearnError, json.JSONDecodeError, UnicodeDecodeError,
+                 OSError)
+
+
 def _load_json_arg(text: str) -> dict:
     stripped = text.strip()
     if stripped.startswith("{"):
@@ -75,7 +80,7 @@ def distances_main(argv=None) -> int:
                       "method": "frobenius_proxy"}
         else:
             record = _tv_record(p, q, args.n_mc, args.seed)
-    except (CompressLearnError, json.JSONDecodeError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"distances: {exc}", file=sys.stderr)
         return 2
     _emit(record, None)
@@ -127,7 +132,7 @@ def learn_main(argv=None) -> int:
                 "strategy": result.selection.strategy,
             },
         }
-    except (CompressLearnError, json.JSONDecodeError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"learn: {exc}", file=sys.stderr)
         return 2
     _emit(record, args.out)
@@ -211,7 +216,7 @@ def lowerbound_main(argv=None) -> int:
         }
         fano_path = Path(f"{stem}.fano.json")
         fano_path.write_text(json.dumps(fano, indent=2, sort_keys=True) + "\n")
-    except (CompressLearnError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"lowerbound: {exc}", file=sys.stderr)
         return 2
     for path in (out, kl_path, fr_path, fano_path):
@@ -233,7 +238,7 @@ def compresslearn_main(argv=None) -> int:
             json.loads(Path(args.config).read_text()))
         rows = run_experiment(cfg, workers=args.workers)
         paths = write_outputs(cfg, rows, args.out)
-    except (CompressLearnError, json.JSONDecodeError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"compresslearn: {exc}", file=sys.stderr)
         return 2
     for path in paths.values():

@@ -26,4 +26,5 @@ class DecodingError(CompressLearnError):
 
 
 class WorkerPoolError(CompressLearnError):
-    """A worker process of the program's worker pool died mid-task."""
+    """A worker process died mid-task: one of the program's worker pool,
+    or a harness trial process."""

@@ -15,6 +15,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -28,7 +29,7 @@ from .compression import codec_for
 from .distances import kl_gaussians, tv_estimate
 # kept for callers that patch this module's tv_mc; trials call tv_estimate
 from .distances import tv_mc  # noqa: F401
-from .errors import CompressLearnError, ValidationError
+from .errors import CompressLearnError, ValidationError, WorkerPoolError
 from .gaussmodels import Gaussian, dist_from_json, sample
 from .learners import learn_gaussian_efficient
 from .lowerbound import kl_pair, make_lb_family, tv_pair_lower
@@ -309,7 +310,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
 
     ``workers > 1`` fans trials out to a process pool, capped at one
     process per task and per CPU this process may run on; results keep
-    (grid, trial) order, so worker count cannot change output.
+    (grid, trial) order, so worker count cannot change output.  A trial
+    process that dies raises :class:`WorkerPoolError`.
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")
@@ -320,10 +322,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
         results = [_run_one(task) for task in tasks]
     else:
         # a chunk or more per worker, up to four to spread slow grid points
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                _run_one, tasks,
-                chunksize=max(1, len(tasks) // (4 * workers))))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(
+                    _run_one, tasks,
+                    chunksize=max(1, len(tasks) // (4 * workers))))
+        except BrokenProcessPool as exc:
+            raise WorkerPoolError(
+                f"a trial worker process died ({exc})") from exc
     return [
         ExperimentRow(
             experiment=cfg.experiment, grid_value=cfg.grid[g], trial=t,

@@ -312,33 +312,33 @@ def _blocks(weights, parts: int) -> list:
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
-def _holdout_counts(cands, points: np.ndarray) -> np.ndarray:
-    """Points where ``log f_i > log f_j``, per pair ``i < j`` in
-    ``np.triu_indices`` order.  A column block's counts add up exactly."""
-    return pairwise_greater_counts(log_densities(cands, points))
+def _holdout_counts(cands, points: np.ndarray, I: np.ndarray,
+                    J: np.ndarray) -> np.ndarray:
+    """Points where ``log f_i > log f_j``, per pair ``(I[k], J[k])``.  A
+    column block's counts add up exactly."""
+    return pairwise_greater_counts(log_densities(cands, points), I, J)
 
 
-def _grid_masses(cands, grid: np.ndarray, start: int, stop: int):
-    """``(p_i, p_j)`` on ``grid`` for the pairs ``(i, j)``, ``i < j``, of
-    rows ``start <= i < stop``, in ``np.triu_indices`` order.
+def _grid_masses(cands, grid: np.ndarray, I: np.ndarray, J: np.ndarray):
+    """Rows ``(p_i, p_j)`` on ``grid`` per pair ``(I[k], J[k])``.
 
     Trapezoid masses: each is one sum over the masked grid, so a pair's
-    mass does not depend on how the pairs are split into blocks.
+    mass does not depend on how the pairs are split into blocks.  Only the
+    candidates from the block's lowest index up are evaluated.
     """
     dx = grid[1] - grid[0]
     weights = np.full(grid.shape, dx)
     weights[0] = weights[-1] = 0.5 * dx
-    # row r is candidate start + r; a row's bits do not depend on the batch
-    ld = log_densities(cands[start:], grid[:, None])
+    lo = min(I.min(), J.min())
+    # row r is candidate lo + r; a row's bits do not depend on the batch
+    ld = log_densities(cands[lo:], grid[:, None])
     dens_w = np.exp(ld) * weights
-    p_i = []
-    p_j = []
-    for i in range(stop - start):
-        for j in range(i + 1, len(ld)):
-            mask = ld[i] > ld[j]
-            p_i.append(min(1.0, float(dens_w[i][mask].sum())))
-            p_j.append(min(1.0, float(dens_w[j][mask].sum())))
-    return np.array(p_i), np.array(p_j)
+    masses = []
+    for i, j in zip((I - lo).tolist(), (J - lo).tolist()):
+        mask = ld[i] > ld[j]
+        masses.append((min(1.0, float(dens_w[i][mask].sum())),
+                       min(1.0, float(dens_w[j][mask].sum()))))
+    return np.array(masses).T
 
 
 def _pool_fractions(cands, start: int, stop: int, salt: int,
@@ -353,36 +353,36 @@ def _pool_fractions(cands, start: int, stop: int, salt: int,
     return out
 
 
-def _split_tournament(cands, points: np.ndarray, strategy: str, seed,
-                      n_pool: int):
-    """``(p_hat, p_i, p_j)`` per pair ``i < j`` for ``grid_1d`` and
-    ``mc_pools``, computed in units on the worker pool (see
-    :func:`select_candidate`)."""
-    m = len(cands)
+def _split_tournament(cands, points: np.ndarray, I: np.ndarray,
+                      J: np.ndarray, strategy: str, seed, n_pool: int):
+    """``(p_hat, p_i, p_j)`` per pair ``(I[k], J[k])``, in the pair list's
+    order (see :func:`select_candidate`).  ``grid_1d`` and ``mc_pools``
+    run in units on the worker pool; ``closed_form_1d`` runs in-process."""
+    if not len(I):
+        return np.zeros((3, 0))
+    if strategy == "closed_form_1d":
+        return _closed_form_1d(cands, points, I, J)
     workers = _worker_pool()[1]
     # holdout column blocks first: they are the largest units
     cols = _blocks(np.ones(len(points)), workers)
-    units = [(_holdout_counts, cands, points[a:b]) for a, b in cols]
+    units = [(_holdout_counts, cands, points[a:b], I, J) for a, b in cols]
     if strategy == "grid_1d":
-        # pair rows, balanced by pair count (row i has m - 1 - i)
-        rows = _blocks(np.arange(m - 1, -1, -1), workers)
+        # blocks of the pair list, balanced by pair count
+        pairs = _blocks(np.ones(len(I)), workers)
         grid = _shared_grid(cands)
-        units += [(_grid_masses, cands, grid, a, b) for a, b in rows]
+        units += [(_grid_masses, cands, grid, I[a:b], J[a:b])
+                  for a, b in pairs]
     else:
         salt = int(as_generator(seed).integers(1 << 62))
-        rows = _blocks(np.ones(m), POOL_BLOCKS_PER_WORKER * workers)
+        rows = _blocks(np.ones(len(cands)), POOL_BLOCKS_PER_WORKER * workers)
         units += [(_pool_fractions, cands, a, b, salt, n_pool)
                   for a, b in rows]
     done = _run_units(units)
     p_hat = sum(done[:len(cols)]) / len(points)
     done = done[len(cols):]
     if strategy == "grid_1d":
-        return (p_hat, np.concatenate([p_i for p_i, _ in done]),
-                np.concatenate([p_j for _, p_j in done]))
-    # prob_own[i, j] = mass candidate i assigns to {f_i > f_j}, estimated
-    # from candidate i's own pool
+        return (p_hat, *np.concatenate(done, axis=1))
     prob_own = np.concatenate(done)
-    I, J = np.triu_indices(m, 1)
     # complement of {f_j > f_i} under f_j; ties between distinct densities
     # have measure zero
     return p_hat, prob_own[I, J], 1.0 - prob_own[J, I]
@@ -392,8 +392,10 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
                      n_pool: int = SCHEFFE_MC_POOL) -> SelectionResult:
     """Pick the candidate whose density best matches the holdout sample.
 
-    For every candidate pair (i, j) with i < j the comparison region is
-    ``{x : f_i(x) > f_j(x)}``.  The pair's winner is the candidate whose
+    Each pair ``(i, j) = (I[k], J[k])`` of the one pair list ``I, J =
+    np.triu_indices(m, 1)`` has the comparison region ``{x : f_i(x) >
+    f_j(x)}``, and every strategy computes its masses for the pair list it
+    is given, in that list's order.  The pair's winner is the candidate whose
     own probability of the region is closer to the empirical holdout mass
     (ties go to the lower index), and the result is the candidate with the
     most wins.  Region probabilities are closed-form for 1-D Gaussians,
@@ -409,8 +411,8 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
     compares stored log densities only for points next to an endpoint and
     for near-degenerate pairs; the counts equal the all-pairs comparison
     exactly, in ``O((m^2 + n) log n)`` time.  Strategies ``grid_1d`` and
-    ``mc_pools`` evaluate every candidate on the holdout and count, for all
-    pairs of rows, the points where one exceeds the other
+    ``mc_pools`` evaluate every candidate on the holdout and count, for
+    each pair of the list, the points where row i exceeds row j
     (:func:`pairwise_greater_counts`), in ``O(m^2 n)``.
 
     Both evaluate candidates with one :func:`log_densities` call per point
@@ -424,16 +426,16 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
     wherever it runs: contiguous blocks of holdout columns (integer pair
     counts, summed and divided by ``holdout.n`` once), blocks of MC pool
     rows (a candidate's pool, its log densities, and its row of own-pool
-    fractions), and blocks of ``grid_1d`` pair rows (each pair's mass one
-    sum over the whole masked grid).  On Linux the units run on the
-    program's ``fork`` worker pool (``utils._run_units``, shared with the
-    gd encoder), one worker per available CPU, created at first use; they
-    run in-process, one after the other, on a single CPU, without
-    ``fork``, and inside a child process such as a harness worker.  Either
-    way the winner and win vector are bit for bit those of a serial
-    all-pairs loop.  A worker that dies raises :class:`WorkerPoolError`,
-    and the next call starts a new pool.
-    ``closed_form_1d`` always runs in-process.
+    fractions), and blocks of the ``grid_1d`` pair list, split by pair
+    count (each pair's mass one sum over the whole masked grid).  On Linux
+    the units run on the program's ``fork`` worker pool
+    (``utils._run_units``, shared with the gd encoder), one worker per
+    available CPU, created at first use; they run in-process, one after
+    the other, on a single CPU, without ``fork``, and inside a child
+    process such as a harness worker.  Either way the winner and win
+    vector are bit for bit those of a serial all-pairs loop.  A worker
+    that dies raises :class:`WorkerPoolError`, and the next call starts a
+    new pool.  ``closed_form_1d`` always runs in-process.
     """
     cands = list(cands)
     if not cands:
@@ -448,8 +450,8 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
         raise ValidationError("holdout must be nonempty")
     if not (0.0 < eps < 1.0):
         raise ValidationError("eps must lie in (0, 1)")
-    m_cands = len(cands)
-    I, J = np.triu_indices(m_cands, 1)
+    # the one pair list: every strategy returns its masses in this order
+    I, J = np.triu_indices(len(cands), 1)
 
     if d == 1 and all(isinstance(c, Gaussian) for c in cands):
         strategy = "closed_form_1d"
@@ -457,16 +459,12 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
         strategy = "grid_1d"
     else:
         strategy = "mc_pools"
-
-    if strategy == "closed_form_1d":
-        p_hat, p_i, p_j = _closed_form_1d(cands, holdout.points, I, J)
-    else:
-        p_hat, p_i, p_j = _split_tournament(cands, holdout.points, strategy,
-                                            seed, n_pool)
+    p_hat, p_i, p_j = _split_tournament(cands, holdout.points, I, J,
+                                        strategy, seed, n_pool)
 
     i_wins = np.abs(p_i - p_hat) <= np.abs(p_j - p_hat)
-    wins = np.bincount(I[i_wins], minlength=m_cands) \
-        + np.bincount(J[~i_wins], minlength=m_cands)
+    wins = np.bincount(I[i_wins], minlength=len(cands)) \
+        + np.bincount(J[~i_wins], minlength=len(cands))
     index = int(np.argmax(wins))  # argmax takes the lowest index on ties
     return SelectionResult(index=index, scheffe_wins=wins,
                            n_holdout=holdout.n, strategy=strategy)

@@ -1,5 +1,8 @@
 """Shared test utilities."""
 
+import multiprocessing
+import os
+
 import numpy as np
 
 from compresslearn import LabeledSample
@@ -51,3 +54,10 @@ def unpack_bits_oracle(bits, widths) -> list:
         digits.append(sum(int(bits[pos + i]) << i for i in range(width)))
         pos += width
     return digits
+
+
+def exit_in_child(task):
+    """Stands in for ``harness._run_one``: a trial process that dies."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    raise AssertionError("a trial ran in the test process")

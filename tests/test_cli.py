@@ -2,13 +2,15 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from compresslearn import cli
+from compresslearn import cli, harness
 from compresslearn.cli import (compresslearn_main, distances_main, learn_main,
                                lowerbound_main)
+from helpers import exit_in_child
 
 GAUSS_A = json.dumps({"type": "gaussian", "mean": [0.0], "cov": [[1.0]]})
 GAUSS_B = json.dumps({"type": "gaussian", "mean": [1.0], "cov": [[1.0]]})
@@ -304,3 +306,35 @@ def test_compresslearn_run_rejects_a_mixture_learn_curve_before_any_trial(
         "compresslearn: learn_curve needs a Gaussian target\n"
     assert ran == []
     assert not out_dir.exists()
+
+
+def test_compresslearn_run_reports_a_dead_trial_process(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(harness, "_run_one", exit_in_child)
+    cfg = dict(experiment="hull_probe", grid_kind="n", grid=[200],
+               trials=2, seed=9)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = compresslearn_main(["run", "--config", str(cfg_path), "--out",
+                               str(tmp_path / "o"), "--workers", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("compresslearn: a trial worker process died")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("main, args", [
+    (compresslearn_main, ["run", "--out", "o", "--config"]),
+    (distances_main, ["--q", GAUSS_B, "--metric", "kl", "--p"]),
+    (learn_main, ["--scheme", "g1d", "--eps", "0.2", "--delta", "0.1",
+                  "--budget", "10", "--target"])],
+    ids=["run --config", "distances --p", "learn --target"])
+def test_a_file_that_is_not_utf8_exits_2_in_one_line(tmp_path, capsys, main,
+                                                     args):
+    path = tmp_path / "in.json"
+    path.write_bytes(b'{"type": "gaussian", "mean": [0.0]\xff}')
+    assert main(args + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "can't decode byte 0xff" in err and err.count("\n") == 1

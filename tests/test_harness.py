@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from compresslearn import (ExperimentConfig, ExperimentRow, ValidationError,
-                           derive_seed, harness, run_experiment, summarize,
-                           write_outputs)
+                           WorkerPoolError, derive_seed, harness,
+                           run_experiment, summarize, write_outputs)
 from compresslearn.harness import (_splitmix64, rows_to_csv, run_manifest,
                                    summary_to_csv)
 from compresslearn.nets import HULL_MAX_DIM
+from helpers import exit_in_child
 
 GAUSS_1D = {"type": "gaussian", "mean": [0.0], "cov": [[1.0]]}
 
@@ -409,3 +410,10 @@ def test_workers_are_capped_by_tasks_and_cpus(monkeypatch, workers, cpus,
             == [(g, 0) for g in range(n_tasks)]
         assert len(pool.chunks) >= started
     assert rows_to_csv(rows) == rows_to_csv(run_experiment(cfg, workers=1))
+
+
+def test_a_dead_trial_process_raises_worker_pool_error(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(harness, "_run_one", exit_in_child)
+    with pytest.raises(WorkerPoolError, match="trial worker process died"):
+        run_experiment(small_config(), workers=2)

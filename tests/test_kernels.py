@@ -153,7 +153,13 @@ def test_pairwise_greater_counts_follow_triu_order(rng):
     values = rng.integers(0, 3, size=(6, 25)).astype(float)
     I, J = np.triu_indices(6, 1)
     want = [np.count_nonzero(values[i] > values[j]) for i, j in zip(I, J)]
-    got = _kernels.pairwise_greater_counts(values)
+    got = _kernels.pairwise_greater_counts(values, I, J)
     assert got.dtype == np.int64
     assert got.tolist() == want
-    assert _kernels.pairwise_greater_counts(values[:1]).shape == (0,)
+    # any pair list, in its own order: reversed, and each pair swapped
+    assert _kernels.pairwise_greater_counts(
+        values, I[::-1], J[::-1]).tolist() == want[::-1]
+    assert _kernels.pairwise_greater_counts(values, J, I).tolist() == [
+        np.count_nonzero(values[j] > values[i]) for i, j in zip(I, J)]
+    assert _kernels.pairwise_greater_counts(
+        values[:1], *np.triu_indices(1, 1)).shape == (0,)

@@ -111,7 +111,8 @@ def masses(cands, holdout, cpus, monkeypatch):
     strategy = "grid_1d" if cands[0].dim == 1 else "mc_pools"
     with monkeypatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        out = _split_tournament(cands, holdout.points, strategy,
+        out = _split_tournament(cands, holdout.points,
+                                *np.triu_indices(len(cands), 1), strategy,
                                 np.random.default_rng(5), N_POOL)
     return [a.tobytes() for a in out]
 
@@ -134,6 +135,34 @@ def test_pool_and_in_process_match_the_serial_loop(family, m, n_hold,
         cands, holdout, np.random.default_rng(5), N_POOL)]
     assert masses(cands, holdout, 1, monkeypatch) == want
     assert masses(cands, holdout, 2, monkeypatch) == want
+
+
+def gaussians_1d(m, rng):
+    return [Gaussian([rng.normal()], [[rng.uniform(0.5, 3.0)]])
+            for _ in range(m)]
+
+
+@pytest.mark.parametrize("strategy, family", [
+    ("closed_form_1d", gaussians_1d), ("grid_1d", mixed_1d),
+    ("mc_pools", gaussians_2d)])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_every_strategy_follows_the_pair_list_it_is_given(strategy, family,
+                                                         cpus, monkeypatch):
+    rng = np.random.default_rng(17)
+    cands = family(6, rng)
+    holdout = sample(cands[0], 257, rng)
+    I, J = np.triu_indices(len(cands), 1)
+
+    def masses(I, J):
+        with monkeypatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            return _split_tournament(cands, holdout.points, I, J, strategy,
+                                     np.random.default_rng(5), N_POOL)
+
+    forward = masses(I, J)
+    backward = masses(I[::-1], J[::-1])
+    assert [a.tobytes() for a in backward] \
+        == [a[::-1].tobytes() for a in forward]
 
 
 def test_blocks_cover_the_range_in_order():
