@@ -29,7 +29,7 @@ from .utils import as_generator
 
 # each main prints these in one line and exits 2
 _INPUT_ERRORS = (CompressLearnError, json.JSONDecodeError, UnicodeDecodeError,
-                 OSError)
+                 OSError, RecursionError)
 
 
 def _load_json_arg(text: str) -> dict:

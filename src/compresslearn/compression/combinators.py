@@ -47,6 +47,18 @@ def _encode_in_batches(base: Codec, target, points: np.ndarray,
     return outcome, None
 
 
+def _slots(base: Codec, message: CompressionMessage, e: float, n: int,
+           bit_offset: int = 0) -> list:
+    """The ``n`` base sub-messages of a composite ``message`` at base
+    accuracy ``e``, their payloads one after another from ``bit_offset``."""
+    tau_b = base.spec.tau(e)
+    t_b = base.layout(e).n_bits
+    return [CompressionMessage(
+        base.scheme_id, message.sample_refs[i * tau_b:(i + 1) * tau_b],
+        message.bits[bit_offset + i * t_b:bit_offset + (i + 1) * t_b])
+        for i in range(n)]
+
+
 def compose_product(base: Codec, d: int) -> Codec:
     """Codec for d-dimensional axis-aligned Gaussians built from a 1-D codec.
 
@@ -100,15 +112,9 @@ def compose_product(base: Codec, d: int) -> Codec:
         if pts.shape[1] != d:
             raise ValidationError(f"points must have shape (n, {d})")
         e = sub_eps(eps)
-        tau_b = base.spec.tau(e)
-        t_b = base.layout(e).n_bits
         mean = np.empty(d)
         var = np.empty(d)
-        for j in range(d):
-            sub = CompressionMessage(
-                base.scheme_id,
-                message.sample_refs[j * tau_b:(j + 1) * tau_b],
-                message.bits[j * t_b:(j + 1) * t_b])
+        for j, sub in enumerate(_slots(base, message, e, d)):
             gauss = base.decode(sub, pts[:, j:j + 1], e)
             mean[j] = gauss.mean[0]
             var[j] = gauss.cov[0, 0]
@@ -208,18 +214,11 @@ def compose_mixture(base: Codec, k: int) -> Codec:
                eps: float) -> Mixture:
         d = pts.shape[1]
         e = sub_eps(eps)
-        tau_b = base.spec.tau(e)
-        t_b = base.layout(e).n_bits
         w_layout = _weight_layout(eps, k)
-        offset = w_layout.n_bits
-        weights = w_layout.unpack(message.bits[:offset]) \
+        weights = w_layout.unpack(message.bits[:w_layout.n_bits]) \
             / (weight_grid_points(eps, k) - 1)
         comps = []
-        for i in range(k):
-            sub = CompressionMessage(
-                base.scheme_id,
-                message.sample_refs[i * tau_b:(i + 1) * tau_b],
-                message.bits[offset + i * t_b:offset + (i + 1) * t_b])
+        for sub in _slots(base, message, e, k, w_layout.n_bits):
             try:
                 comps.append(base.decode(sub, pts, e))
             except DecodingError:

@@ -204,11 +204,6 @@ class CompressionMessage:
     def n_bits(self) -> int:
         return int(self.bits.shape[0])
 
-    def equals(self, other: "CompressionMessage") -> bool:
-        return (self.scheme_id == other.scheme_id
-                and np.array_equal(self.sample_refs, other.sample_refs)
-                and np.array_equal(self.bits, other.bits))
-
     def to_bytes(self) -> bytes:
         head = struct.pack("<HI", self.scheme_id, self.n_refs)
         refs = struct.pack(f"<{self.n_refs}I", *map(int, self.sample_refs))

@@ -200,7 +200,8 @@ def sample(dist: Distribution, n: int, seed) -> LabeledSample:
 
     Gaussian draws are ``mean + z @ sqrt_cov`` with ``z`` standard normal;
     mixture draws carry the component index of each point in ``labels``.
-    ``n`` must be a Python or numpy integer.
+    ``n`` must be a Python or numpy integer.  A draw that numpy cannot
+    allocate raises :class:`ValidationError`, naming ``n`` and ``d``.
 
     Temporary memory: a Gaussian holds ``z`` next to the output, so it
     peaks at about twice the output.  A mixture draws ``z`` into the
@@ -216,20 +217,26 @@ def sample(dist: Distribution, n: int, seed) -> LabeledSample:
     if n < 0:
         raise ValidationError("n must be nonnegative")
     rng = as_generator(seed)
-    if isinstance(dist, Gaussian):
-        return LabeledSample(
-            points=_affine(rng.standard_normal((n, dist.dim)), dist))
-    if isinstance(dist, Mixture):
-        k = dist.n_components
-        labels = rng.choice(k, size=n, p=dist.weights)
-        pts = rng.standard_normal((n, dist.dim))
-        for c in range(k):
-            mask = labels == c
-            if np.any(mask):
-                # one matmul per component: BLAS picks its kernel by row
-                # count, so splitting the rows could change the last bit
-                pts[mask] = _affine(pts[mask], dist.components[c])
-        return LabeledSample(points=pts, labels=labels)
+    try:
+        if isinstance(dist, Gaussian):
+            return LabeledSample(
+                points=_affine(rng.standard_normal((n, dist.dim)), dist))
+        if isinstance(dist, Mixture):
+            k = dist.n_components
+            labels = rng.choice(k, size=n, p=dist.weights)
+            pts = rng.standard_normal((n, dist.dim))
+            for c in range(k):
+                mask = labels == c
+                if np.any(mask):
+                    # one matmul per component: BLAS picks its kernel by
+                    # row count, so splitting the rows could change the
+                    # last bit
+                    pts[mask] = _affine(pts[mask], dist.components[c])
+            return LabeledSample(points=pts, labels=labels)
+    # numpy raises these for a draw it cannot allocate, or even size
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"cannot allocate a sample of n={n} points "
+                              f"in d={dist.dim}: {exc}") from None
     raise ValidationError(f"cannot sample from {type(dist).__name__}")
 
 

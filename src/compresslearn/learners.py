@@ -82,7 +82,8 @@ class SelectionResult:
 
 def _pair_coefficients(mu: np.ndarray, var: np.ndarray, I: np.ndarray,
                        J: np.ndarray):
-    """``(a, b, c)`` with ``log f_i(x) - log f_j(x) = a x^2 + b x + c``.
+    """``(a, b, c)`` with ``log f_i(x) - log f_j(x) = a x^2 + b x + c``,
+    and the sizes of their terms as the log densities compute them.
 
     One entry per pair ``(I[k], J[k])`` of 1-D Gaussians with means ``mu``
     and variances ``var``.
@@ -96,46 +97,56 @@ def _pair_coefficients(mu: np.ndarray, var: np.ndarray, I: np.ndarray,
     log_ratio = np.fromiter(map(math.log, (sj2 / si2).tolist()), float,
                             len(I))
     c = mj * mj / (2.0 * sj2) - mi * mi / (2.0 * si2) + 0.5 * log_ratio
-    return a, b, c
+    sizes = (0.5 / si2 + 0.5 / sj2, np.abs(mi) / si2 + np.abs(mj) / sj2,
+             mi * mi / (2.0 * si2) + mj * mj / (2.0 * sj2)
+             + 0.5 * (np.abs(np.log(si2)) + np.abs(np.log(sj2))) + 2.0)
+    return (a, b, c), sizes
 
 
-def _region_masses(mu, var, I, J, a, b, c):
+def _pair_regions(a, b, c):
+    """``(r1, r2, s_out, slope)``: the region ``{a x^2 + b x + c > 0}``.
+
+    It lies outside ``[r1, r2]`` where ``s_out`` is +1, inside where -1.
+    The roots are ``(-b -+ sqrt(disc)) / (2a)``, or a line's ``-c/b`` with
+    an open end at ``-inf`` or ``inf``; without a sign change ``r1 = r2 =
+    inf``.  ``slope[k]`` is ``|P'|`` at ``(r1, r2)[k]``, 0 at a non-root.
+    """
+    inf = math.inf
+    disc = b * b - 4.0 * a * c
+    quad = (a != 0.0) & (disc > 0.0)
+    rising = (a == 0.0) & (b > 0.0)
+    falling = (a == 0.0) & (b < 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sq = np.sqrt(np.where(quad, disc, 0.0))
+        ra = (-b - sq) / (2.0 * a)
+        rb = (-b + sq) / (2.0 * a)
+        root = -c / b
+    r1 = np.select([quad, rising, falling], [np.minimum(ra, rb), root, -inf],
+                   inf)
+    r2 = np.select([quad, falling], [np.maximum(ra, rb), root], inf)
+    everywhere = np.where(a == 0.0, (b == 0.0) & (c > 0.0),
+                          (disc <= 0.0) & (a > 0.0))
+    s_out = np.where(everywhere | quad & (a > 0.0), 1.0, -1.0)
+    slope = np.array([np.select([quad, rising], [sq, b], 0.0),
+                      np.select([quad, falling], [sq, -b], 0.0)])
+    return r1, r2, s_out, slope
+
+
+def _region_masses(mu, var, I, J, region):
     """Masses candidates ``I`` and ``J`` give to ``{f_i > f_j}``, per pair.
 
-    The quadratic ``a x^2 + b x + c`` is positive on the empty set, one
-    interval, a half line, its complement, or all of R.  Each region is
-    written as two intervals ``(lo, hi)``; an unused one is ``(inf, inf)``,
-    which adds exactly zero mass.
+    The region of :func:`_pair_regions` is two intervals ``(lo, hi)``:
+    ``(-inf, r1)`` and ``(r2, inf)`` outside the roots, or ``(r1, r2)`` and
+    an unused ``(inf, inf)``, which adds exactly zero mass, inside them.
     """
     # scipy.special loads on first use, not when the package is imported
     from scipy.special import ndtr
 
     inf = math.inf
-    lo = np.full((2, len(I)), inf)
-    hi = np.full((2, len(I)), inf)
-    disc = b * b - 4.0 * a * c
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        ra = (-b - sq) / (2.0 * a)
-        rb = (-b + sq) / (2.0 * a)
-        root = -c / b
-    r1, r2 = np.minimum(ra, rb), np.maximum(ra, rb)
-    linear = a == 0.0
-    everywhere = np.where(linear, (b == 0.0) & (c > 0.0),
-                          (disc <= 0.0) & (a > 0.0))
-    lo[0, everywhere] = -inf
-    rising = linear & (b > 0.0)
-    lo[0, rising] = root[rising]
-    falling = linear & (b < 0.0)
-    lo[0, falling] = -inf
-    hi[0, falling] = root[falling]
-    tails = ~linear & (disc > 0.0) & (a > 0.0)
-    lo[0, tails] = -inf
-    hi[0, tails] = r1[tails]
-    lo[1, tails] = r2[tails]
-    bump = ~linear & (disc > 0.0) & (a < 0.0)
-    lo[0, bump] = r1[bump]
-    hi[0, bump] = r2[bump]
+    r1, r2, s_out, _ = region
+    out = s_out > 0.0
+    lo = (np.where(out, -inf, r1), np.where(out, r2, inf))
+    hi = (np.where(out, r1, r2), inf)
 
     def mass(k):
         m_k = mu[k]
@@ -147,23 +158,25 @@ def _region_masses(mu, var, I, J, a, b, c):
     return mass(I), mass(J)
 
 
-def _closed_form_counts(mu, var, I, J, a, b, c, cands, points):
+def _closed_form_counts(I, J, coef, sizes, region, cands, points):
     """Holdout points where ``log f_i > log f_j``, per pair of 1-D Gaussians.
 
     Equal, tie for tie, to counting ``ld[i] > ld[j]`` over the stored
     holdout log densities ``ld[k] = log_density(cands[k], points)``, in
     ``O((m^2 + n) log n)`` instead of ``O(m^2 n)``.  With ``P`` the
-    quadratic of :func:`_pair_coefficients`, a stored difference
+    quadratic ``coef`` of :func:`_pair_coefficients`, a stored difference
     ``ld[i] - ld[j]`` lies within ``slack`` of ``P(x)`` on the data range
     (rounding in the log densities and the coefficients is far below
-    ``REGION_BAND_TOL`` times the size of their terms).  So:
+    ``REGION_BAND_TOL`` times the ``sizes`` of their terms).  So:
 
-    * the roots of ``P`` (numerically stable form) get bands wide enough
-      that ``|P| > slack`` just outside them;
+    * each root of ``region`` (:func:`_pair_regions`) gets a band wide
+      enough that ``|P| > slack`` just outside it, were the root exact;
     * the signs of ``P`` are checked at the four band edges (or at the
       vertex when ``P`` has no root), which proves each band holds a root
       and that ``|P| > slack``, hence the stored comparison agrees with the
-      sign of ``P``, everywhere outside the bands;
+      sign of ``P``, everywhere outside the bands.  The proof does not
+      rely on how accurate a root is: a band that misses its root fails a
+      check;
     * points outside the bands are counted with ``searchsorted`` on the
       sorted holdout, and points inside are compared on the stored rows;
     * a pair whose check fails (tangent, near-identical or identical
@@ -174,63 +187,41 @@ def _closed_form_counts(mu, var, I, J, a, b, c, cands, points):
     order = np.argsort(x, kind="stable")
     xs = x[order]
     tol = REGION_BAND_TOL
-    mi, si2 = mu[I], var[I]
-    mj, sj2 = mu[J], var[J]
-    a_abs = 0.5 / si2 + 0.5 / sj2
-    b_abs = np.abs(mi) / si2 + np.abs(mj) / sj2
-    c_abs = mi * mi / (2.0 * si2) + mj * mj / (2.0 * sj2) \
-        + 0.5 * (np.abs(np.log(si2)) + np.abs(np.log(sj2))) + 2.0
+    a, b, c = coef
+    r1, r2, s_out, slope = region
 
     def size(t):
         t = np.abs(t)
-        return (a_abs * t + b_abs) * t + c_abs
+        return (sizes[0] * t + sizes[1]) * t + sizes[2]
 
     def holds(t, sign):
         """``P(t)`` has ``sign`` with a margin beyond rounding and slack."""
         p_t = (a * t + b) * t + c
         return (np.sign(p_t) == sign) & (np.abs(p_t) > slack + tol * size(t))
 
-    inf = math.inf
     slack = tol * size(max(abs(xs[0]), abs(xs[-1])))
-    disc = b * b - 4.0 * a * c
-    quad = (a != 0.0) & (disc > 0.0)
-    lin = (a == 0.0) & (b != 0.0)
-    flat = ~quad & ~lin
+    flat = ~slope.any(axis=0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sq = np.sqrt(np.where(quad, disc, 0.0))
-        q = -0.5 * (b + np.copysign(sq, b))
-        r1 = np.where(quad, np.minimum(q / a, c / q), -c / b)
-        r2 = np.where(quad, np.maximum(q / a, c / q), inf)
-        # a falling line's root is the right end of its positive part
-        falling = lin & (b < 0.0)
-        r1, r2 = np.where(falling, -inf, r1), np.where(falling, r1, r2)
-        slope = np.where(quad, sq, np.abs(b))
+        # a P without roots has the sign of a at its vertex, with a margin
         vertex = np.where(a != 0.0, -b / (2.0 * a), 0.0)
-        # sign on the outer segments, and between the two roots
-        s_out = np.where(quad, np.sign(a), -1.0)
-        s_out = np.where(flat, np.sign((a * vertex + b) * vertex + c), s_out)
-        s_mid = -s_out
-        no_root = holds(vertex, s_out) & ((a == 0.0) | (s_out == np.sign(a)))
-        finite_roots = np.isfinite(np.where(falling, r2, r1)) \
-            & (~quad | np.isfinite(r2))
-        ok = np.where(flat, no_root, finite_roots)
+        ok = ~flat | (holds(vertex, s_out)
+                      & ((a == 0.0) | (s_out == np.sign(a))))
         edges = []
-        for r, sides in ((r1, (s_out, s_mid)), (r2, (s_mid, s_out))):
-            w = 4.0 * (slack + tol * size(r)) / slope + tol * np.abs(r)
-            real = ~flat & np.isfinite(r)
+        for r, d, sides in ((r1, slope[0], (s_out, -s_out)),
+                            (r2, slope[1], (-s_out, s_out))):
+            w = 4.0 * (slack + tol * size(r)) / d + tol * np.abs(r)
             lo_e, hi_e = r - w, r + w
-            ok &= ~real | (np.isfinite(w) & holds(lo_e, sides[0])
-                           & holds(hi_e, sides[1]))
-            edges += [np.where(real, lo_e, np.where(flat, inf, r)),
-                      np.where(real, hi_e, np.where(flat, inf, r))]
+            # a root that is not finite has no finite w and falls back
+            ok &= (d == 0.0) | (np.isfinite(w) & holds(lo_e, sides[0])
+                                & holds(hi_e, sides[1]))
+            edges += [np.where(d > 0.0, lo_e, r), np.where(d > 0.0, hi_e, r)]
         ok &= flat | (edges[1] < edges[2])
-    e1, e2, e3, e4 = (np.where(ok, e, inf) for e in edges)
+    e1, e2, e3, e4 = (np.where(ok, e, math.inf) for e in edges)
     p1 = np.searchsorted(xs, e1, "left")
     p2 = np.searchsorted(xs, e2, "right")
     p3 = np.searchsorted(xs, e3, "left")
     p4 = np.searchsorted(xs, e4, "right")
-    counts = np.where(s_out > 0.0, p1 + (n - p4), 0) \
-        + np.where(s_mid > 0.0, p3 - p2, 0)
+    counts = np.where(s_out > 0.0, p1 + (n - p4), p3 - p2)
     banded = np.flatnonzero(ok & ((p2 > p1) | (p4 > p3)))
     whole = np.flatnonzero(~ok)
     needed = np.unique(np.concatenate((I[banded], J[banded],
@@ -256,9 +247,10 @@ def _closed_form_1d(cands, points: np.ndarray, I: np.ndarray,
     """
     mu = np.array([float(g.mean[0]) for g in cands])
     var = np.array([float(g.cov[0, 0]) for g in cands])
-    a, b, c = _pair_coefficients(mu, var, I, J)
-    p_i, p_j = _region_masses(mu, var, I, J, a, b, c)
-    counts = _closed_form_counts(mu, var, I, J, a, b, c, cands, points)
+    coef, sizes = _pair_coefficients(mu, var, I, J)
+    region = _pair_regions(*coef)
+    p_i, p_j = _region_masses(mu, var, I, J, region)
+    counts = _closed_form_counts(I, J, coef, sizes, region, cands, points)
     return counts / points.shape[0], p_i, p_j
 
 
@@ -302,13 +294,10 @@ def _pool_seed(dist: Distribution, salt: int) -> int:
 # Tournament work units for the worker pool (``utils._run_units``)
 
 
-def _blocks(weights, parts: int) -> list:
+def _blocks(n: int, parts: int) -> list:
     """At most ``parts`` contiguous, nonempty ``(start, stop)`` blocks of
-    ``range(len(weights))``, each holding about an equal share of weight."""
-    cum = np.cumsum(weights)
-    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, parts) / parts,
-                           side="right")
-    bounds = [0, *cuts.tolist(), len(cum)]
+    ``range(n)``, split evenly."""
+    bounds = [n * k // parts for k in range(parts + 1)]
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
@@ -364,17 +353,17 @@ def _split_tournament(cands, points: np.ndarray, I: np.ndarray,
         return _closed_form_1d(cands, points, I, J)
     workers = _worker_pool()[1]
     # holdout column blocks first: they are the largest units
-    cols = _blocks(np.ones(len(points)), workers)
+    cols = _blocks(len(points), workers)
     units = [(_holdout_counts, cands, points[a:b], I, J) for a, b in cols]
     if strategy == "grid_1d":
         # blocks of the pair list, balanced by pair count
-        pairs = _blocks(np.ones(len(I)), workers)
+        pairs = _blocks(len(I), workers)
         grid = _shared_grid(cands)
         units += [(_grid_masses, cands, grid, I[a:b], J[a:b])
                   for a, b in pairs]
     else:
         salt = int(as_generator(seed).integers(1 << 62))
-        rows = _blocks(np.ones(len(cands)), POOL_BLOCKS_PER_WORKER * workers)
+        rows = _blocks(len(cands), POOL_BLOCKS_PER_WORKER * workers)
         units += [(_pool_fractions, cands, a, b, salt, n_pool)
                   for a, b in rows]
     done = _run_units(units)

@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +138,38 @@ def test_learn_rejects_bad_input_in_one_line(capsys, target, delta):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("learn: ") and err.count("\n") == 1
+
+
+def test_learn_reports_a_sample_too_large_to_size(capsys):
+    code = learn_main([
+        "--target", GAUSS_A, "--scheme", "g1d", "--eps", "1e-12",
+        "--delta", "0.1", "--budget", "10"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("learn: cannot allocate a sample of n=")
+    assert "in d=1" in err and err.count("\n") == 1
+
+
+# only ever run under the address-space limit: the draw asks for 830 GiB
+TOO_LARGE_SAMPLE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from compresslearn.cli import learn_main
+sys.exit(learn_main(["--target", sys.argv[1], "--scheme", "g1d",
+                     "--eps", "1e-4", "--delta", "0.1", "--budget", "10"]))
+"""
+
+
+def test_learn_reports_a_sample_too_large_to_allocate():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", TOO_LARGE_SAMPLE, GAUSS_A],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith(
+        "learn: cannot allocate a sample of n=111353788787 points in d=1")
+    assert out.stderr.count("\n") == 1
 
 
 def test_lowerbound_outputs(tmp_path, capsys):
@@ -338,3 +373,20 @@ def test_a_file_that_is_not_utf8_exits_2_in_one_line(tmp_path, capsys, main,
     assert main(args + [str(path)]) == 2
     err = capsys.readouterr().err
     assert "can't decode byte 0xff" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("main, args", [
+    (compresslearn_main, ["run", "--out", "o", "--config"]),
+    (distances_main, ["--q", GAUSS_B, "--metric", "tv", "--p"])],
+    ids=["run --config", "distances --p"])
+def test_deeply_nested_json_exits_2_in_one_line(tmp_path, capsys, main, args):
+    path = tmp_path / "in.json"
+    deep_keys = '{"a": ' * 100000 + "0" + "}" * 100000
+    deep_mixture = ('{"type": "mixture", "weights": [1.0], "components": ['
+                    * 2000 + GAUSS_A + "]}" * 2000)
+    for text in (deep_keys, deep_mixture):
+        path.write_text(text)
+        assert main(args + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "maximum recursion depth exceeded" in err
+        assert err.count("\n") == 1

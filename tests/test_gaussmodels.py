@@ -145,6 +145,16 @@ def test_sample_accepts_python_and_numpy_integers():
         np.testing.assert_array_equal(sample(g, n, 7).points, expected)
 
 
+@pytest.mark.parametrize("dist", [
+    Gaussian([0.0], [[1.0]]),
+    Mixture([0.5, 0.5], [Gaussian([-1.0], [[1.0]]), Gaussian([1.0], [[1.0]])])],
+    ids=["gaussian", "mixture"])
+def test_sample_too_large_to_size_raises_validation_error(dist):
+    # numpy cannot even size the draw, so nothing is allocated
+    with pytest.raises(ValidationError, match=r"n=10{27} points in d=1"):
+        sample(dist, 10 ** 27, 0)
+
+
 def _sample_peak_ratio(dist, n: int) -> float:
     """tracemalloc peak of ``sample`` over the bytes it returns."""
     sample(dist, 10, 0)  # warm caches outside the measurement
