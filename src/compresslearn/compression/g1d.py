@@ -70,12 +70,9 @@ def _encode_g1d(target: Gaussian, sample: LabeledSample,
         return EncodeOutcome.failure("scale difference outside (C_LOW, C_HIGH) band")
     if abs(g3 - mu) > C_HIGH * sigma:
         return EncodeOutcome.failure("anchor point too far from the mean")
-    ratio_grid = scale_ratio_grid(eps)
-    offset_grid = mean_offset_grid(eps)
-    lam_idx = ratio_grid.quantize(sigma / g)
-    eta_idx = offset_grid.quantize((mu - g3) / sigma)
     bits = g1d_layout(eps).pack(
-        [ratio_grid.to_offset(lam_idx), offset_grid.to_offset(eta_idx)])
+        [scale_ratio_grid(eps).offsets(sigma / g),
+         mean_offset_grid(eps).offsets((mu - g3) / sigma)])
     return EncodeOutcome.success(
         CompressionMessage(SCHEME_G1D, np.arange(3), bits))
 
@@ -87,10 +84,8 @@ def _decode_g1d(message: CompressionMessage, pts: np.ndarray,
         raise ValidationError("points must have shape (n, 1)")
     g1, g2, g3 = (float(pts[r, 0]) for r in message.sample_refs)
     lam_off, eta_off = g1d_layout(eps).unpack(message.bits).tolist()
-    ratio_grid = scale_ratio_grid(eps)
-    offset_grid = mean_offset_grid(eps)
-    lam = ratio_grid.value(ratio_grid.from_offset(lam_off))
-    eta = offset_grid.value(offset_grid.from_offset(eta_off))
+    lam = scale_ratio_grid(eps).values(lam_off)
+    eta = mean_offset_grid(eps).values(eta_off)
     sigma_hat = lam * (g1 - g2) / math.sqrt(2.0)
     if sigma_hat <= 0.0:
         raise DecodingError("decoded scale is not positive")

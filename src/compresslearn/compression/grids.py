@@ -45,34 +45,14 @@ class SymmetricGrid:
         """Bits needed to store one offset index."""
         return max(1, (self.n_points - 1).bit_length())
 
-    def quantize(self, x: float) -> int:
-        """Signed index of the nearest grid point, clipped to the range."""
-        k = int(round(x / self.step))
-        return max(-self.n_half, min(self.n_half, k))
-
-    def value(self, k: int) -> float:
-        if abs(k) > self.n_half:
-            raise ValidationError("grid index out of range")
-        return k * self.step
-
-    def to_offset(self, k: int) -> int:
-        """Nonnegative wire index for a signed grid index."""
-        if abs(k) > self.n_half:
-            raise ValidationError("grid index out of range")
-        return k + self.n_half
-
-    def from_offset(self, u: int) -> int:
-        if not (0 <= u < self.n_points):
-            raise ValidationError("offset index out of range")
-        return u - self.n_half
-
     def offsets(self, x) -> np.ndarray:
-        """Elementwise ``to_offset(quantize(x))``; ``rint`` rounds half to
-        even exactly as ``round`` does."""
+        """Nonnegative wire index of the grid point nearest each ``x``,
+        clipped to the range; ``rint`` rounds half to even."""
         k = np.clip(np.rint(np.asarray(x, dtype=float) / self.step),
                     -self.n_half, self.n_half)
         return k.astype(np.int64) + self.n_half
 
-    def values(self, offsets) -> np.ndarray:
-        """Elementwise ``value(from_offset(u))`` for in-range offsets."""
-        return (np.asarray(offsets) - self.n_half) * self.step
+    def values(self, offsets):
+        """Grid value of each in-range wire index: a float for an int, an
+        array for an integer array (the same bits either way)."""
+        return (offsets - self.n_half) * self.step

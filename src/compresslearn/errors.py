@@ -26,5 +26,4 @@ class DecodingError(CompressLearnError):
 
 
 class WorkerPoolError(CompressLearnError):
-    """A worker process died mid-task: one of the program's worker pool,
-    or a harness trial process."""
+    """A worker process of the program's one worker pool died mid-task."""

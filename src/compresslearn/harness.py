@@ -14,8 +14,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -29,12 +27,13 @@ from .compression import codec_for
 from .distances import kl_gaussians, tv_estimate
 # kept for callers that patch this module's tv_mc; trials call tv_estimate
 from .distances import tv_mc  # noqa: F401
-from .errors import CompressLearnError, ValidationError, WorkerPoolError
+from .errors import CompressLearnError, ValidationError
 from .gaussmodels import Gaussian, dist_from_json, sample
 from .learners import learn_gaussian_efficient
 from .lowerbound import kl_pair, make_lb_family, tv_pair_lower
 from .nets import HULL_MAX_DIM, hull_contains_ball
-from .utils import as_generator, usable_cpus
+from .utils import (POOL_BLOCKS_PER_WORKER, _blocks, _run_units,
+                    _worker_pool, as_generator)
 
 ROWS_SCHEMA = "compresslearn-rows-v1"
 SUMMARY_SCHEMA = "compresslearn-summary-v1"
@@ -305,31 +304,35 @@ def _run_one(args: tuple) -> tuple:
     return grid_idx, trial_idx, seed, success, tv, kl, wall_ms
 
 
+def _run_trials(tasks: list) -> list:
+    """One pool unit: a contiguous block of trials, run in order."""
+    return [_run_one(task) for task in tasks]
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """Run every grid point x trial and return rows in deterministic order.
 
-    ``workers > 1`` fans trials out to a process pool, capped at one
-    process per task and per CPU this process may run on; results keep
-    (grid, trial) order, so worker count cannot change output.  A trial
-    process that dies raises :class:`WorkerPoolError`.
+    ``workers == 1`` (or a single trial) runs the trials in this
+    process, one after the other; their own pool work (a gd encode's hull
+    solves) still runs on the program's worker pool
+    (``utils._run_units``).  ``workers > 1`` hands the trials to that pool
+    instead, as contiguous blocks, so it uses one process per CPU this
+    process may run on whatever its value (``taskset`` limits that);
+    there the trials do their own work in-process.  Rows keep (grid,
+    trial) order, so the worker count cannot change output.  A worker
+    that dies raises :class:`WorkerPoolError`.
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")
     tasks = [(cfg, g, t)
              for g in range(len(cfg.grid)) for t in range(cfg.trials)]
-    workers = min(workers, len(tasks), usable_cpus())
-    if workers == 1:
+    if workers == 1 or len(tasks) == 1:
         results = [_run_one(task) for task in tasks]
     else:
-        # a chunk or more per worker, up to four to spread slow grid points
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(
-                    _run_one, tasks,
-                    chunksize=max(1, len(tasks) // (4 * workers))))
-        except BrokenProcessPool as exc:
-            raise WorkerPoolError(
-                f"a trial worker process died ({exc})") from exc
+        blocks = _blocks(len(tasks),
+                         POOL_BLOCKS_PER_WORKER * _worker_pool()[1])
+        results = [row for done in _run_units(
+            [(_run_trials, tasks[a:b]) for a, b in blocks]) for row in done]
     return [
         ExperimentRow(
             experiment=cfg.experiment, grid_value=cfg.grid[g], trial=t,

@@ -31,15 +31,14 @@ from .compression import CompressionMessage, Codec
 from .errors import DecodingError, ValidationError
 from .gaussmodels import (Gaussian, LabeledSample, Mixture, log_densities,
                           log_density, sample)
-from .utils import _run_units, _worker_pool, as_generator
+from .utils import (POOL_BLOCKS_PER_WORKER, _blocks, _run_units,
+                    _worker_pool, as_generator)
 
 Distribution = Union[Gaussian, Mixture]
 
 SCHEFFE_MC_POOL = 5000      # MC draws per candidate for d > 1 region masses
 SCHEFFE_GRID_POINTS = 8193  # shared quadrature grid for 1-D mixtures
 SCHEFFE_GRID_SIGMAS = 10.0
-# MC pool row blocks per worker process, so uneven blocks even out
-POOL_BLOCKS_PER_WORKER = 2
 # relative width, against the size of the log-density terms, of the bands
 # around 1-D region roots where holdout points are compared on stored values
 REGION_BAND_TOL = 2.0 ** -36
@@ -66,8 +65,13 @@ def holdout_size(n_candidates: int, eps: float, delta: float) -> int:
         raise ValidationError("need at least one candidate")
     if not (0.0 < eps < 1.0) or not (0.0 < delta < 1.0):
         raise ValidationError("eps and delta must lie in (0, 1)")
-    return math.ceil(math.log(3.0 * n_candidates ** 2 / delta)
-                     / (2.0 * eps ** 2))
+    try:
+        return math.ceil(math.log(3.0 * n_candidates ** 2 / delta)
+                         / (2.0 * eps ** 2))
+    except OverflowError:
+        raise ValidationError(
+            f"too many candidates to size a holdout for: {n_candidates}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -294,13 +298,6 @@ def _pool_seed(dist: Distribution, salt: int) -> int:
 # Tournament work units for the worker pool (``utils._run_units``)
 
 
-def _blocks(n: int, parts: int) -> list:
-    """At most ``parts`` contiguous, nonempty ``(start, stop)`` blocks of
-    ``range(n)``, split evenly."""
-    bounds = [n * k // parts for k in range(parts + 1)]
-    return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
-
-
 def _holdout_counts(cands, points: np.ndarray, I: np.ndarray,
                     J: np.ndarray) -> np.ndarray:
     """Points where ``log f_i > log f_j``, per pair ``(I[k], J[k])``.  A
@@ -418,13 +415,14 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
     fractions), and blocks of the ``grid_1d`` pair list, split by pair
     count (each pair's mass one sum over the whole masked grid).  On Linux
     the units run on the program's ``fork`` worker pool
-    (``utils._run_units``, shared with the gd encoder), one worker per
-    available CPU, created at first use; they run in-process, one after
-    the other, on a single CPU, without ``fork``, and inside a child
-    process such as a harness worker.  Either way the winner and win
-    vector are bit for bit those of a serial all-pairs loop.  A worker
-    that dies raises :class:`WorkerPoolError`, and the next call starts a
-    new pool.  ``closed_form_1d`` always runs in-process.
+    (``utils._run_units``, shared with the gd encoder and the harness),
+    one worker per available CPU, created at first use; they run
+    in-process, one after the other, on a single CPU, without ``fork``,
+    and inside a child process such as a pool worker running a harness
+    trial.  Either way the winner and win vector are bit for bit those of
+    a serial all-pairs loop.  A worker that dies raises
+    :class:`WorkerPoolError`, and the next call starts a new pool.
+    ``closed_form_1d`` always runs in-process.
     """
     cands = list(cands)
     if not cands:

@@ -1,6 +1,6 @@
-"""Small shared helpers: RNG coercion, the usable CPU count, and the
-program's one worker pool, which runs the Scheffe tournament's and the gd
-encoder's independent units."""
+"""Small shared helpers: RNG coercion, and the program's one worker pool,
+which runs the Scheffe tournament's, the gd encoder's and the harness
+trials' independent units."""
 
 from __future__ import annotations
 
@@ -30,11 +30,9 @@ def as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the platform cannot say."""
-    return len(os.sched_getaffinity(0)) \
-        if hasattr(os, "sched_getaffinity") else 1
-
+# blocks per worker process when a caller splits its work by count, so
+# uneven blocks even out
+POOL_BLOCKS_PER_WORKER = 4
 
 _POOL: Optional[ProcessPoolExecutor] = None
 
@@ -52,12 +50,14 @@ def _worker_pool():
     """``(pool, workers)``; the pool is ``None`` where units run in-process.
 
     The pool is created at the first call that can use one: a ``fork``
-    pool with one worker per CPU this process may run on.  Work stays
-    in-process on one CPU, without ``fork``, and inside a child process
-    (for example a harness worker), which would otherwise fork again.
+    pool with one worker per CPU this process may run on (``taskset``
+    limits that).  Work stays in-process on one CPU, without ``fork``,
+    and inside a child process (for example a pool worker running a
+    harness trial), which would otherwise fork again.
     """
     global _POOL
-    workers = usable_cpus()
+    workers = len(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else 1
     if workers < 2 or multiprocessing.parent_process() is not None \
             or "fork" not in multiprocessing.get_all_start_methods():
         return None, 1
@@ -65,6 +65,13 @@ def _worker_pool():
         _POOL = ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"))
     return _POOL, workers
+
+
+def _blocks(n: int, parts: int) -> list:
+    """At most ``parts`` contiguous, nonempty ``(start, stop)`` blocks of
+    ``range(n)``, split evenly."""
+    bounds = [n * k // parts for k in range(parts + 1)]
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
 def _run_units(units: list) -> list:

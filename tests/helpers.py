@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 
-from compresslearn import LabeledSample
+from compresslearn import LabeledSample, harness
 from compresslearn.compression import CompressionMessage
 
 
@@ -56,8 +56,22 @@ def unpack_bits_oracle(bits, widths) -> list:
     return digits
 
 
-def exit_in_child(task):
-    """Stands in for ``harness._run_one``: a trial process that dies."""
+def grid_index_oracle(grid, x):
+    """Reference quantizer: the signed index ``k`` of the grid point
+    ``k * grid.step`` nearest ``x`` (half to even), clipped to the grid."""
+    k = int(round(x / grid.step))
+    return max(-grid.n_half, min(grid.n_half, k))
+
+
+def exit_in_child(tasks):
+    """Stands in for ``harness._run_trials``: a pool worker that dies."""
     if multiprocessing.parent_process() is not None:
         os._exit(1)
     raise AssertionError("a trial ran in the test process")
+
+
+def trials_with_pid(tasks):
+    """Stands in for ``harness._run_trials``: runs the block, with the pid
+    of the process that ran it in each result's ``wall_ms`` slot."""
+    return [result[:-1] + (os.getpid(),)
+            for result in map(harness._run_one, tasks)]

@@ -150,6 +150,16 @@ def test_learn_reports_a_sample_too_large_to_size(capsys):
     assert "in d=1" in err and err.count("\n") == 1
 
 
+def test_learn_reports_a_budget_too_large_to_size_a_holdout(capsys):
+    code = learn_main([
+        "--target", GAUSS_A, "--scheme", "g1d", "--eps", "0.3",
+        "--delta", "0.1", "--budget", "1" + "0" * 200])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("learn: too many candidates to size a holdout")
+    assert err.count("\n") == 1
+
+
 # only ever run under the address-space limit: the draw asks for 830 GiB
 TOO_LARGE_SAMPLE = """
 import resource, sys
@@ -346,7 +356,7 @@ def test_compresslearn_run_rejects_a_mixture_learn_curve_before_any_trial(
 def test_compresslearn_run_reports_a_dead_trial_process(tmp_path, capsys,
                                                         monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(harness, "_run_one", exit_in_child)
+    monkeypatch.setattr(harness, "_run_trials", exit_in_child)
     cfg = dict(experiment="hull_probe", grid_kind="n", grid=[200],
                trials=2, seed=9)
     cfg_path = tmp_path / "cfg.json"
@@ -355,7 +365,7 @@ def test_compresslearn_run_reports_a_dead_trial_process(tmp_path, capsys,
                                str(tmp_path / "o"), "--workers", "2"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("compresslearn: a trial worker process died")
+    assert err.startswith("compresslearn: a worker process died")
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 

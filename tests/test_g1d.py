@@ -11,6 +11,7 @@ from compresslearn import (DecodingError, Gaussian, LabeledSample,
 from compresslearn.compression import CompressionMessage, g1d_codec
 from compresslearn.compression.g1d import (C_HIGH, C_LOW, mean_offset_grid,
                                            scale_ratio_grid)
+from helpers import grid_index_oracle
 
 # Pr[c < |N(0,1)| < C] at the default constants, frozen from
 # 2 * (Phi(2.6) - Phi(0.0125)); the anchor event Pr[|N(0,1)| <= 2.6]
@@ -43,9 +44,9 @@ def test_grid_bounds():
     rg = scale_ratio_grid(eps)
     og = mean_offset_grid(eps)
     assert rg.step == pytest.approx(eps / (2.0 * C_HIGH ** 2))
-    assert rg.value(rg.n_half) >= 1.0 / C_LOW
+    assert rg.n_half * rg.step >= 1.0 / C_LOW
     assert og.step == pytest.approx(eps / 2.0)
-    assert og.value(og.n_half) >= C_HIGH
+    assert og.n_half * og.step >= C_HIGH
 
 
 def test_roundtrip_accuracy_across_scales():
@@ -91,8 +92,8 @@ def test_decode_is_deterministic_and_matches_quantizer():
     g = (pts[0, 0] - pts[1, 0]) / math.sqrt(2.0)
     rg = scale_ratio_grid(0.2)
     og = mean_offset_grid(0.2)
-    lam = rg.value(rg.quantize(2.0 / g))
-    eta = og.value(og.quantize((2.0 - pts[2, 0]) / 2.0))
+    lam = grid_index_oracle(rg, 2.0 / g) * rg.step
+    eta = grid_index_oracle(og, (2.0 - pts[2, 0]) / 2.0) * og.step
     assert float(a.cov[0, 0]) == pytest.approx((lam * g) ** 2, rel=1e-12)
     assert float(a.mean[0]) == pytest.approx(pts[2, 0] + lam * g * eta,
                                              rel=1e-12)

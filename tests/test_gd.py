@@ -35,7 +35,7 @@ def test_grid_steps_scale_with_problem_size():
     assert cg.step <= eps / (96.0 * 20.0 * m * d ** 3) + 1e-18
     ag = anchor_grid(eps, d)
     assert ag.step == pytest.approx(2.0 * eps / (3.0 * d * math.sqrt(d)))
-    assert ag.value(ag.n_half) >= 4.0 * math.sqrt(d)
+    assert ag.n_half * ag.step >= 4.0 * math.sqrt(d)
 
 
 def test_roundtrip_whitened_error_chains():

@@ -2,18 +2,21 @@
 
 import json
 import math
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from compresslearn import (ExperimentConfig, ExperimentRow, ValidationError,
-                           WorkerPoolError, derive_seed, harness,
-                           run_experiment, summarize, write_outputs)
+from compresslearn import (ExperimentConfig, ExperimentRow, Gaussian,
+                           ValidationError, WorkerPoolError, derive_seed,
+                           harness, run_experiment, sample, select_candidate,
+                           summarize, utils, write_outputs)
+from compresslearn.compression import gd_codec
 from compresslearn.harness import (_splitmix64, rows_to_csv, run_manifest,
                                    summary_to_csv)
 from compresslearn.nets import HULL_MAX_DIM
-from helpers import exit_in_child
+from helpers import exit_in_child, trials_with_pid
 
 GAUSS_1D = {"type": "gaussian", "mean": [0.0], "cov": [[1.0]]}
 
@@ -364,56 +367,76 @@ def test_config_rejects_a_learn_curve_target_that_is_not_gaussian():
                          trials=1, seed=0, target=MIXTURE_1D)
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size and the chunks
-    it is handed, and runs them in-process."""
-
-    made = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.chunks = []
-        _RecordingPool.made.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks, chunksize=1):
-        tasks = list(tasks)
-        self.chunks = [tasks[i:i + chunksize]
-                       for i in range(0, len(tasks), chunksize)]
-        return map(fn, tasks)
+@pytest.fixture
+def two_cpus_no_pool(monkeypatch):
+    """Two CPUs and no worker pool yet; a pool the test starts is shut
+    down after it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(utils, "_POOL", None)
+    yield
+    if utils._POOL is not None:
+        utils._POOL.shutdown(cancel_futures=True)
 
 
-@pytest.mark.parametrize("workers, cpus, n_tasks, started", [
-    (4, 8, 3, 3), (8, 2, 6, 2), (2, 2, 64, 2), (3, 8, 5, 3),
-    (2, 1, 6, None), (2, 2, 1, None), (1, 8, 6, None)])
-def test_workers_are_capped_by_tasks_and_cpus(monkeypatch, workers, cpus,
-                                              n_tasks, started):
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)))
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
-    _RecordingPool.made = []
-    cfg = ExperimentConfig(experiment="hull_probe", grid_kind="n",
-                           grid=[20] * n_tasks, trials=1, seed=2)
-    rows = run_experiment(cfg, workers=workers)
-    if started is None:
-        assert _RecordingPool.made == []
-    else:
-        (pool,) = _RecordingPool.made
-        assert pool.max_workers == started
-        # every task once, in order, and a chunk for each started worker
-        assert [task[1:] for chunk in pool.chunks for task in chunk] \
-            == [(g, 0) for g in range(n_tasks)]
-        assert len(pool.chunks) >= started
+def hull_probe_config(n_grid=3, trials=5):
+    return ExperimentConfig(experiment="hull_probe", grid_kind="n",
+                            grid=[20 + g for g in range(n_grid)],
+                            trials=trials, seed=2)
+
+
+def start_pool_with_selection():
+    rng = np.random.default_rng(4)
+    cands = [Gaussian(rng.standard_normal(2), np.eye(2)) for _ in range(3)]
+    select_candidate(cands, sample(cands[0], 50, rng), 0.1, 1, n_pool=50)
+
+
+def start_pool_with_gd_encode():
+    target = Gaussian([0.5, -1.0], [[2.0, 0.5], [0.5, 1.0]])
+    codec = gd_codec(2)
+    codec.encode(target, sample(target, codec.spec.m_samples(0.45), 11),
+                 0.45)
+
+
+@pytest.mark.parametrize("start_pool", [start_pool_with_selection,
+                                        start_pool_with_gd_encode],
+                         ids=["select_candidate", "gd encode"])
+def test_trials_run_on_the_pool_an_earlier_call_started(
+        two_cpus_no_pool, monkeypatch, start_pool):
+    start_pool()
+    pool = utils._POOL
+    assert pool is not None
+    monkeypatch.setattr(harness, "_run_trials", trials_with_pid)
+    cfg = hull_probe_config()
+    rows = run_experiment(cfg, workers=2)
+    assert utils._POOL is pool
+    assert os.getpid() not in {row.wall_ms for row in rows}
     assert rows_to_csv(rows) == rows_to_csv(run_experiment(cfg, workers=1))
 
 
-def test_a_dead_trial_process_raises_worker_pool_error(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(harness, "_run_one", exit_in_child)
-    with pytest.raises(WorkerPoolError, match="trial worker process died"):
+@pytest.mark.parametrize("cpus, in_child", [(1, False), (2, True)],
+                         ids=["one cpu", "child process"])
+def test_trials_run_in_process_on_one_cpu_or_in_a_child(
+        two_cpus_no_pool, monkeypatch, cpus, in_child):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    if in_child:
+        monkeypatch.setattr(multiprocessing, "parent_process",
+                            lambda: object())
+    monkeypatch.setattr(harness, "_run_trials", trials_with_pid)
+    rows = run_experiment(hull_probe_config(), workers=2)
+    assert {row.wall_ms for row in rows} == {os.getpid()}
+    assert utils._POOL is None
+
+
+@pytest.mark.parametrize("n_grid, trials", [(1, 1), (2, 1), (3, 5), (1, 9)])
+def test_pool_rows_equal_in_process_rows(two_cpus_no_pool, n_grid, trials):
+    cfg = hull_probe_config(n_grid, trials)
+    assert rows_to_csv(run_experiment(cfg, workers=2)) \
+        == rows_to_csv(run_experiment(cfg, workers=1))
+
+
+def test_a_dead_trial_process_raises_worker_pool_error(two_cpus_no_pool,
+                                                       monkeypatch):
+    monkeypatch.setattr(harness, "_run_trials", exit_in_child)
+    with pytest.raises(WorkerPoolError, match="worker process died"):
         run_experiment(small_config(), workers=2)

@@ -9,7 +9,8 @@ from compresslearn import DecodingError, ValidationError
 from compresslearn.compression import (CompressionMessage, PayloadLayout,
                                        SCHEME_G1D, SymmetricGrid)
 
-from helpers import pack_bits_oracle, unpack_bits_oracle
+from helpers import (grid_index_oracle, pack_bits_oracle,
+                     unpack_bits_oracle)
 
 
 def test_message_golden_bytes():
@@ -125,33 +126,31 @@ def test_layout_random_draws_each_field_in_wire_order():
 
 def test_grid_zero_is_exactly_representable():
     grid = SymmetricGrid.from_bound(1.0, 0.001)
-    k = grid.quantize(0.0)
-    assert grid.value(k) == 0.0
+    assert grid.values(grid.offsets(0.0)) == 0.0
 
 
 def test_grid_from_bound_covers_and_clips():
     grid = SymmetricGrid.from_bound(2.0, 0.5)
     assert grid.n_points == 2 * grid.n_half + 1
-    assert grid.value(grid.n_half) >= 2.0
-    assert grid.quantize(100.0) == grid.n_half
-    assert grid.quantize(-100.0) == -grid.n_half
+    assert grid.values(grid.n_points - 1) >= 2.0
+    assert grid.offsets(100.0) == grid.n_points - 1
+    assert grid.offsets(-100.0) == 0
 
 
 def test_grid_quantization_error_within_half_step():
     grid = SymmetricGrid.from_bound(3.0, 0.25)
-    for x in np.linspace(-3.0, 3.0, 101):
-        k = grid.quantize(float(x))
-        assert abs(grid.value(k) - x) <= 0.125 + 1e-12
+    xs = np.linspace(-3.0, 3.0, 101)
+    assert np.all(np.abs(grid.values(grid.offsets(xs)) - xs)
+                  <= 0.125 + 1e-12)
 
 
 def test_grid_offset_encoding_roundtrip():
     grid = SymmetricGrid.from_bound(1.0, 0.2)
-    for k in range(-grid.n_half, grid.n_half + 1):
-        off = grid.to_offset(k)
-        assert 0 <= off < 2 ** grid.index_width
-        assert grid.from_offset(off) == k
-    with pytest.raises(ValidationError):
-        grid.from_offset(grid.n_points)
+    ks = np.arange(-grid.n_half, grid.n_half + 1)
+    offs = grid.offsets(ks * grid.step)
+    assert offs.tolist() == list(range(grid.n_points))
+    assert offs.max() < 2 ** grid.index_width
+    assert grid.values(offs).tolist() == (ks * grid.step).tolist()
 
 
 def test_grid_index_width_is_minimal():
@@ -165,10 +164,10 @@ def test_grid_vectorized_offsets_and_values_match_scalar_methods():
     ties = (np.arange(-15, 16) + 0.5) * grid.step  # exact half steps
     xs = np.concatenate([np.linspace(-4.0, 4.0, 201), ties, [1e9, -1e9]])
     offs = grid.offsets(xs)
-    assert offs.tolist() == [grid.to_offset(grid.quantize(float(x)))
-                             for x in xs]
-    assert grid.values(offs).tolist() == [grid.value(grid.from_offset(int(u)))
-                                          for u in offs]
+    ks = [grid_index_oracle(grid, float(x)) for x in xs]
+    assert offs.tolist() == [k + grid.n_half for k in ks]
+    assert grid.values(offs).tolist() == [k * grid.step for k in ks] \
+        == [grid.values(u) for u in offs.tolist()]
 
 
 @pytest.mark.parametrize("refs, bits", [

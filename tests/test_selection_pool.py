@@ -11,8 +11,7 @@ from compresslearn import (CompressLearnError, Gaussian, Mixture,
                            WorkerPoolError, log_densities, sample,
                            select_candidate)
 from compresslearn import utils
-from compresslearn.learners import (_blocks, _pool_seed, _shared_grid,
-                                    _split_tournament)
+from compresslearn.learners import _pool_seed, _shared_grid, _split_tournament
 from compresslearn.utils import as_generator
 
 N_POOL = 300
@@ -163,18 +162,6 @@ def test_every_strategy_follows_the_pair_list_it_is_given(strategy, family,
     backward = masses(I[::-1], J[::-1])
     assert [a.tobytes() for a in backward] \
         == [a[::-1].tobytes() for a in forward]
-
-
-def test_blocks_cover_the_range_in_order():
-    for n in (1, 5, 7, 257):
-        for parts in (1, 2, 3, 8):
-            blocks = _blocks(n, parts)
-            assert 1 <= len(blocks) <= parts
-            assert blocks[0][0] == 0 and blocks[-1][1] == n
-            assert all(a < b for a, b in blocks)
-            assert all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
-            sizes = [b - a for a, b in blocks]
-            assert max(sizes) - min(sizes) <= 1
 
 
 def test_work_stays_in_process_in_a_child_or_on_one_cpu(monkeypatch):
