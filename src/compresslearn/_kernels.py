@@ -5,11 +5,15 @@
 Gaussians (or mixtures) on one point set with elementwise numpy ops,
 summing the quadratic form ``y^T A y`` in ``einsum("ij,jk,ik->i")``'s order
 (``q = 0``, then ``q += (y_j * A_jl) * y_l`` with ``j`` outer and ``l``
-inner).  A row therefore does not depend on the rest of the batch, and for
-three or more points it equals the per-Gaussian einsum of numpy 2.4 bit
-for bit.  Its temporaries span tiles of whole candidates by up to
-``LOGPDF_TILE_CELLS`` points, about ``LOGPDF_TILE_CELLS`` cells each, so
-beyond its ``(m, n)`` output it holds ``O(d)`` such tiles.
+inner; the first term initialises ``q``, since ``0.0 + t == t``).  A row
+therefore does not depend on the rest of the batch, and for three or more
+points it equals the per-Gaussian einsum of numpy 2.4 bit for bit.  It
+works on tiles of whole candidates by up to ``LOGPDF_TILE_CELLS`` points,
+about ``LOGPDF_TILE_CELLS`` cells each, in one set of tile buffers per
+call (``y``, one term, and for mixtures ``q`` and the running maximum),
+which every tile reuses through ``out=`` ufunc calls; a mixture's
+log-sum-exp runs in place in them.  Beyond its ``(m, n)`` output it holds
+``O(d)`` such tiles.
 
 ``pairwise_greater_counts`` counts, per pair ``(I[k], J[k])`` of a pair
 list, the columns where row ``I[k]`` strictly exceeds row ``J[k]``.
@@ -34,7 +38,7 @@ def backend_name() -> str:
 # Gaussian log-density
 
 # cells (component rows x points) one tile of the batched log density spans;
-# each temporary of gauss_logpdf_many_np holds at most about this many
+# each tile buffer of gauss_logpdf_many_np holds at most about this many
 LOGPDF_TILE_CELLS = 1 << 15
 
 
@@ -69,39 +73,51 @@ def gauss_logpdf_many_np(points: np.ndarray, means: np.ndarray,
     mu = np.ascontiguousarray(means.T)[:, :, None]
     a = np.ascontiguousarray(inv_covs.transpose(1, 2, 0))[:, :, :, None]
     const = (d * math.log(2.0 * math.pi) + log_dets)[:, None]
-    if log_weights is not None:
-        log_w = log_weights.reshape(rows, 1)
     tile = min(n, LOGPDF_TILE_CELLS)
     block = max(1, LOGPDF_TILE_CELLS // (k * tile))
+    # one set of tile buffers per call; a partial tile uses their corner
+    cells = (min(m, block) * k, tile)
+    y_buf = np.empty((d, *cells))
+    term_buf = np.empty(cells)
+    if log_weights is not None:
+        log_w = log_weights.reshape(rows, 1)
+        q_buf = np.empty(cells)
+        top_buf = np.empty((min(m, block), tile))
     for i0 in range(0, m, block):
         i1 = min(m, i0 + block)
         r = slice(i0 * k, i1 * k)
         for t0 in range(0, n, tile):
             t1 = min(n, t0 + tile)
+            rk, tn = (i1 - i0) * k, t1 - t0
             dest = out[i0:i1, t0:t1]
-            q = dest if log_weights is None \
-                else np.empty((r.stop - r.start, t1 - t0))
-            y = xt[:, None, t0:t1] - mu[:, r]
-            q[...] = 0.0
+            q = dest if log_weights is None else q_buf[:rk, :tn]
+            term = term_buf[:rk, :tn]
+            y = np.subtract(xt[:, None, t0:t1], mu[:, r],
+                            out=y_buf[:, :rk, :tn])
             for j in range(d):
                 for l in range(d):
-                    term = y[j] * a[j, l, r]
-                    term *= y[l]
-                    q += term
+                    # the first term initialises q: 0.0 + t == t
+                    dst = q if j == l == 0 else term
+                    np.multiply(y[j], a[j, l, r], out=dst)
+                    dst *= y[l]
+                    if dst is term:
+                        q += term
             q += const[r]
             q *= -0.5
             if log_weights is None:
                 continue
-            # log-sum-exp over each candidate's k component rows, the sum
-            # taken in component order
+            # log-sum-exp over each candidate's k component rows, in place,
+            # the sum taken in component order
             q += log_w[r]
-            comp = q.reshape(i1 - i0, k, t1 - t0)
-            top = comp.max(axis=1)
-            expd = np.exp(comp - top[:, None])
-            total = expd[:, 0].copy()
+            comp = q.reshape(i1 - i0, k, tn)
+            top = np.max(comp, axis=1, out=top_buf[:i1 - i0, :tn])
+            comp -= top[:, None]
+            np.exp(comp, out=comp)
+            np.copyto(dest, comp[:, 0])
             for c in range(1, k):
-                total += expd[:, c]
-            dest[...] = top + np.log(total)
+                dest += comp[:, c]
+            np.log(dest, out=dest)
+            dest += top
     return out
 
 

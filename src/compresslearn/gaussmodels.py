@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -255,34 +255,27 @@ def _as_batch(dim: int, x) -> np.ndarray:
     raise ValidationError("x must be a vector (d,) or a batch (n, d)")
 
 
-def _stack(gaussians) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return (np.array([g.mean for g in gaussians]),
-            np.array([g.inv_cov for g in gaussians]),
-            np.array([g.log_det_cov for g in gaussians]))
+class DensityBatch(NamedTuple):
+    """Kernel inputs for ``m`` distributions of one dimension ``dim``.
+
+    ``parts`` holds one ``(rows, args)`` entry for the Gaussians and one
+    for the mixtures, each only when present: ``rows`` are their indices
+    in the list, and ``args`` the stacked arrays that
+    ``_kernels.gauss_logpdf_many_np`` takes after the points.  It holds
+    arrays only, so it pickles small and fast.
+    """
+
+    dim: int
+    m: int
+    parts: tuple
 
 
-def _mixture_rows(mixtures, pts: np.ndarray) -> np.ndarray:
-    """Kernel call for mixtures: zero-weight components are dropped, and
-    each mixture is padded to the longest with ``-inf``-weight copies."""
-    kept = [[c for c, w in zip(mx.components, mx.weights) if w > 0.0]
-            for mx in mixtures]
-    k = max(len(comps) for comps in kept)
-    log_w = np.full((len(mixtures), k), -np.inf)
-    padded = []
-    for i, (mx, comps) in enumerate(zip(mixtures, kept)):
-        log_w[i, :len(comps)] = np.log(mx.weights[mx.weights > 0.0])
-        padded += comps + [comps[0]] * (k - len(comps))
-    return _kernels.gauss_logpdf_many_np(pts, *_stack(padded), log_w)
+def prepare_log_densities(dists: Sequence[Distribution]) -> DensityBatch:
+    """Validate ``dists`` once and stack them for
+    :func:`evaluate_log_densities`.
 
-
-def log_densities(dists: Sequence[Distribution], x) -> np.ndarray:
-    """Log densities of every distribution in ``dists`` at the rows of ``x``.
-
-    Returns an ``(m, n)`` array whose row ``k`` equals
-    ``log_density(dists[k], x)`` bit for bit (``x`` may also be one point
-    ``(d,)``, giving ``n = 1``).  All Gaussians go to the tiled kernel in
-    one call and all mixtures in one more, so the cost is a few numpy calls
-    per tile of the output instead of several per distribution.
+    Zero-weight mixture components are dropped, and each mixture is padded
+    to the longest with ``-inf``-weight copies of its first component.
     """
     dists = list(dists)
     if not dists:
@@ -296,16 +289,54 @@ def log_densities(dists: Sequence[Distribution], x) -> np.ndarray:
     dims = {dist.dim for dist in dists}
     if len(dims) != 1:
         raise DimensionMismatchError("distributions have mixed dimensions")
-    pts = _as_batch(dims.pop(), x)
-    if not mix:
-        return _kernels.gauss_logpdf_many_np(pts, *_stack(dists))
-    if not gauss:
-        return _mixture_rows(dists, pts)
-    out = np.empty((len(dists), pts.shape[0]))
-    out[gauss] = _kernels.gauss_logpdf_many_np(
-        pts, *_stack([dists[i] for i in gauss]))
-    out[mix] = _mixture_rows([dists[i] for i in mix], pts)
+
+    def stack(gaussians, *log_w):
+        return (np.array([g.mean for g in gaussians]),
+                np.array([g.inv_cov for g in gaussians]),
+                np.array([g.log_det_cov for g in gaussians]), *log_w)
+
+    parts = []
+    if gauss:
+        parts.append((np.array(gauss), stack([dists[i] for i in gauss])))
+    if mix:
+        mixtures = [dists[i] for i in mix]
+        kept = [[c for c, w in zip(mx.components, mx.weights) if w > 0.0]
+                for mx in mixtures]
+        k = max(len(comps) for comps in kept)
+        log_w = np.full((len(mix), k), -np.inf)
+        padded = []
+        for r, (mx, comps) in enumerate(zip(mixtures, kept)):
+            log_w[r, :len(comps)] = np.log(mx.weights[mx.weights > 0.0])
+            padded += comps + [comps[0]] * (k - len(comps))
+        parts.append((np.array(mix), stack(padded, log_w)))
+    return DensityBatch(dims.pop(), len(dists), tuple(parts))
+
+
+def evaluate_log_densities(batch: DensityBatch, x) -> np.ndarray:
+    """Log densities of a prepared batch at the rows of ``x``, as
+    :func:`log_densities` of the distributions it was prepared from."""
+    pts = _as_batch(batch.dim, x)
+    if len(batch.parts) == 1:
+        return _kernels.gauss_logpdf_many_np(pts, *batch.parts[0][1])
+    out = np.empty((batch.m, pts.shape[0]))
+    for rows, args in batch.parts:
+        out[rows] = _kernels.gauss_logpdf_many_np(pts, *args)
     return out
+
+
+def log_densities(dists: Sequence[Distribution], x) -> np.ndarray:
+    """Log densities of every distribution in ``dists`` at the rows of ``x``.
+
+    Returns an ``(m, n)`` array whose row ``k`` equals
+    ``log_density(dists[k], x)`` bit for bit (``x`` may also be one point
+    ``(d,)``, giving ``n = 1``).  All Gaussians go to the tiled kernel in
+    one call and all mixtures in one more, so the cost is a few numpy calls
+    per tile of the output instead of several per distribution.  It is
+    :func:`prepare_log_densities` followed by
+    :func:`evaluate_log_densities`; a caller that evaluates one list on
+    several point sets prepares it once.
+    """
+    return evaluate_log_densities(prepare_log_densities(dists), x)
 
 
 def log_density(dist: Distribution, x) -> Union[float, np.ndarray]:

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from . import __version__
 from ._kernels import backend_name
@@ -433,6 +432,9 @@ def summary_to_csv(summary_rows, slope) -> str:
 
 
 def run_manifest(cfg: ExperimentConfig) -> dict:
+    # scipy loads here for its version, not when the package is imported
+    import scipy
+
     return {
         "schema": MANIFEST_SCHEMA,
         "config": cfg.to_dict(),

@@ -29,8 +29,9 @@ from ._kernels import (pairwise_greater_counts,
                        pairwise_greater_fraction)  # noqa: F401
 from .compression import CompressionMessage, Codec
 from .errors import DecodingError, ValidationError
-from .gaussmodels import (Gaussian, LabeledSample, Mixture, log_densities,
-                          log_density, sample)
+from .gaussmodels import (Gaussian, LabeledSample, Mixture,
+                          evaluate_log_densities, log_density,
+                          prepare_log_densities, sample)
 from .utils import (POOL_BLOCKS_PER_WORKER, _blocks, _run_units,
                     _worker_pool, as_generator)
 
@@ -107,24 +108,44 @@ def _pair_coefficients(mu: np.ndarray, var: np.ndarray, I: np.ndarray,
     return (a, b, c), sizes
 
 
-def _pair_regions(a, b, c):
-    """``(r1, r2, s_out, slope)``: the region ``{a x^2 + b x + c > 0}``.
+def _pair_regions(coef, mu, var, I, J):
+    """``(r1, r2, s_out, slope, base)``: the region ``{a x^2 + b x + c >
+    0}`` of the pair coefficients ``coef``.
 
-    It lies outside ``[r1, r2]`` where ``s_out`` is +1, inside where -1.
-    The roots are ``(-b -+ sqrt(disc)) / (2a)``, or a line's ``-c/b`` with
-    an open end at ``-inf`` or ``inf``; without a sign change ``r1 = r2 =
-    inf``.  ``slope[k]`` is ``|P'|`` at ``(r1, r2)[k]``, 0 at a non-root.
+    It lies outside ``[base + r1, base + r2]`` where ``s_out`` is +1,
+    inside where -1.  The roots are ``(-b -+ sqrt(disc)) / (2a)``, with
+    ``b`` that of the quadratic in ``x - base``, or a line's ``-c/b`` with an open end at ``-inf`` or ``inf``; without a sign
+    change ``r1 = r2 = inf``.  ``slope[k]`` is ``|P'|`` at ``(r1, r2)[k]``,
+    0 at a non-root.  ``base`` is 0, except where ``disc = b*b - 4ac`` is
+    not finite or cancels to its own rounding error, which happens when
+    one variance is far below the other.  There ``disc`` takes its closed
+    form for two Gaussians, ``((mu_i - mu_j)^2 + (var_j - var_i)
+    log(var_j / var_i)) / (var_i var_j)``, whose terms are nonnegative,
+    and the roots are offsets from ``base``, the mean of the narrower
+    candidate, which a root can equal to every bit.
     """
     inf = math.inf
-    disc = b * b - 4.0 * a * c
-    quad = (a != 0.0) & (disc > 0.0)
+    a, b, c = coef
+    base = np.zeros_like(a)
+    b_off = b.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        disc = b * b - 4.0 * a * c
+        noisy = np.flatnonzero((a != 0.0) & (
+            ~np.isfinite(disc) | (np.abs(disc) < 2.0 ** -52 * (b * b))))
+        mi, mj = mu[I[noisy]], mu[J[noisy]]
+        si2, sj2 = var[I[noisy]], var[J[noisy]]
+        disc[noisy] = ((mi - mj) ** 2 + (sj2 - si2) * np.log(sj2 / si2)) \
+            / si2 / sj2
+        base[noisy] = np.where(si2 < sj2, mi, mj)
+        # b of the quadratic in x - base
+        b_off[noisy] = (mi - mj) / np.maximum(si2, sj2)
+        quad = (a != 0.0) & (disc > 0.0)
+        sq = np.sqrt(np.where(quad, disc, 0.0))
+        ra = (-b_off - sq) / (2.0 * a)
+        rb = (-b_off + sq) / (2.0 * a)
+        root = -c / b
     rising = (a == 0.0) & (b > 0.0)
     falling = (a == 0.0) & (b < 0.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sq = np.sqrt(np.where(quad, disc, 0.0))
-        ra = (-b - sq) / (2.0 * a)
-        rb = (-b + sq) / (2.0 * a)
-        root = -c / b
     r1 = np.select([quad, rising, falling], [np.minimum(ra, rb), root, -inf],
                    inf)
     r2 = np.select([quad, falling], [np.maximum(ra, rb), root], inf)
@@ -133,7 +154,7 @@ def _pair_regions(a, b, c):
     s_out = np.where(everywhere | quad & (a > 0.0), 1.0, -1.0)
     slope = np.array([np.select([quad, rising], [sq, b], 0.0),
                       np.select([quad, falling], [sq, -b], 0.0)])
-    return r1, r2, s_out, slope
+    return r1, r2, s_out, slope, base
 
 
 def _region_masses(mu, var, I, J, region):
@@ -141,19 +162,21 @@ def _region_masses(mu, var, I, J, region):
 
     The region of :func:`_pair_regions` is two intervals ``(lo, hi)``:
     ``(-inf, r1)`` and ``(r2, inf)`` outside the roots, or ``(r1, r2)`` and
-    an unused ``(inf, inf)``, which adds exactly zero mass, inside them.
+    an unused ``(inf, inf)``, which adds exactly zero mass, inside them,
+    all offsets from ``base``.
     """
     # scipy.special loads on first use, not when the package is imported
     from scipy.special import ndtr
 
     inf = math.inf
-    r1, r2, s_out, _ = region
+    r1, r2, s_out, _, base = region
     out = s_out > 0.0
     lo = (np.where(out, -inf, r1), np.where(out, r2, inf))
     hi = (np.where(out, r1, r2), inf)
 
     def mass(k):
-        m_k = mu[k]
+        # exactly mu[k] where base is 0
+        m_k = mu[k] - base
         sd = np.sqrt(var[k])
         total = (ndtr((hi[0] - m_k) / sd) - ndtr((lo[0] - m_k) / sd)) \
             + (ndtr((hi[1] - m_k) / sd) - ndtr((lo[1] - m_k) / sd))
@@ -192,7 +215,8 @@ def _closed_form_counts(I, J, coef, sizes, region, cands, points):
     xs = x[order]
     tol = REGION_BAND_TOL
     a, b, c = coef
-    r1, r2, s_out, slope = region
+    r1, r2, s_out, slope, base = region
+    r1, r2 = r1 + base, r2 + base
 
     def size(t):
         t = np.abs(t)
@@ -252,7 +276,7 @@ def _closed_form_1d(cands, points: np.ndarray, I: np.ndarray,
     mu = np.array([float(g.mean[0]) for g in cands])
     var = np.array([float(g.cov[0, 0]) for g in cands])
     coef, sizes = _pair_coefficients(mu, var, I, J)
-    region = _pair_regions(*coef)
+    region = _pair_regions(coef, mu, var, I, J)
     p_i, p_j = _region_masses(mu, var, I, J, region)
     counts = _closed_form_counts(I, J, coef, sizes, region, cands, points)
     return counts / points.shape[0], p_i, p_j
@@ -298,44 +322,46 @@ def _pool_seed(dist: Distribution, salt: int) -> int:
 # Tournament work units for the worker pool (``utils._run_units``)
 
 
-def _holdout_counts(cands, points: np.ndarray, I: np.ndarray,
+def _holdout_counts(batch, points: np.ndarray, I: np.ndarray,
                     J: np.ndarray) -> np.ndarray:
-    """Points where ``log f_i > log f_j``, per pair ``(I[k], J[k])``.  A
-    column block's counts add up exactly."""
-    return pairwise_greater_counts(log_densities(cands, points), I, J)
+    """Points where ``log f_i > log f_j``, per pair ``(I[k], J[k])`` of the
+    prepared ``batch``.  A column block's counts add up exactly."""
+    return pairwise_greater_counts(evaluate_log_densities(batch, points),
+                                   I, J)
 
 
-def _grid_masses(cands, grid: np.ndarray, I: np.ndarray, J: np.ndarray):
-    """Rows ``(p_i, p_j)`` on ``grid`` per pair ``(I[k], J[k])``.
+def _grid_masses(batch, grid: np.ndarray, I: np.ndarray, J: np.ndarray):
+    """Rows ``(p_i, p_j)`` on ``grid`` per pair ``(I[k], J[k])`` of the
+    prepared ``batch``.
 
     Trapezoid masses: each is one sum over the masked grid, so a pair's
-    mass does not depend on how the pairs are split into blocks.  Only the
-    candidates from the block's lowest index up are evaluated.
+    mass does not depend on how the pairs are split into blocks.
     """
     dx = grid[1] - grid[0]
     weights = np.full(grid.shape, dx)
     weights[0] = weights[-1] = 0.5 * dx
-    lo = min(I.min(), J.min())
-    # row r is candidate lo + r; a row's bits do not depend on the batch
-    ld = log_densities(cands[lo:], grid[:, None])
+    ld = evaluate_log_densities(batch, grid[:, None])
     dens_w = np.exp(ld) * weights
     masses = []
-    for i, j in zip((I - lo).tolist(), (J - lo).tolist()):
+    for i, j in zip(I.tolist(), J.tolist()):
         mask = ld[i] > ld[j]
         masses.append((min(1.0, float(dens_w[i][mask].sum())),
                        min(1.0, float(dens_w[j][mask].sum()))))
     return np.array(masses).T
 
 
-def _pool_fractions(cands, start: int, stop: int, salt: int,
+def _pool_fractions(batch, own, start: int, salt: int,
                     n_pool: int) -> np.ndarray:
-    """Rows ``start:stop`` of ``prob_own``: ``prob_own[i, j]`` is the share
-    of candidate i's own MC pool where ``f_i > f_j``."""
-    out = np.empty((stop - start, len(cands)))
-    for r, i in enumerate(range(start, stop)):
-        pool = sample(cands[i], n_pool, _pool_seed(cands[i], salt)).points
-        ld = log_densities(cands, pool)
-        out[r] = np.count_nonzero(ld[i][None, :] > ld, axis=1) / n_pool
+    """Rows ``start:start + len(own)`` of ``prob_own``, where ``own`` are
+    those rows' candidates and ``batch`` holds all ``m`` prepared:
+    ``prob_own[i, j]`` is the share of candidate i's own MC pool where
+    ``f_i > f_j``."""
+    out = np.empty((len(own), batch.m))
+    for r, cand in enumerate(own):
+        pool = sample(cand, n_pool, _pool_seed(cand, salt)).points
+        ld = evaluate_log_densities(batch, pool)
+        out[r] = np.count_nonzero(ld[start + r][None, :] > ld,
+                                  axis=1) / n_pool
     return out
 
 
@@ -343,25 +369,31 @@ def _split_tournament(cands, points: np.ndarray, I: np.ndarray,
                       J: np.ndarray, strategy: str, seed, n_pool: int):
     """``(p_hat, p_i, p_j)`` per pair ``(I[k], J[k])``, in the pair list's
     order (see :func:`select_candidate`).  ``grid_1d`` and ``mc_pools``
-    run in units on the worker pool; ``closed_form_1d`` runs in-process."""
+    run in units on the worker pool, which get the candidates as one
+    prepared batch per tournament (:func:`prepare_log_densities`);
+    ``closed_form_1d`` runs in-process."""
     if not len(I):
         return np.zeros((3, 0))
     if strategy == "closed_form_1d":
         return _closed_form_1d(cands, points, I, J)
     workers = _worker_pool()[1]
+    batch = prepare_log_densities(cands)
     # holdout column blocks first: they are the largest units
     cols = _blocks(len(points), workers)
-    units = [(_holdout_counts, cands, points[a:b], I, J) for a, b in cols]
+    units = [(_holdout_counts, batch, points[a:b], I, J) for a, b in cols]
     if strategy == "grid_1d":
         # blocks of the pair list, balanced by pair count
-        pairs = _blocks(len(I), workers)
         grid = _shared_grid(cands)
-        units += [(_grid_masses, cands, grid, I[a:b], J[a:b])
-                  for a, b in pairs]
+        for a, b in _blocks(len(I), workers):
+            lo = min(I[a:b].min(), J[a:b].min())
+            # row r of the block's batch is candidate lo + r; a row's bits
+            # do not depend on the batch
+            units.append((_grid_masses, prepare_log_densities(cands[lo:]),
+                          grid, I[a:b] - lo, J[a:b] - lo))
     else:
         salt = int(as_generator(seed).integers(1 << 62))
         rows = _blocks(len(cands), POOL_BLOCKS_PER_WORKER * workers)
-        units += [(_pool_fractions, cands, a, b, salt, n_pool)
+        units += [(_pool_fractions, batch, cands[a:b], a, salt, n_pool)
                   for a, b in rows]
     done = _run_units(units)
     p_hat = sum(done[:len(cols)]) / len(points)
@@ -401,12 +433,16 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
     each pair of the list, the points where row i exceeds row j
     (:func:`pairwise_greater_counts`), in ``O(m^2 n)``.
 
-    Both evaluate candidates with one :func:`log_densities` call per point
-    set (a block of holdout columns, the ``grid_1d`` grid, and each of the
-    ``m`` MC pools), which runs the batched, tiled kernel and gives the
-    same bits as per-candidate :func:`log_density` calls.  The work is
-    still ``O(m^2 n_pool)`` density terms for ``mc_pools`` and ``O(m^2 n)``
-    comparisons for both; batching only shrinks its constant.
+    Both stack the candidates once per tournament into one prepared batch
+    (:func:`prepare_log_densities`; a ``grid_1d`` pair block gets the
+    batch of the candidates from its lowest index up) and evaluate it on
+    each point set (a block of holdout columns, the ``grid_1d`` grid, and
+    each of the ``m`` MC pools), which runs the batched, tiled kernel and
+    gives the same bits as per-candidate :func:`log_density` calls.  The
+    work units carry those arrays, not the candidates, except that an MC
+    pool block carries its own candidates to draw their pools.  The work
+    is still ``O(m^2 n_pool)`` density terms for ``mc_pools`` and
+    ``O(m^2 n)`` comparisons for both; batching only shrinks its constant.
 
     That work is split into independent units, each with the same result
     wherever it runs: contiguous blocks of holdout columns (integer pair

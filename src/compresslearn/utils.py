@@ -4,11 +4,8 @@ trials' independent units."""
 
 from __future__ import annotations
 
-import multiprocessing
+import atexit
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Optional
 
 import numpy as np
 
@@ -34,7 +31,9 @@ def as_generator(seed) -> np.random.Generator:
 # uneven blocks even out
 POOL_BLOCKS_PER_WORKER = 4
 
-_POOL: Optional[ProcessPoolExecutor] = None
+# the ProcessPoolExecutor, once created; multiprocessing and
+# concurrent.futures load with it, not when the package is imported
+_POOL = None
 
 
 def _forget_pool() -> None:
@@ -44,6 +43,9 @@ def _forget_pool() -> None:
 
 # a forked child must not submit to its parent's workers
 os.register_at_fork(after_in_child=_forget_pool)
+# the pool is collected at exit before modules are torn down:
+# concurrent.futures loads after this module, so it is torn down first
+atexit.register(_forget_pool)
 
 
 def _worker_pool():
@@ -55,6 +57,9 @@ def _worker_pool():
     and inside a child process (for example a pool worker running a
     harness trial), which would otherwise fork again.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     global _POOL
     workers = len(os.sched_getaffinity(0)) \
         if hasattr(os, "sched_getaffinity") else 1
@@ -83,6 +88,8 @@ def _run_units(units: list) -> list:
     pool = _worker_pool()[0] if len(units) > 1 else None
     if pool is None:
         return [fn(*args) for fn, *args in units]
+    from concurrent.futures.process import BrokenProcessPool
+
     futures = []
     try:
         futures = [pool.submit(*unit) for unit in units]

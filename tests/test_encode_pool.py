@@ -72,6 +72,19 @@ def test_failure_names_the_lowest_escaping_direction_on_both_paths(
         assert out.reason == "eigen direction 1 escapes the difference hull"
 
 
+def _distributions(obj):
+    """Every ``Gaussian`` or ``Mixture`` in ``obj``, through tuples, lists
+    and dicts."""
+    if isinstance(obj, (Gaussian, Mixture)):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (tuple, list)):
+        return [d for item in obj for d in _distributions(item)]
+    assert not (isinstance(obj, np.ndarray) and obj.dtype == object)
+    return []
+
+
 def test_every_pool_unit_pickles_by_reference(monkeypatch):
     seen = []
 
@@ -83,8 +96,10 @@ def test_every_pool_unit_pickles_by_reference(monkeypatch):
     monkeypatch.setattr(gd_module, "_run_units", recording)
     rng = np.random.default_rng(3)
     # mc_pools (2-D), grid_1d (1-D mixtures) and a gd encode
-    cands = [Gaussian(rng.standard_normal(2), np.eye(2)) for _ in range(3)]
-    select_candidate(cands, sample(cands[0], 50, rng), 0.1, 1, n_pool=50)
+    pool_cands = [Gaussian(rng.standard_normal(2), np.eye(2))
+                  for _ in range(3)]
+    select_candidate(pool_cands, sample(pool_cands[0], 50, rng), 0.1, 1,
+                     n_pool=50)
     cands = [Mixture([0.5, 0.5], [Gaussian([c], [[1.0]]),
                                   Gaussian([c + 2.0], [[1.0]])])
              for c in rng.standard_normal(3)]
@@ -98,6 +113,19 @@ def test_every_pool_unit_pickles_by_reference(monkeypatch):
         fn = unit[0]
         assert pickle.loads(pickle.dumps(fn)) is fn
         pickle.dumps(unit)
+    # units carry prepared arrays; an mc_pools unit carries only the
+    # candidates of its own rows, to draw their pools
+    rows = []
+    for fn, *args in seen:
+        if fn.__name__ in ("_holdout_counts", "_grid_masses"):
+            assert _distributions(args) == []
+        elif fn.__name__ == "_pool_fractions":
+            _, own, start, *_ = args
+            assert _distributions(args) == own
+            assert all(c is d for c, d in
+                       zip(own, pool_cands[start:start + len(own)]))
+            rows += range(start, start + len(own))
+    assert rows == list(range(len(pool_cands)))
 
 
 def test_a_rebound_solver_name_keeps_the_pool_working(monkeypatch):

@@ -15,6 +15,8 @@ from compresslearn import (DimensionMismatchError, Gaussian, LabeledSample,
                            dist_to_json, log_densities, log_density,
                            sample)
 from compresslearn import _kernels
+from compresslearn.gaussmodels import (evaluate_log_densities,
+                                       prepare_log_densities)
 
 # scipy.stats.norm.logpdf(0.0, 0, 1), frozen
 STD_NORMAL_LOGPDF_AT_0 = -0.9189385332046727
@@ -282,6 +284,45 @@ def test_log_densities_rows_equal_log_density_mixed_list(n):
     cands = [g[0], Mixture([0.5, 0.5], g[1:3]), g[3],
              Mixture([0.0, 1.0, 0.0], g[2:5]), g[4]]
     _assert_rows_match(cands, 3.0 * rng.standard_normal((n, 2)))
+
+
+def _prepared_list(rng, kind):
+    """45 2-D distributions: Gaussians, mixtures of 1, 2 and 3 components
+    (some with a zero weight, so the batch pads them with ``-inf``), or
+    both interleaved.  45 is no multiple of the kernel's row block on 1000
+    points (32 Gaussians, 10 three-component mixtures)."""
+    out = []
+    for i in range(45):
+        if kind == "gaussians" or kind == "mixed" and i % 2:
+            out.append(_random_gaussian(rng, 2))
+            continue
+        k = 1 + i % 3
+        weights = rng.random(k) + 0.1
+        if k > 1 and i % 4 == 0:
+            weights[-1] = 0.0
+        out.append(Mixture(weights / weights.sum(),
+                           [_random_gaussian(rng, 2) for _ in range(k)]))
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("kind", ["gaussians", "mixtures", "mixed"])
+@pytest.mark.parametrize("n", [1000, _kernels.LOGPDF_TILE_CELLS + 37])
+def test_prepared_batches_equal_log_density_bitwise(kind, n):
+    # n past the tile size leaves a partial tile of points; on 1000 points
+    # the last row block is partial
+    rng = np.random.default_rng(n + len(kind))
+    cands = _prepared_list(rng, kind)
+    pts = 3.0 * rng.standard_normal((n, 2))
+    want = np.stack([log_density(c, pts) for c in cands])
+    rows = evaluate_log_densities(prepare_log_densities(cands), pts)
+    assert np.array_equal(_bits(rows), _bits(want))
+    # a batch of a tail of the list, as a grid_1d unit gets
+    tail = evaluate_log_densities(prepare_log_densities(cands[17:]), pts)
+    assert np.array_equal(_bits(tail), _bits(want[17:]))
 
 
 def test_log_densities_keeps_the_old_mixture_formula():

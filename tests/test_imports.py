@@ -1,5 +1,6 @@
-"""What importing the package loads: scipy.optimize and scipy.special wait
-for the functions that use them."""
+"""What importing the package loads: scipy, multiprocessing and
+concurrent.futures wait for the functions that use them, and so do
+scipy.optimize and scipy.special."""
 
 import json
 import os
@@ -12,15 +13,18 @@ from pathlib import Path
 SCRIPT = r"""
 import json, os, sys
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-import scipy
 import compresslearn as cl
 from compresslearn.harness import run_manifest
+
+rec = {"package": {name: name in sys.modules for name in
+                   ("scipy", "multiprocessing", "concurrent.futures")}}
+import scipy
 
 def loaded():
     return {name: name in sys.modules
             for name in ("scipy.optimize", "scipy.special")}
 
-rec = {"import": loaded()}
+rec["import"] = loaded()
 cfg = cl.ExperimentConfig(experiment="hull_probe", grid_kind="n",
                           grid=(100,), trials=1, seed=0)
 rec["manifest_scipy"] = run_manifest(cfg)["versions"]["scipy"]
@@ -50,6 +54,8 @@ def test_scipy_submodules_load_on_first_use():
                          text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     rec = json.loads(out.stdout.splitlines()[-1])
+    assert rec["package"] == {"scipy": False, "multiprocessing": False,
+                              "concurrent.futures": False}
     none = {"scipy.optimize": False, "scipy.special": False}
     assert rec["import"] == none
     assert rec["import_and_manifest"] == none

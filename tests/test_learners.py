@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,27 @@ def test_closed_form_fractions_match_all_pairs_exactly(name):
     cands, points = _adversarial_sets()[name]
     i_idx, j_idx = np.triu_indices(len(cands), 1)
     p_hat, _, _ = _closed_form_1d(cands, points, i_idx, j_idx)
+    np.testing.assert_array_equal(p_hat, _all_pairs_fractions(cands, points))
+
+
+@pytest.mark.parametrize("v", [1e-20, 1e-100, 1e-160])
+@pytest.mark.parametrize("narrow_first", [True, False])
+def test_closed_form_masses_for_extreme_variance_ratios(v, narrow_first):
+    # {f_i > f_j} is about 7 (or more) sds of N(1, v) around 1 and, for
+    # the other order, its complement: either way p_i is about 1 and p_j
+    # about 0.  b*b - 4ac cancels to noise here, and overflows at 1e-160
+    cands = [Gaussian([1.0], [[v]]), Gaussian([0.0], [[1.0]])]
+    if not narrow_first:
+        cands.reverse()
+    rng = np.random.default_rng(75)
+    points = np.concatenate((rng.normal(0.0, 1.0, 200), [1.0],
+                             np.nextafter(1.0, [0.0, 2.0])))[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p_hat, p_i, p_j = _closed_form_1d(cands, points, np.array([0]),
+                                          np.array([1]))
+    assert p_i[0] > 1.0 - 1e-9
+    assert p_j[0] < 1e-9
     np.testing.assert_array_equal(p_hat, _all_pairs_fractions(cands, points))
 
 

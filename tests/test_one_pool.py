@@ -6,6 +6,9 @@ it units split by ``utils._blocks``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from compresslearn.utils import _blocks
@@ -75,3 +78,24 @@ def test_blocks_cover_the_range_in_order():
             assert all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
             sizes = [b - a for a, b in blocks]
             assert max(sizes) - min(sizes) <= 1
+
+
+# the pool's modules load after the package, so at exit they are torn down
+# before the pool is collected unless the package drops it first
+EXIT_SCRIPT = r"""
+import os
+os.sched_getaffinity = lambda pid: {0, 1}
+from compresslearn import utils
+utils._run_units([(os.getpid,), (os.getpid,)])
+assert utils._POOL is not None
+"""
+
+
+def test_a_program_that_started_the_pool_exits_quietly():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", EXIT_SCRIPT],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0
+    assert out.stderr == ""
