@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 
 from ._kernels import backend_name
 from .compression import (Codec, CompressionMessage, EncodeOutcome,
-                          SCHEME_CHOICES, SchemeSpec, codec_for,
-                          compose_mixture, compose_product, g1d_codec,
-                          g1d_robust_codec, gd_codec)
+                          SCHEME_CHOICES, codec_for, compose_mixture,
+                          compose_product, g1d_codec, g1d_robust_codec,
+                          gd_codec)
 from .distances import (TvEstimate, degenerate_pair_divergences, kl_gaussians,
                         logdet_divergence, pinsker_check, tv_1d,
                         tv_frobenius_proxy, tv_mc)
@@ -57,7 +57,6 @@ __all__ = [
     "MessageSizeError",
     "Mixture",
     "SCHEME_CHOICES",
-    "SchemeSpec",
     "SelectionResult",
     "SingularCovarianceError",
     "TvEstimate",

@@ -29,7 +29,7 @@ from .utils import as_generator
 
 # each main prints these in one line and exits 2
 _INPUT_ERRORS = (CompressLearnError, json.JSONDecodeError, UnicodeDecodeError,
-                 OSError, RecursionError)
+                 OSError, RecursionError, MemoryError)
 
 
 def _load_json_arg(text: str) -> dict:
@@ -125,17 +125,18 @@ def learn_main(argv=None) -> int:
             "candidate_count": result.candidate_count,
             "candidate_space": str(result.candidate_space),
             "budget_capped": result.budget_capped,
-            "enumeration": result.enumeration,
+            "enumeration": ("sampled" if result.budget_capped
+                            else "exhaustive"),
             "selection": {
                 "index": result.selection.index,
                 "n_holdout": result.selection.n_holdout,
                 "strategy": result.selection.strategy,
             },
         }
+        _emit(record, args.out)
     except _INPUT_ERRORS as exc:
         print(f"learn: {exc}", file=sys.stderr)
         return 2
-    _emit(record, args.out)
     if args.out is not None:
         print(f"wrote {args.out}")
     return 0

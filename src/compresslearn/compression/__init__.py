@@ -20,7 +20,7 @@ from .grids import SymmetricGrid
 from .message import (SCHEME_G1D, SCHEME_G1D_ROBUST, SCHEME_GD,
                       SCHEME_MIXTURE, SCHEME_PRODUCT, CompressionMessage,
                       PayloadLayout)
-from .scheme import Codec, EncodeOutcome, SchemeSpec
+from .scheme import Codec, EncodeOutcome
 
 SCHEME_CHOICES = ("g1d", "g1d_robust", "gd", "axis", "mixture")
 
@@ -69,7 +69,6 @@ __all__ = [
     "SCHEME_GD",
     "SCHEME_MIXTURE",
     "SCHEME_PRODUCT",
-    "SchemeSpec",
     "SymmetricGrid",
     "codec_for",
     "compose_mixture",

@@ -51,7 +51,7 @@ def _slots(base: Codec, message: CompressionMessage, e: float, n: int,
            bit_offset: int = 0) -> list:
     """The ``n`` base sub-messages of a composite ``message`` at base
     accuracy ``e``, their payloads one after another from ``bit_offset``."""
-    tau_b = base.spec.tau(e)
+    tau_b = base.tau(e)
     t_b = base.layout(e).n_bits
     return [CompressionMessage(
         base.scheme_id, message.sample_refs[i * tau_b:(i + 1) * tau_b],
@@ -77,7 +77,7 @@ def compose_product(base: Codec, d: int) -> Codec:
         return eps / d
 
     def m_samples(eps: float) -> int:
-        return n_batches * base.spec.m_samples(sub_eps(eps))
+        return n_batches * base.m_samples(sub_eps(eps))
 
     def encode(target, samp: LabeledSample, eps: float) -> EncodeOutcome:
         if not isinstance(target, Gaussian):
@@ -86,7 +86,7 @@ def compose_product(base: Codec, d: int) -> Codec:
             raise ValidationError(f"target and sample must have dimension {d}")
         variances = _diag_or_raise(target.cov)
         e = sub_eps(eps)
-        m_base = base.spec.m_samples(e)
+        m_base = base.m_samples(e)
         if samp.n < n_batches * m_base:
             raise ValidationError(
                 f"need at least {n_batches * m_base} sample points")
@@ -127,8 +127,8 @@ def compose_product(base: Codec, d: int) -> Codec:
 
     return Codec.from_layout(
         f"product[{base.name}]^{d}", SCHEME_PRODUCT, encode, decode, layout,
-        tau=lambda eps: d * base.spec.tau(sub_eps(eps)), m_samples=m_samples,
-        robustness=base.spec.robustness)
+        tau=lambda eps: d * base.tau(sub_eps(eps)), m_samples=m_samples,
+        robustness=base.robustness)
 
 
 def weight_grid_points(eps: float, k: int) -> int:
@@ -172,7 +172,7 @@ def compose_mixture(base: Codec, k: int) -> Codec:
 
     def m_samples(eps: float) -> int:
         mult = math.ceil(48.0 * k * math.log(6.0 * k) / eps)
-        return mult * base.spec.m_samples(sub_eps(eps))
+        return mult * base.m_samples(sub_eps(eps))
 
     def encode(target, samp: LabeledSample, eps: float) -> EncodeOutcome:
         if not isinstance(target, Mixture):
@@ -182,12 +182,12 @@ def compose_mixture(base: Codec, k: int) -> Codec:
         if samp.labels is None:
             raise ValidationError("mixture encoding needs labeled samples")
         e = sub_eps(eps)
-        m_base = base.spec.m_samples(e)
-        tau_b = base.spec.tau(e)
+        m_base = base.m_samples(e)
+        tau_b = base.tau(e)
         t_b = base.layout(e).n_bits
         n_w = weight_grid_points(eps, k)
         negligible = eps / (NEGLIGIBLE_DIV * k)
-        weight_bits = _weight_layout(eps, k).pack(
+        w_payload = _weight_layout(eps, k).pack(
             [min(n_w - 1, int(round(w * (n_w - 1)))) for w in
              list(target.weights) + [0.0] * (k - target.n_components)])
         all_refs = []
@@ -208,7 +208,7 @@ def compose_mixture(base: Codec, k: int) -> Codec:
             payload.append(outcome.message.bits)
         return EncodeOutcome.success(CompressionMessage(
             SCHEME_MIXTURE, np.concatenate(all_refs),
-            np.concatenate([weight_bits] + payload)))
+            np.concatenate([w_payload] + payload)))
 
     def decode(message: CompressionMessage, pts: np.ndarray,
                eps: float) -> Mixture:
@@ -233,6 +233,6 @@ def compose_mixture(base: Codec, k: int) -> Codec:
 
     return Codec.from_layout(
         f"mixture[{base.name}]x{k}", SCHEME_MIXTURE, encode, decode, layout,
-        tau=lambda eps: k * base.spec.tau(sub_eps(eps)), m_samples=m_samples,
+        tau=lambda eps: k * base.tau(sub_eps(eps)), m_samples=m_samples,
         # contamination tolerance does not compose through mixtures here
         robustness=0.0)

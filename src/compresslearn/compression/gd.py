@@ -200,7 +200,7 @@ def decode_gd_detailed(message: CompressionMessage, points: np.ndarray,
     if pts.ndim != 2:
         raise ValidationError("points must have shape (n, d)")
     codec = gd_codec(pts.shape[1])
-    check = message_gate(SCHEME_GD, codec.spec.tau, codec.layout)
+    check = message_gate(SCHEME_GD, codec.tau, codec.layout)
     return _decode_detailed(message, check(message, pts, eps), eps)
 
 

@@ -1,4 +1,4 @@
-"""Scheme descriptors and the codec interface shared by all encoders."""
+"""The codec record and message gate shared by all encoders."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ..errors import DecodingError, MessageSizeError, ValidationError
+from ..errors import (DecodingError, MessageSizeError,
+                      SingularCovarianceError, ValidationError)
 from ..gaussmodels import Gaussian, LabeledSample, Mixture
 from .message import CompressionMessage, PayloadLayout
 
@@ -43,80 +44,70 @@ def message_gate(scheme_id: int, tau: Callable[[float], int],
 
 
 @dataclass(frozen=True)
-class SchemeSpec:
-    """Size and robustness profile of a compression scheme.
-
-    ``tau``, ``t_bits`` and ``m_samples`` map a target accuracy ``eps`` to
-    the exact number of sample references and of payload bits in each
-    message, and the number of samples the encoder consumes.  ``robustness``
-    is the L1 contamination radius the scheme tolerates (0 for non-robust
-    schemes).  :meth:`Codec.from_layout` derives ``t_bits`` from the
-    codec's payload layout.
-    """
-
-    name: str
-    tau: Callable[[float], int]
-    t_bits: Callable[[float], int]
-    m_samples: Callable[[float], int]
-    robustness: float
-
-
-@dataclass(frozen=True)
 class EncodeOutcome:
     """Result of an encoding attempt.
 
-    ``status`` is ``"ok"`` or ``"failed"``; a failed outcome carries a
-    human-readable ``reason`` and no message.  Failure is a legitimate
-    scheme event (probability at most 1/3 at the nominal sample size), not
-    an error.
+    An outcome is ``ok`` exactly when it carries a message; a failed
+    outcome carries a human-readable ``reason`` instead.  Failure is a
+    legitimate scheme event (probability at most 1/3 at the nominal sample
+    size), not an error.
     """
 
-    status: str
     message: Optional[CompressionMessage] = None
     reason: Optional[str] = None
 
     @property
     def ok(self) -> bool:
-        return self.status == "ok"
+        return self.message is not None
 
     @classmethod
     def success(cls, message: CompressionMessage) -> "EncodeOutcome":
-        return cls(status="ok", message=message)
+        return cls(message=message)
 
     @classmethod
     def failure(cls, reason: str) -> "EncodeOutcome":
-        return cls(status="failed", reason=reason)
+        return cls(reason=reason)
 
 
 @dataclass(frozen=True)
 class Codec:
-    """A compression scheme: spec, encoder, decoder and payload layout.
+    """A (tau, t, m) sample compression scheme: its profile, payload
+    layout, encoder and decoder.
 
-    ``encode(target, sample, eps)`` consumes ``spec.m_samples(eps)`` points
+    ``tau(eps)`` is the exact number of sample references in each message
+    and ``m_samples(eps)`` the number of sample points the encoder
+    consumes; ``robustness`` is the L1 contamination radius the scheme
+    tolerates (0 for non-robust schemes).
+
+    ``layout(eps)`` is the payload's single description: the
+    :class:`PayloadLayout` the decoder accepts, which fixes the payload
+    width ``layout(eps).n_bits``, the payload count and the payload of
+    each enumeration index.  ``random_payload(eps, rng)`` draws from it.
+
+    ``encode(target, sample, eps)`` consumes ``m_samples(eps)`` points
     from the sample; the encoder knows the target distribution.
     ``decode(message, points, eps)`` is deterministic and sees only the
     referenced sample points (as rows of ``points`` indexed by the
     message's references).
 
-    ``layout(eps)`` is the payload's single description: the
-    :class:`PayloadLayout` the decoder accepts, which fixes the payload
-    width ``spec.t_bits(eps)``, the payload count and the payload of each
-    enumeration index.  ``random_payload(eps, rng)`` draws from it.
-
     :meth:`from_layout` puts ``encode`` and ``decode`` behind one gate:
     ``eps`` in ``(0, 1]``, 2-D ``points``, and messages the learner can
-    enumerate: the codec's ``scheme_id``, exactly ``spec.tau(eps)``
-    references below ``len(points)``, exactly ``spec.t_bits(eps)`` bits.
-    Other messages raise :class:`DecodingError` on decode and
-    :class:`MessageSizeError` from an ``ok`` encode.
+    enumerate: the codec's ``scheme_id``, exactly ``tau(eps)`` references
+    below ``len(points)``, exactly ``layout(eps).n_bits`` bits.  Other
+    messages, and payloads that decode to a covariance the models cannot
+    evaluate, raise :class:`DecodingError` on decode; a bad message from an
+    ``ok`` encode raises :class:`MessageSizeError`.
     """
 
-    spec: SchemeSpec
+    name: str
     scheme_id: int
+    tau: Callable[[float], int]
+    m_samples: Callable[[float], int]
+    robustness: float
+    layout: Callable[[float], PayloadLayout]
     encode: Callable[[Decoded, LabeledSample, float], EncodeOutcome]
     decode: Callable[[CompressionMessage, np.ndarray, float], Decoded]
     random_payload: Callable[[float, np.random.Generator], np.ndarray]
-    layout: Callable[[float], PayloadLayout]
 
     @classmethod
     def from_layout(cls, name: str, scheme_id: int, encode, decode,
@@ -124,8 +115,6 @@ class Codec:
                     m_samples, robustness: float) -> "Codec":
         """Codec whose payload width and draws come from ``layout(eps)``,
         with the scheme's ``encode`` and ``decode`` behind the message gate."""
-        spec = SchemeSpec(name, tau, lambda eps: layout(eps).n_bits,
-                          m_samples, robustness)
         check = message_gate(scheme_id, tau, layout)
 
         def gated_encode(target, sample: LabeledSample, eps: float):
@@ -139,12 +128,12 @@ class Codec:
             return outcome
 
         def gated_decode(message: CompressionMessage, points, eps: float):
-            return decode(message, check(message, points, eps), eps)
+            pts = check(message, points, eps)
+            try:
+                return decode(message, pts, eps)
+            except SingularCovarianceError as exc:
+                raise DecodingError(f"{name} payload: {exc}") from None
 
-        return cls(spec, scheme_id, gated_encode, gated_decode,
-                   random_payload=lambda eps, rng: layout(eps).random(rng),
-                   layout=layout)
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
+        return cls(name, scheme_id, tau, m_samples, robustness, layout,
+                   gated_encode, gated_decode,
+                   lambda eps, rng: layout(eps).random(rng))

@@ -57,7 +57,8 @@ class Gaussian:
         Symmetric positive definite covariance, shape ``(d, d)``.
         Symmetry is enforced within a relative tolerance of 1e-10 and the
         input is symmetrized as ``(cov + cov.T) / 2``; any eigenvalue below
-        ``1e-12 * ||cov||_2`` is rejected.
+        ``1e-12 * ||cov||_2`` is rejected, and so is a covariance whose
+        symmetrized form, eigenvalues, square root or inverse is not finite.
 
     Attributes
     ----------
@@ -85,13 +86,22 @@ class Gaussian:
                 f"mean has dim {mean.shape[0]} but cov is {cov.shape}")
         cov = 0.5 * (cov + cov.T)
         eigvals, eigvecs = np.linalg.eigh(cov)
+        # the checks are written so that a NaN fails them: an entry that
+        # overflows when symmetrized gives NaN or inf eigenvalues
         scale = float(np.max(np.abs(eigvals)))
-        if scale <= 0.0 or float(eigvals.min()) < COV_MIN_EIG_REL * scale:
+        low = float(eigvals.min())
+        if not scale < np.inf:
+            raise SingularCovarianceError(
+                "covariance is not finite once symmetrized")
+        if not (scale > 0.0 and low >= COV_MIN_EIG_REL * scale):
             raise SingularCovarianceError(
                 "covariance eigenvalue below 1e-12 of the spectral norm")
+        # every inverse entry is at most 1/low in magnitude
+        if not 1.0 / low < np.inf:
+            raise SingularCovarianceError("inverse covariance is not finite")
         sqrt_cov = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
         err = np.linalg.norm(sqrt_cov @ sqrt_cov - cov)
-        if err > SQRT_CHECK_RTOL * max(1.0, np.linalg.norm(cov)):
+        if not err <= SQRT_CHECK_RTOL * max(1.0, np.linalg.norm(cov)):
             raise SingularCovarianceError("square root check failed")
         self.mean = _freeze(mean)
         self.cov = _freeze(cov)

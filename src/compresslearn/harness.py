@@ -218,7 +218,7 @@ def _trial_scheme_roundtrip(cfg: ExperimentConfig, eps: float,
     target = dist_from_json(cfg.target)
     codec = codec_for(cfg.scheme, target)
     rng = as_generator(seed)
-    samp = sample(target, codec.spec.m_samples(eps), rng)
+    samp = sample(target, codec.m_samples(eps), rng)
     outcome = codec.encode(target, samp, eps)
     if not outcome.ok:
         return False, math.nan, math.nan

@@ -501,7 +501,9 @@ class LearnResult:
     Python int; it can be astronomically large), ``candidate_count`` the
     number of decoded candidates that entered the tournament, and
     ``budget_capped`` records that uniform message sampling replaced
-    exhaustive enumeration, which voids the 3*opt + 4*eps (L1) guarantee.
+    exhaustive enumeration, which voids the 3*opt + 4*eps (L1) guarantee
+    (the ``learn`` CLI reports it as ``"enumeration"``: ``"sampled"`` or
+    ``"exhaustive"``).
     """
 
     estimate: Distribution
@@ -509,7 +511,6 @@ class LearnResult:
     candidate_count: int
     candidate_space: int
     budget_capped: bool
-    enumeration: str
 
 
 def _boost_rounds(delta: float) -> int:
@@ -524,7 +525,7 @@ def _encoding_size(codec: Codec, eps: float, delta: float,
         raise ValidationError("eps must be in (0, 1] and delta in (0, 1)")
     if budget < 1:
         raise ValidationError("budget must be at least 1")
-    return codec.spec.m_samples(eps / ENUM_ACCURACY_DIV) * _boost_rounds(delta)
+    return codec.m_samples(eps / ENUM_ACCURACY_DIV) * _boost_rounds(delta)
 
 
 def compression_sample_size(codec: Codec, eps: float, delta: float,
@@ -570,7 +571,7 @@ def learn_from_compression(codec: Codec, samp: LabeledSample, eps: float,
     rng = as_generator(seed)
     if samp.n < n_enc:
         raise ValidationError(f"need at least {n_enc} encoding points")
-    tau = codec.spec.tau(e_enum)
+    tau = codec.tau(e_enum)
     layout = codec.layout(e_enum)
     space = n_enc ** tau * layout.count
     n_fill = budget - len(extras)
@@ -608,8 +609,7 @@ def learn_from_compression(codec: Codec, samp: LabeledSample, eps: float,
     return LearnResult(
         estimate=decoded[sel.index], selection=sel,
         candidate_count=len(decoded), candidate_space=space,
-        budget_capped=capped,
-        enumeration="sampled" if capped else "exhaustive")
+        budget_capped=capped)
 
 
 def efficient_sample_size(d: int, eps: float, delta: float) -> int:

@@ -14,7 +14,7 @@ def encode_with_retries(codec, target, samp, eps):
 
     Returns the remapped message or None when every batch fails.
     """
-    m_b = codec.spec.m_samples(eps)
+    m_b = codec.m_samples(eps)
     for b in range(samp.n // m_b):
         sl = slice(b * m_b, (b + 1) * m_b)
         labels = None if samp.labels is None else samp.labels[sl]

@@ -125,7 +125,7 @@ def test_scalar_scheme_success_rate_across_scales():
     rates = {}
     for eps in (0.1, 0.2):
         rng = np.random.default_rng(3)
-        m = codec.spec.m_samples(eps)
+        m = codec.m_samples(eps)
         hits = 0
         for _ in range(trials):
             sigma = 10.0 ** rng.uniform(-3.0, 3.0)
@@ -152,7 +152,7 @@ def test_robust_scalar_scheme_under_contamination():
     TV-accuracy rate at least 2/3; message is 4 refs plus 1 bit."""
     eps = 0.2
     codec = g1d_robust_codec()
-    m = codec.spec.m_samples(eps)
+    m = codec.m_samples(eps)
     rng = np.random.default_rng(4)
     trials = 2000
     hits = 0
@@ -228,7 +228,7 @@ def test_full_covariance_scheme_error_chain():
         cov = spd_with_condition(d, cond, rng)
         mu = rng.normal(0.0, 2.0, size=d)
         target = cl.Gaussian(mu, cov)
-        samp = cl.sample(target, codec.spec.m_samples(eps), rng)
+        samp = cl.sample(target, codec.m_samples(eps), rng)
         out = codec.encode(target, samp, eps)
         if not out.ok:
             continue
@@ -266,11 +266,11 @@ def test_axis_and_mixture_combinator_roundtrips():
     d = 3
     prod = compose_product(base, d)
     sub = eps / d
-    assert prod.spec.tau(eps) == d * base.spec.tau(sub)
-    assert prod.spec.t_bits(eps) == d * base.spec.t_bits(sub)
-    assert prod.spec.m_samples(eps) \
-        == math.ceil(math.log(3 * d) / math.log(3.0)) * base.spec.m_samples(sub)
-    assert prod.spec.robustness == base.spec.robustness
+    assert prod.tau(eps) == d * base.tau(sub)
+    assert prod.layout(eps).n_bits == d * base.layout(sub).n_bits
+    assert prod.m_samples(eps) \
+        == math.ceil(math.log(3 * d) / math.log(3.0)) * base.m_samples(sub)
+    assert prod.robustness == base.robustness
 
     rng = np.random.default_rng(7)
     prod_hits = 0
@@ -278,7 +278,7 @@ def test_axis_and_mixture_combinator_roundtrips():
         sig = 10.0 ** rng.uniform(-1.0, 1.0, size=d)
         mu = rng.normal(0.0, 2.0, size=d)
         target = cl.Gaussian(mu, np.diag(sig * sig))
-        samp = cl.sample(target, prod.spec.m_samples(eps), rng)
+        samp = cl.sample(target, prod.m_samples(eps), rng)
         out = prod.encode(target, samp, eps)
         if out.ok:
             dec = prod.decode(out.message, samp.points, eps)
@@ -291,12 +291,12 @@ def test_axis_and_mixture_combinator_roundtrips():
     n_w = weight_grid_points(eps, k)
     w_bits = max(1, (n_w - 1).bit_length())
     assert n_w == math.ceil(3 * k / eps)
-    assert mix.spec.tau(eps) == k * base.spec.tau(sub)
-    assert mix.spec.t_bits(eps) == k * w_bits + k * base.spec.t_bits(sub)
-    assert mix.spec.m_samples(eps) \
+    assert mix.tau(eps) == k * base.tau(sub)
+    assert mix.layout(eps).n_bits == k * w_bits + k * base.layout(sub).n_bits
+    assert mix.m_samples(eps) \
         == math.ceil(48.0 * k * math.log(6.0 * k) / eps) \
-        * base.spec.m_samples(sub)
-    assert mix.spec.robustness == 0.0
+        * base.m_samples(sub)
+    assert mix.robustness == 0.0
 
     mix_hits = 0
     for _ in range(trials):
@@ -305,7 +305,7 @@ def test_axis_and_mixture_combinator_roundtrips():
         w = rng.dirichlet(np.ones(k))
         target = cl.Mixture(w, [cl.Gaussian([mus[j]], [[sig[j] * sig[j]]])
                                 for j in range(k)])
-        samp = cl.sample(target, mix.spec.m_samples(eps), rng)
+        samp = cl.sample(target, mix.m_samples(eps), rng)
         out = mix.encode(target, samp, eps)
         if out.ok:
             dec = mix.decode(out.message, samp.points, eps)

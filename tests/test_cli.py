@@ -73,6 +73,23 @@ def test_distances_kl_rejects_mixture(capsys):
     assert "kl" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("metric, p", [
+    ("kl", {"type": "gaussian", "mean": [0.0, 0.0],
+            "cov": [[1e308, 0.0], [0.0, 1e308]]}),
+    ("tv", {"type": "gaussian", "mean": [0.0], "cov": [[1e-310]]}),
+], ids=["kl cov overflows", "tv inverse overflows"])
+def test_distances_rejects_a_covariance_it_cannot_evaluate(capsys, metric, p):
+    dim = len(p["mean"])
+    q = {"type": "gaussian", "mean": [0.0] * dim,
+         "cov": np.eye(dim).tolist()}
+    code = distances_main(["--p", json.dumps(p), "--q", json.dumps(q),
+                           "--metric", metric])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("distances: ") and "not finite" in err
+    assert err.count("\n") == 1
+
+
 def test_learn_writes_result(tmp_path, capsys):
     out = tmp_path / "result.json"
     code = learn_main([
@@ -180,6 +197,46 @@ def test_learn_reports_a_sample_too_large_to_allocate():
     assert out.stderr.startswith(
         "learn: cannot allocate a sample of n=111353788787 points in d=1")
     assert out.stderr.count("\n") == 1
+
+
+def test_learn_out_into_a_missing_directory_exits_2_in_one_line(tmp_path,
+                                                               capsys):
+    out = tmp_path / "missing" / "r.json"
+    code = learn_main([
+        "--target", GAUSS_B, "--scheme", "g1d", "--eps", "0.3",
+        "--delta", "0.4", "--budget", "8", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("learn: ") and "No such file or directory" in err
+    assert err.count("\n") == 1
+
+
+# both sizes are above the 128 TiB user address space, so the allocation
+# fails at once without touching memory
+def test_lowerbound_too_large_to_allocate_exits_2_in_one_line(tmp_path,
+                                                              capsys):
+    out = tmp_path / "x.json"
+    code = lowerbound_main(["--d", "9000000", "--r", "9", "--eps", "0.1",
+                            "--M", "2", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lowerbound: Unable to allocate")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_compresslearn_run_too_large_to_allocate_exits_2_in_one_line(
+        tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(
+        experiment="hull_probe", grid_kind="n", grid=[1e14], trials=1,
+        seed=9, params={"d": 3})))
+    code = compresslearn_main(["run", "--config", str(cfg_path),
+                               "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("compresslearn: Unable to allocate")
+    assert err.count("\n") == 1
 
 
 def test_lowerbound_outputs(tmp_path, capsys):

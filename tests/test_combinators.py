@@ -19,11 +19,11 @@ def test_product_size_accounting_exact():
     prod = compose_product(base, d)
     eps = 0.3
     sub = eps / d
-    assert prod.spec.tau(eps) == d * base.spec.tau(sub)
-    assert prod.spec.t_bits(eps) == d * base.spec.t_bits(sub)
-    assert prod.spec.m_samples(eps) \
-        == math.ceil(math.log(3 * d) / math.log(3.0)) * base.spec.m_samples(sub)
-    assert prod.spec.robustness == base.spec.robustness
+    assert prod.tau(eps) == d * base.tau(sub)
+    assert prod.layout(eps).n_bits == d * base.layout(sub).n_bits
+    assert prod.m_samples(eps) \
+        == math.ceil(math.log(3 * d) / math.log(3.0)) * base.m_samples(sub)
+    assert prod.robustness == base.robustness
 
 
 def test_product_roundtrip_diagonal_gaussian():
@@ -35,7 +35,7 @@ def test_product_roundtrip_diagonal_gaussian():
     hits = 0
     trials = 40
     for _ in range(trials):
-        samp = sample(target, prod.spec.m_samples(eps), rng)
+        samp = sample(target, prod.m_samples(eps), rng)
         out = prod.encode(target, samp, eps)
         if not out.ok:
             continue
@@ -49,7 +49,7 @@ def test_product_roundtrip_diagonal_gaussian():
 def test_product_rejects_correlated_covariance():
     prod = compose_product(g1d_codec(), 2)
     target = Gaussian([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
-    samp = sample(target, prod.spec.m_samples(0.3), 1)
+    samp = sample(target, prod.m_samples(0.3), 1)
     with pytest.raises(ValidationError):
         prod.encode(target, samp, 0.3)
 
@@ -60,12 +60,12 @@ def test_product_message_layout_remaps_refs():
     eps = 0.4
     target = Gaussian([0.0, 5.0], np.diag([1.0, 1.0]))
     rng = np.random.default_rng(52)
-    samp = sample(target, prod.spec.m_samples(eps), rng)
+    samp = sample(target, prod.m_samples(eps), rng)
     out = prod.encode(target, samp, eps)
     assert out.ok
     assert out.message.scheme_id == SCHEME_PRODUCT
-    assert out.message.n_refs == prod.spec.tau(eps)
-    assert out.message.n_bits == prod.spec.t_bits(eps)
+    assert out.message.n_refs == prod.tau(eps)
+    assert out.message.n_bits == prod.layout(eps).n_bits
     assert out.message.sample_refs.max() < samp.n
 
 
@@ -78,12 +78,12 @@ def test_mixture_size_accounting_exact():
     n_w = weight_grid_points(eps, k)
     w_bits = max(1, (n_w - 1).bit_length())
     assert n_w == math.ceil(3 * k / eps)
-    assert mix.spec.tau(eps) == k * base.spec.tau(sub)
-    assert mix.spec.t_bits(eps) == k * w_bits + k * base.spec.t_bits(sub)
-    assert mix.spec.m_samples(eps) \
+    assert mix.tau(eps) == k * base.tau(sub)
+    assert mix.layout(eps).n_bits == k * w_bits + k * base.layout(sub).n_bits
+    assert mix.m_samples(eps) \
         == math.ceil(48.0 * k * math.log(6.0 * k) / eps) \
-        * base.spec.m_samples(sub)
-    assert mix.spec.robustness == 0.0
+        * base.m_samples(sub)
+    assert mix.robustness == 0.0
 
 
 def test_mixture_roundtrip_two_component_1d():
@@ -96,7 +96,7 @@ def test_mixture_roundtrip_two_component_1d():
     hits = 0
     trials = 30
     for _ in range(trials):
-        samp = sample(target, mix_codec.spec.m_samples(eps), rng)
+        samp = sample(target, mix_codec.m_samples(eps), rng)
         out = mix_codec.encode(target, samp, eps)
         if not out.ok:
             continue
@@ -115,7 +115,7 @@ def test_mixture_pads_missing_components_with_filler():
     target = Mixture([1.0, 0.0], [Gaussian([2.0], [[1.0]]),
                                   Gaussian([0.0], [[1.0]])])
     rng = np.random.default_rng(54)
-    samp = sample(target, mix_codec.spec.m_samples(eps), rng)
+    samp = sample(target, mix_codec.m_samples(eps), rng)
     out = mix_codec.encode(target, samp, eps)
     assert out.ok
     decoded = mix_codec.decode(out.message, samp.points, eps)
@@ -131,7 +131,7 @@ def test_mixture_encode_requires_labels():
     mix_codec = compose_mixture(g1d_codec(), 2)
     target = Mixture([0.5, 0.5], [Gaussian([0.0], [[1.0]]),
                                   Gaussian([5.0], [[1.0]])])
-    pts = np.zeros((mix_codec.spec.m_samples(0.3), 1))
+    pts = np.zeros((mix_codec.m_samples(0.3), 1))
     with pytest.raises(ValidationError):
         mix_codec.encode(target, LabeledSample(pts), 0.3)
 
@@ -141,9 +141,9 @@ def test_mixture_junk_payload_decodes_to_placeholder():
     mix_codec = compose_mixture(g1d_codec(), k)
     eps = 0.3
     rng = np.random.default_rng(55)
-    pts = rng.standard_normal((mix_codec.spec.m_samples(eps), 1))
-    refs = np.zeros(mix_codec.spec.tau(eps), dtype=np.int64)
-    bits = np.zeros(mix_codec.spec.t_bits(eps), dtype=np.uint8)
+    pts = rng.standard_normal((mix_codec.m_samples(eps), 1))
+    refs = np.zeros(mix_codec.tau(eps), dtype=np.int64)
+    bits = np.zeros(mix_codec.layout(eps).n_bits, dtype=np.uint8)
     msg = CompressionMessage(SCHEME_MIXTURE, refs, bits)
     decoded = mix_codec.decode(msg, pts, eps)
     # all-zero payload is invalid for every base slot: uniform placeholder
@@ -172,7 +172,7 @@ def test_gd_based_mixture_smoke():
                      [Gaussian(np.zeros(d), np.eye(d)),
                       Gaussian(np.full(d, 8.0), 2.0 * np.eye(d))])
     rng = np.random.default_rng(56)
-    samp = sample(target, mix_codec.spec.m_samples(eps), rng)
+    samp = sample(target, mix_codec.m_samples(eps), rng)
     out = mix_codec.encode(target, samp, eps)
     assert out.ok
     decoded = mix_codec.decode(out.message, samp.points, eps)
@@ -189,7 +189,7 @@ def test_mixture_rejects_off_grid_weight():
     assert n_w == 30
     rng = np.random.default_rng(56)
     pts = rng.standard_normal((10, 1))
-    refs = np.arange(mix_codec.spec.tau(eps)) % 10
+    refs = np.arange(mix_codec.tau(eps)) % 10
     layout = mix_codec.layout(eps)
     good = layout.by_index(layout.count // 2)
     for digit in (29, 30, 31):

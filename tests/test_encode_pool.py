@@ -45,7 +45,7 @@ def encode(codec, target, samp, cpus, monkeypatch):
 def test_encoded_bytes_do_not_depend_on_the_cpu_count(name, monkeypatch):
     make, target = CASES[name]
     codec = make()
-    samp = sample(target, codec.spec.m_samples(EPS), 11)
+    samp = sample(target, codec.m_samples(EPS), 11)
     one = encode(codec, target, samp, 1, monkeypatch)
     two = encode(codec, target, samp, 2, monkeypatch)
     assert one.ok and two.ok
@@ -57,7 +57,7 @@ def flat_sample():
     a target whose eigen directions 1 and 2 both leave that plane."""
     target = Gaussian([0.0, 0.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 3.0, 1.0],
                                         [0.0, 1.0, 3.0]])
-    pts = sample(target, gd_codec(3).spec.m_samples(EPS), 5).points.copy()
+    pts = sample(target, gd_codec(3).m_samples(EPS), 5).points.copy()
     pts[:, 2] = 0.25
     return target, LabeledSample(pts)
 
@@ -105,7 +105,7 @@ def test_every_pool_unit_pickles_by_reference(monkeypatch):
              for c in rng.standard_normal(3)]
     select_candidate(cands, sample(cands[0], 50, rng), 0.1, 1)
     codec = gd_codec(2)
-    codec.encode(_G2, sample(_G2, codec.spec.m_samples(EPS), 11), EPS)
+    codec.encode(_G2, sample(_G2, codec.m_samples(EPS), 11), EPS)
     names = {fn.__name__ for fn, *_ in seen}
     assert names == {"_holdout_counts", "_pool_fractions", "_grid_masses",
                      "_solve_direction"}
@@ -133,7 +133,7 @@ def test_a_rebound_solver_name_keeps_the_pool_working(monkeypatch):
     # not pickle; the submitted unit must not be that name
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     codec = gd_codec(2)
-    samp = sample(_G2, codec.spec.m_samples(EPS), 11)
+    samp = sample(_G2, codec.m_samples(EPS), 11)
     want = codec.encode(_G2, samp, EPS).message.to_bytes()
     original = gd_module.solve_hull_coefficients
     calls = []
@@ -155,7 +155,7 @@ def test_one_unit_runs_in_process_and_forks_no_pool(monkeypatch):
     assert utils._run_units([(os.getpid,)]) == [os.getpid()]
     target = Gaussian([0.5], [[2.0]])
     codec = gd_codec(1)
-    out = codec.encode(target, sample(target, codec.spec.m_samples(EPS), 3),
+    out = codec.encode(target, sample(target, codec.m_samples(EPS), 3),
                        EPS)
     assert out.ok
     assert utils._POOL is None
@@ -174,7 +174,7 @@ def test_dead_worker_raises_from_encode_and_the_next_encode_recovers(
         monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     codec = gd_codec(2)
-    samp = sample(_G2, codec.spec.m_samples(EPS), 11)
+    samp = sample(_G2, codec.m_samples(EPS), 11)
     want = codec.encode(_G2, samp, EPS).message.to_bytes()
     pool, _ = utils._worker_pool()
     with pytest.raises(BrokenProcessPool):

@@ -30,13 +30,13 @@ def test_event_probabilities_match_frozen_values():
 
 def test_spec_accounting():
     codec = g1d_codec()
-    assert codec.spec.tau(0.2) == 3
-    assert codec.spec.m_samples(0.2) == 3
-    assert codec.spec.robustness == 0.0
-    assert codec.spec.t_bits(0.2) == (scale_ratio_grid(0.2).index_width
+    assert codec.tau(0.2) == 3
+    assert codec.m_samples(0.2) == 3
+    assert codec.robustness == 0.0
+    assert codec.layout(0.2).n_bits == (scale_ratio_grid(0.2).index_width
                                       + mean_offset_grid(0.2).index_width)
     # bits grow as eps shrinks
-    assert codec.spec.t_bits(0.05) > codec.spec.t_bits(0.4)
+    assert codec.layout(0.05).n_bits > codec.layout(0.4).n_bits
 
 
 def test_grid_bounds():

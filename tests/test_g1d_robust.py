@@ -15,10 +15,10 @@ from compresslearn.compression.g1d_robust import (ROBUSTNESS_L1,
 
 def test_spec_accounting():
     codec = g1d_robust_codec()
-    assert codec.spec.tau(0.2) == 4
-    assert codec.spec.t_bits(0.2) == 1
-    assert codec.spec.m_samples(0.2) == math.ceil(60.0 / 0.2)
-    assert codec.spec.robustness == ROBUSTNESS_L1 == 0.773
+    assert codec.tau(0.2) == 4
+    assert codec.layout(0.2).n_bits == 1
+    assert codec.m_samples(0.2) == math.ceil(60.0 / 0.2)
+    assert codec.robustness == ROBUSTNESS_L1 == 0.773
 
 
 def test_message_shape_is_four_refs_one_bit():
@@ -54,7 +54,7 @@ def test_roundtrip_without_contamination():
     hits = 0
     trials = 60
     for _ in range(trials):
-        samp = sample(target, codec.spec.m_samples(eps), rng)
+        samp = sample(target, codec.m_samples(eps), rng)
         out = codec.encode(target, samp, eps)
         if not out.ok:
             continue
@@ -70,7 +70,7 @@ def test_roundtrip_under_contamination():
     eps = 0.25
     codec = g1d_robust_codec()
     target = Gaussian([0.0], [[1.0]])
-    m = codec.spec.m_samples(eps)
+    m = codec.m_samples(eps)
     hits = 0
     trials = 60
     for _ in range(trials):

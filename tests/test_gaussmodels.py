@@ -67,6 +67,26 @@ def test_gaussian_rejects_singular_covariance():
         Gaussian([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("mean, cov", [
+    ([0.0, 0.0], 1e308 * np.eye(2)),
+    ([0.0], [[1e308]]),
+    ([0.0], [[1e-310]]),
+], ids=["overflows when symmetrized 2-D", "overflows when symmetrized 1-D",
+        "inverse overflows"])
+def test_gaussian_rejects_covariances_it_cannot_evaluate(mean, cov):
+    with pytest.raises(SingularCovarianceError, match="not finite"):
+        Gaussian(mean, cov)
+
+
+def test_gaussian_keeps_huge_and_tiny_covariances_it_can_evaluate():
+    big = Gaussian([0.0, 0.0], 1e300 * np.eye(2))
+    tiny = Gaussian([0.0], [[1e-300]])
+    for g in (big, tiny):
+        assert np.all(np.isfinite(g.sqrt_cov))
+        assert np.all(np.isfinite(g.inv_cov))
+        assert math.isfinite(float(log_density(g, g.mean[None, :])[0]))
+
+
 def test_gaussian_rejects_shape_mismatch():
     with pytest.raises(ValidationError):
         Gaussian([0.0, 0.0], [[1.0]])

@@ -19,12 +19,13 @@ def test_spec_accounting():
     codec = gd_codec(d)
     m = n_pairs(d)
     assert m == math.ceil(40.0 * d * (1.0 + math.log(d)))
-    assert codec.spec.m_samples(0.2) == 2 * m
-    assert codec.spec.tau(0.2) == 2 * m + 1
-    assert codec.spec.robustness == pytest.approx(2.0 / 3.0)
+    assert codec.m_samples(0.2) == 2 * m
+    assert codec.tau(0.2) == 2 * m + 1
+    assert codec.robustness == pytest.approx(2.0 / 3.0)
     cg = coefficient_grid(0.2, d)
     ag = anchor_grid(0.2, d)
-    assert codec.spec.t_bits(0.2) == d * m * cg.index_width + d * ag.index_width
+    assert codec.layout(0.2).n_bits \
+        == d * m * cg.index_width + d * ag.index_width
 
 
 def test_grid_steps_scale_with_problem_size():
@@ -48,7 +49,7 @@ def test_roundtrip_whitened_error_chains():
     for _ in range(trials):
         cov = spd_with_condition(d, 10.0 ** rng.uniform(0, 3), rng)
         target = Gaussian(rng.standard_normal(d) * 3.0, cov)
-        samp = sample(target, codec.spec.m_samples(eps), rng)
+        samp = sample(target, codec.m_samples(eps), rng)
         out = codec.encode(target, samp, eps)
         if not out.ok:
             continue
@@ -71,7 +72,7 @@ def test_encode_fails_when_all_differences_filtered():
     codec = gd_codec(d)
     target = Gaussian(np.zeros(d), np.eye(d))
     pts = np.tile([[1e9, 0.0], [-1e9, 0.0]],
-                  (codec.spec.m_samples(0.3) // 2, 1))
+                  (codec.m_samples(0.3) // 2, 1))
     out = codec.encode(target, LabeledSample(pts), 0.3)
     assert not out.ok and "filtered" in out.reason
 
@@ -81,7 +82,7 @@ def test_encode_fails_when_hull_misses_an_eigendirection():
     codec = gd_codec(d)
     target = Gaussian(np.zeros(d), np.eye(d))
     rng = np.random.default_rng(42)
-    m = codec.spec.m_samples(0.3)
+    m = codec.m_samples(0.3)
     pts = np.zeros((m, d))
     pts[:, 0] = rng.standard_normal(m)  # all mass on the first axis
     out = codec.encode(target, LabeledSample(pts), 0.3)
@@ -93,7 +94,7 @@ def test_encode_fails_when_both_anchors_are_outliers():
     codec = gd_codec(d)
     target = Gaussian(np.zeros(d), np.eye(d))
     rng = np.random.default_rng(43)
-    pts = rng.standard_normal((codec.spec.m_samples(0.3), d))
+    pts = rng.standard_normal((codec.m_samples(0.3), d))
     pts[0] = [1e3, 1e3]
     pts[1] = [-1e3, 1e3]
     out = codec.encode(target, LabeledSample(pts), 0.3)
@@ -106,7 +107,7 @@ def test_decoded_covariance_is_spd_and_close():
     codec = gd_codec(d)
     rng = np.random.default_rng(44)
     target = Gaussian(np.zeros(d), spd_with_condition(d, 100.0, rng))
-    samp = sample(target, 4 * codec.spec.m_samples(eps), rng)
+    samp = sample(target, 4 * codec.m_samples(eps), rng)
     msg = encode_with_retries(codec, target, samp, eps)
     assert msg is not None
     decoded = codec.decode(msg, samp.points, eps)
@@ -122,7 +123,7 @@ def test_decode_validates_message_shape():
     codec = gd_codec(d)
     rng = np.random.default_rng(45)
     target = Gaussian(np.zeros(d), np.eye(d))
-    samp = sample(target, codec.spec.m_samples(eps), rng)
+    samp = sample(target, codec.m_samples(eps), rng)
     out = codec.encode(target, samp, eps)
     assert out.ok
     with pytest.raises(DecodingError):
@@ -143,7 +144,7 @@ def test_decode_rejects_out_of_range_coefficient_offset():
     codec = gd_codec(d)
     rng = np.random.default_rng(47)
     target = Gaussian(np.zeros(d), np.eye(d))
-    samp = sample(target, 4 * codec.spec.m_samples(eps), rng)
+    samp = sample(target, 4 * codec.m_samples(eps), rng)
     msg = encode_with_retries(codec, target, samp, eps)
     assert msg is not None
     cg = coefficient_grid(eps, d)
@@ -165,17 +166,9 @@ def test_payload_index_enumeration():
     assert total > 0
     first = layout.by_index(0)
     last = layout.by_index(total - 1)
-    assert len(first) == len(last) == codec.spec.t_bits(eps)
+    assert len(first) == len(last) == codec.layout(eps).n_bits
     with pytest.raises(Exception):
         layout.by_index(total)
-
-
-def test_random_payload_has_right_width():
-    d = 2
-    codec = gd_codec(d)
-    rng = np.random.default_rng(46)
-    bits = codec.random_payload(0.4, rng)
-    assert len(bits) == codec.spec.t_bits(0.4)
 
 
 def test_scheme_constants():

@@ -393,7 +393,7 @@ def start_pool_with_selection():
 def start_pool_with_gd_encode():
     target = Gaussian([0.5, -1.0], [[2.0, 0.5], [0.5, 1.0]])
     codec = gd_codec(2)
-    codec.encode(target, sample(target, codec.spec.m_samples(0.45), 11),
+    codec.encode(target, sample(target, codec.m_samples(0.45), 11),
                  0.45)
 
 

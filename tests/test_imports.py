@@ -39,7 +39,7 @@ rec["select"] = loaded()
 
 target = cl.Gaussian([0.5, -1.0], [[2.0, 0.5], [0.5, 1.0]])
 codec = cl.codec_for("gd", target)
-samp = cl.sample(target, codec.spec.m_samples(0.5), 2)
+samp = cl.sample(target, codec.m_samples(0.5), 2)
 codec.encode(target, samp, 0.5)
 rec["encode"] = loaded()
 print(json.dumps(rec))

@@ -340,7 +340,6 @@ def test_learn_from_compression_exhaustive_space():
     n_enc = _boost_rounds(delta)  # m_samples == 1 per round
     assert res.candidate_space == n_enc * 2
     assert not res.budget_capped
-    assert res.enumeration == "exhaustive"
     assert res.candidate_count == n_enc * 2
     assert abs(float(res.estimate.mean[0]) - 2.0) < 1.5
 
@@ -354,7 +353,6 @@ def test_learn_from_compression_budget_caps_sampling():
     samp = sample(target, n, 67)
     res = learn_from_compression(codec, samp, eps, delta, budget, 8)
     assert res.budget_capped
-    assert res.enumeration == "sampled"
     assert res.candidate_count <= budget
 
 
@@ -395,7 +393,7 @@ def test_learn_from_compression_checks_sample_before_messages():
     codec = dataclasses.replace(g1d_codec(), random_payload=no_payloads,
                                 layout=no_payloads)
     eps, delta, budget = 0.2, 0.2, 10
-    n_enc = codec.spec.m_samples(eps / 6.0) * _boost_rounds(delta)
+    n_enc = codec.m_samples(eps / 6.0) * _boost_rounds(delta)
     samp = sample(Gaussian([0.0], [[1.0]]), n_enc - 1, 70)
     with pytest.raises(ValidationError, match="encoding points"):
         learn_from_compression(codec, samp, eps, delta, budget, 11)

@@ -33,7 +33,7 @@ CASES = {
 def _encoded(name):
     scheme, target = CASES[name]
     codec = codec_for(scheme, target)
-    samp = sample(target, 2 * codec.spec.m_samples(EPS), 11)
+    samp = sample(target, 2 * codec.m_samples(EPS), 11)
     msg = encode_with_retries(codec, target, samp, EPS)
     assert msg is not None
     codec.decode(msg, samp.points, EPS)
@@ -116,3 +116,33 @@ def test_encode_rejects_messages_off_the_envelope():
     with pytest.raises(MessageSizeError):
         toy(SCHEME_G1D, 2, 2).encode(None, LabeledSample(np.zeros((1, 1))),
                                      EPS)
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.45])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_random_payload_has_right_width(name, eps):
+    scheme, target = CASES[name]
+    codec = codec_for(scheme, target)
+    bits = codec.random_payload(eps, np.random.default_rng(46))
+    assert len(bits) == codec.layout(eps).n_bits
+
+
+def test_an_outcome_is_ok_exactly_when_it_carries_a_message():
+    msg = CompressionMessage(SCHEME_G1D, np.arange(2), np.zeros(2, np.uint8))
+    assert EncodeOutcome.success(msg).ok
+    assert not EncodeOutcome.failure("no luck").ok
+
+
+@pytest.mark.parametrize("cov", [[[1e-310]], [[1e308]]])
+def test_decode_turns_an_unusable_covariance_into_a_decoding_error(cov):
+    """A payload that decodes to a covariance ``Gaussian`` rejects is a
+    message that does not decode, so a learn drops it."""
+    codec = Codec.from_layout("toy", SCHEME_G1D, None,
+                              lambda message, pts, eps: Gaussian([0.0], cov),
+                              lambda eps: PayloadLayout([4], [2]),
+                              tau=lambda eps: 1, m_samples=lambda eps: 1,
+                              robustness=0.0)
+    msg = CompressionMessage(SCHEME_G1D, np.zeros(1, np.int64),
+                             np.zeros(2, np.uint8))
+    with pytest.raises(DecodingError, match="toy payload"):
+        codec.decode(msg, np.zeros((1, 1)), EPS)

@@ -71,7 +71,7 @@ def payload_digests(name: str, eps: float) -> dict:
         _hash_bits(h, layout.by_index(idx))
     out["index"] = h.hexdigest()
 
-    samp = sample(target, 2 * codec.spec.m_samples(eps), 7)
+    samp = sample(target, 2 * codec.m_samples(eps), 7)
     msg = encode_with_retries(codec, target, samp, eps)
     out["encode"] = hashlib.sha256(msg.to_bytes()).hexdigest()
     return out
