@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import DecodingError, ValidationError
+from ..errors import ValidationError
 from ..gaussmodels import Gaussian, LabeledSample, Mixture
 from .message import (SCHEME_MIXTURE, SCHEME_PRODUCT, CompressionMessage,
                       PayloadLayout)
@@ -47,16 +47,17 @@ def _encode_in_batches(base: Codec, target, points: np.ndarray,
     return outcome, None
 
 
-def _slots(base: Codec, message: CompressionMessage, e: float, n: int,
-           bit_offset: int = 0) -> list:
-    """The ``n`` base sub-messages of a composite ``message`` at base
-    accuracy ``e``, their payloads one after another from ``bit_offset``."""
+def _slot_decodes(base: Codec, refs, digits, pts_of, e: float, n: int,
+                  first_field: int = 0):
+    """``base.decode_rows`` at accuracy ``e`` of each of the ``n`` slots of
+    composite rows: slot ``i`` is the ``i``-th run of base references and,
+    from ``first_field``, of base payload digits, and sees ``pts_of(i)``."""
     tau_b = base.tau(e)
-    t_b = base.layout(e).n_bits
-    return [CompressionMessage(
-        base.scheme_id, message.sample_refs[i * tau_b:(i + 1) * tau_b],
-        message.bits[bit_offset + i * t_b:bit_offset + (i + 1) * t_b])
-        for i in range(n)]
+    f_b = len(base.layout(e).radices)
+    return [base.decode_rows(
+        refs[:, i * tau_b:(i + 1) * tau_b],
+        digits[:, first_field + i * f_b:first_field + (i + 1) * f_b],
+        pts_of(i), e) for i in range(n)]
 
 
 def compose_product(base: Codec, d: int) -> Codec:
@@ -107,18 +108,16 @@ def compose_product(base: Codec, d: int) -> Codec:
             SCHEME_PRODUCT, np.concatenate(all_refs),
             np.concatenate(all_bits)))
 
-    def decode(message: CompressionMessage, pts: np.ndarray,
-               eps: float) -> Gaussian:
+    def decode_rows(refs, digits, pts: np.ndarray, eps: float):
         if pts.shape[1] != d:
             raise ValidationError(f"points must have shape (n, {d})")
-        e = sub_eps(eps)
-        mean = np.empty(d)
-        var = np.empty(d)
-        for j, sub in enumerate(_slots(base, message, e, d)):
-            gauss = base.decode(sub, pts[:, j:j + 1], e)
-            mean[j] = gauss.mean[0]
-            var[j] = gauss.cov[0, 0]
-        return Gaussian(mean, np.diag(var))
+        _, means, covs, oks = zip(*_slot_decodes(
+            base, refs, digits, lambda j: pts[:, j:j + 1], sub_eps(eps), d))
+        cov = np.zeros((len(refs), d, d))
+        cov[:, np.arange(d), np.arange(d)] = np.concatenate(
+            [c[:, 0] for c in covs], axis=1)
+        return None, np.concatenate(means, axis=1), cov, \
+            np.logical_and.reduce(oks)
 
     @lru_cache(maxsize=256)
     def layout(eps: float) -> PayloadLayout:
@@ -126,9 +125,9 @@ def compose_product(base: Codec, d: int) -> Codec:
         return PayloadLayout.concat([base.layout(sub_eps(eps))] * d)
 
     return Codec.from_layout(
-        f"product[{base.name}]^{d}", SCHEME_PRODUCT, encode, decode, layout,
-        tau=lambda eps: d * base.tau(sub_eps(eps)), m_samples=m_samples,
-        robustness=base.robustness)
+        f"product[{base.name}]^{d}", SCHEME_PRODUCT, encode, decode_rows,
+        layout, tau=lambda eps: d * base.tau(sub_eps(eps)),
+        m_samples=m_samples, robustness=base.robustness)
 
 
 def weight_grid_points(eps: float, k: int) -> int:
@@ -210,29 +209,19 @@ def compose_mixture(base: Codec, k: int) -> Codec:
             SCHEME_MIXTURE, np.concatenate(all_refs),
             np.concatenate([w_payload] + payload)))
 
-    def decode(message: CompressionMessage, pts: np.ndarray,
-               eps: float) -> Mixture:
-        d = pts.shape[1]
-        e = sub_eps(eps)
-        w_layout = _weight_layout(eps, k)
-        weights = w_layout.unpack(message.bits[:w_layout.n_bits]) \
-            / (weight_grid_points(eps, k) - 1)
-        comps = []
-        for sub in _slots(base, message, e, k, w_layout.n_bits):
-            try:
-                comps.append(base.decode(sub, pts, e))
-            except DecodingError:
-                # filler or junk payload: deterministic placeholder
-                comps.append(Gaussian(np.zeros(d), np.eye(d)))
-        total = weights.sum()
-        if total > 0.0:
-            weights = weights / total
-        else:
-            weights = np.full(k, 1.0 / k)
-        return Mixture(weights, comps)
+    def decode_rows(refs, digits, pts: np.ndarray, eps: float):
+        weights = digits[:, :k] / (weight_grid_points(eps, k) - 1)
+        total = weights.sum(axis=1, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            weights = np.where(total > 0.0, weights / total, 1.0 / k)
+        _, means, covs, oks = zip(*_slot_decodes(
+            base, refs, digits, lambda i: pts, sub_eps(eps), k, k))
+        return (weights, *(np.stack(part, axis=1)
+                           for part in (means, covs, oks)))
 
     return Codec.from_layout(
-        f"mixture[{base.name}]x{k}", SCHEME_MIXTURE, encode, decode, layout,
-        tau=lambda eps: k * base.tau(sub_eps(eps)), m_samples=m_samples,
+        f"mixture[{base.name}]x{k}", SCHEME_MIXTURE, encode, decode_rows,
+        layout, tau=lambda eps: k * base.tau(sub_eps(eps)),
+        m_samples=m_samples,
         # contamination tolerance does not compose through mixtures here
         robustness=0.0)

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import DecodingError, ValidationError
+from ..errors import ValidationError
 from ..gaussmodels import Gaussian, LabeledSample
 from .grids import SymmetricGrid
 from .message import SCHEME_G1D, CompressionMessage, PayloadLayout
@@ -77,20 +77,19 @@ def _encode_g1d(target: Gaussian, sample: LabeledSample,
         CompressionMessage(SCHEME_G1D, np.arange(3), bits))
 
 
-def _decode_g1d(message: CompressionMessage, pts: np.ndarray,
-                eps: float) -> Gaussian:
-    """Deterministically rebuild the Gaussian from three referenced points."""
+def _decode_g1d(refs: np.ndarray, digits: np.ndarray, pts: np.ndarray,
+                eps: float):
+    """Each row's mean and variance from its three referenced points."""
     if pts.shape[1] != 1:
         raise ValidationError("points must have shape (n, 1)")
-    g1, g2, g3 = (float(pts[r, 0]) for r in message.sample_refs)
-    lam_off, eta_off = g1d_layout(eps).unpack(message.bits).tolist()
-    lam = scale_ratio_grid(eps).values(lam_off)
-    eta = mean_offset_grid(eps).values(eta_off)
-    sigma_hat = lam * (g1 - g2) / math.sqrt(2.0)
-    if sigma_hat <= 0.0:
-        raise DecodingError("decoded scale is not positive")
-    mu_hat = g3 + sigma_hat * eta
-    return Gaussian([mu_hat], [[sigma_hat * sigma_hat]])
+    g1, g2, g3 = pts[refs, 0].T
+    lam = scale_ratio_grid(eps).values(digits[:, 0])
+    eta = mean_offset_grid(eps).values(digits[:, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma_hat = lam * (g1 - g2) / math.sqrt(2.0)
+        mu_hat = g3 + sigma_hat * eta
+        var = sigma_hat * sigma_hat
+    return None, mu_hat[:, None], var[:, None, None], sigma_hat > 0.0
 
 
 def g1d_codec() -> Codec:

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .._kernels import first_occupants
-from ..errors import DecodingError, ValidationError
+from ..errors import ValidationError
 from ..gaussmodels import Gaussian, LabeledSample
 from .message import SCHEME_G1D_ROBUST, CompressionMessage, PayloadLayout
 from .scheme import Codec, EncodeOutcome, check_eps
@@ -40,19 +40,6 @@ _LAYOUT = PayloadLayout([2], [1])  # the variance-rule bit
 def m_samples_robust(eps: float) -> int:
     check_eps(eps)
     return math.ceil(M_MULT / eps)
-
-
-def decode_g1d_robust(x1: float, x2: float, y1: float, y2: float,
-                      b: int) -> Gaussian:
-    """Decoder map: mean ``(x1+x2)/2``; variance ``|y1-y2|^2``, divided by 9
-    when the fallback bit is set."""
-    if b not in (0, 1):
-        raise ValidationError("b must be 0 or 1")
-    spread = abs(y1 - y2)
-    if spread <= 0.0:
-        raise DecodingError("decoded scale is not positive")
-    sd = spread / 3.0 if b == 1 else spread
-    return Gaussian([(x1 + x2) / 2.0], [[sd * sd]])
 
 
 def _encode_g1d_robust(target: Gaussian, sample: LabeledSample,
@@ -103,18 +90,25 @@ def _encode_g1d_robust(target: Gaussian, sample: LabeledSample,
         CompressionMessage(SCHEME_G1D_ROBUST, refs, _LAYOUT.pack([b])))
 
 
-def _decode_g1d_robust_message(message: CompressionMessage, pts: np.ndarray,
-                               eps: float) -> Gaussian:
+def _decode_g1d_robust(refs: np.ndarray, digits: np.ndarray,
+                       pts: np.ndarray, eps: float):
+    """Decoder map: mean ``(x1+x2)/2``; variance ``|y1-y2|^2``, divided by 9
+    when the fallback bit is set."""
     if pts.shape[1] != 1:
         raise ValidationError("points must have shape (n, 1)")
-    x1, x2, y1, y2 = (float(pts[r, 0]) for r in message.sample_refs)
-    return decode_g1d_robust(x1, x2, y1, y2, int(message.bits[0]))
+    x1, x2, y1, y2 = pts[refs, 0].T
+    spread = np.abs(y1 - y2)
+    sd = np.where(digits[:, 0] == 1, spread / 3.0, spread)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = (x1 + x2) / 2.0
+        var = sd * sd
+    return None, mean[:, None], var[:, None, None], spread > 0.0
 
 
 def g1d_robust_codec() -> Codec:
     """Codec wrapper: 4 references, 1 bit, m = ceil(M_MULT/eps) samples."""
     return Codec.from_layout("g1d_robust", SCHEME_G1D_ROBUST,
-                             _encode_g1d_robust, _decode_g1d_robust_message,
+                             _encode_g1d_robust, _decode_g1d_robust,
                              lambda eps: _LAYOUT, tau=lambda eps: _TAU,
                              m_samples=m_samples_robust,
                              robustness=ROBUSTNESS_L1)

@@ -29,13 +29,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import DecodingError, SingularCovarianceError, ValidationError
-from ..gaussmodels import Gaussian, LabeledSample
+from ..errors import ValidationError
+from ..gaussmodels import Gaussian, LabeledSample, gaussian_rows
 from ..nets import solve_hull_coefficients
 from ..utils import _run_units
 from .grids import SymmetricGrid
 from .message import SCHEME_GD, CompressionMessage, PayloadLayout
-from .scheme import Codec, EncodeOutcome, message_gate
+from .scheme import Codec, EncodeOutcome
 
 C_HULL = 20.0  # hull targets w_j / C_HULL: certified radius 1 / C_HULL
 M_MULT = 40.0  # difference pairs m = ceil(M_MULT * d * (1 + ln d))
@@ -166,30 +166,34 @@ class GdDecoded:
     anchor_coeffs: np.ndarray
 
 
-def _decode_detailed(message: CompressionMessage, pts: np.ndarray,
-                     eps: float) -> GdDecoded:
+def _gd_params(refs: np.ndarray, digits: np.ndarray, pts: np.ndarray,
+               eps: float):
+    """``(mean, cov, vecs, lam)`` of each row: the rows of ``vecs[i]`` are
+    its reconstructed ``v_j`` and ``lam[i]`` its anchor coefficients."""
     d = pts.shape[1]
     m = n_pairs(d)
-    offsets = gd_layout(eps, d, m).unpack(message.bits)
-    theta = coefficient_grid(eps, d).values(offsets[:d * m]).reshape(d, m)
-    lam = anchor_grid(eps, d).values(offsets[d * m:])
-    pair_refs = message.sample_refs[:2 * m]
-    diffs = pts[pair_refs[1::2]] - pts[pair_refs[0::2]]
-    vecs = (C_HULL / math.sqrt(2.0)) * (theta @ diffs)  # rows v_j
-    cov = vecs.T @ vecs
-    cov = 0.5 * (cov + cov.T)
-    mean = pts[message.sample_refs[-1]] - lam @ vecs
-    try:
-        gauss = Gaussian(mean, cov)
-    except SingularCovarianceError:
-        ridge = _RIDGE_REL * float(np.trace(cov)) / d
-        if ridge <= 0.0:
-            raise DecodingError("reconstructed covariance is singular")
-        try:
-            gauss = Gaussian(mean, cov + ridge * np.eye(d))
-        except SingularCovarianceError as exc:
-            raise DecodingError("covariance repair failed") from exc
-    return GdDecoded(gaussian=gauss, scaled_vectors=vecs, anchor_coeffs=lam)
+    theta = coefficient_grid(eps, d).values(digits[:, :d * m]).reshape(
+        -1, d, m)
+    lam = anchor_grid(eps, d).values(digits[:, d * m:])
+    diffs = pts[refs[:, 1:2 * m:2]] - pts[refs[:, 0:2 * m:2]]
+    vecs = (C_HULL / math.sqrt(2.0)) * (theta @ diffs)
+    cov = np.swapaxes(vecs, 1, 2) @ vecs
+    cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+    mean = pts[refs[:, -1]] - (lam[:, None, :] @ vecs)[:, 0]
+    return mean, cov, vecs, lam
+
+
+def _decode_gd(refs: np.ndarray, digits: np.ndarray, pts: np.ndarray,
+               eps: float):
+    """Each row's mean and covariance; a covariance ``Gaussian`` rejects
+    gets one ridge of ``_RIDGE_REL`` times its mean eigenvalue."""
+    mean, cov, _, _ = _gd_params(refs, digits, pts, eps)
+    d = pts.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ridge = _RIDGE_REL * np.trace(cov, axis1=1, axis2=2) / d
+        fix = (gaussian_rows(mean, cov).fault > 0) & (ridge > 0.0)
+        cov[fix] += ridge[fix, None, None] * np.eye(d)
+    return None, mean, cov, np.ones(len(refs), dtype=bool)
 
 
 def decode_gd_detailed(message: CompressionMessage, points: np.ndarray,
@@ -200,16 +204,18 @@ def decode_gd_detailed(message: CompressionMessage, points: np.ndarray,
     if pts.ndim != 2:
         raise ValidationError("points must have shape (n, d)")
     codec = gd_codec(pts.shape[1])
-    check = message_gate(SCHEME_GD, codec.tau, codec.layout)
-    return _decode_detailed(message, check(message, pts, eps), eps)
+    gauss = codec.decode(message, pts, eps)
+    _, digits = codec.gate(message, pts, eps)
+    _, _, vecs, lam = _gd_params(message.sample_refs[None], digits[None],
+                                 pts, eps)
+    return GdDecoded(gaussian=gauss, scaled_vectors=vecs[0],
+                     anchor_coeffs=lam[0])
 
 
 def gd_codec(d: int) -> Codec:
     """Codec wrapper for fixed dimension ``d``."""
     m = n_pairs(d)
-    return Codec.from_layout(f"gd[d={d}]", SCHEME_GD, _encode_gd,
-                             lambda message, pts, eps: _decode_detailed(
-                                 message, pts, eps).gaussian,
+    return Codec.from_layout(f"gd[d={d}]", SCHEME_GD, _encode_gd, _decode_gd,
                              lambda eps: gd_layout(eps, d, m),
                              tau=lambda eps: tau_gd(d),
                              m_samples=lambda eps: m_samples_gd(d),

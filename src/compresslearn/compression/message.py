@@ -133,25 +133,33 @@ class PayloadLayout:
 
     def by_index(self, idx: int) -> np.ndarray:
         """Payload bits of mixed-radix index ``idx`` in ``[0, count)``."""
+        return self.pack(self.index_digits(idx))
+
+    def index_digits(self, idx: int) -> list:
+        """Digits, in wire order, of mixed-radix index ``idx`` in
+        ``[0, count)``."""
         idx = int(idx)
         if not 0 <= idx < self.count:
             raise ValidationError("payload index out of range")
         digits = [0] * len(self.radices)
         for i in self.order:
             idx, digits[i] = divmod(idx, self.radices[i])
-        return self.pack(digits)
+        return digits
 
-    def random(self, rng: np.random.Generator) -> np.ndarray:
-        """Uniform payload: one ``rng.integers(radix)`` per field, in wire order.
+    def random_digits(self, rng: np.random.Generator) -> np.ndarray:
+        """Uniform payload digits: one ``rng.integers(radix)`` per field, in
+        wire order.
 
         numpy draws the same digits from one broadcast call as from one
         call per field; below four fields the scalar calls are faster.
         """
         if len(self.radices) < 4:
-            digits = np.array([rng.integers(r) for r in self.radices])
-        else:
-            digits = rng.integers(0, self._radix)
-        return self._bits(digits)
+            return np.array([rng.integers(r) for r in self.radices])
+        return rng.integers(0, self._radix)
+
+    def random(self, rng: np.random.Generator) -> np.ndarray:
+        """Bits of a uniform payload, :meth:`random_digits`."""
+        return self._bits(self.random_digits(rng))
 
 
 def _flat_indices(values, bound: int, dtype, error: str) -> np.ndarray:

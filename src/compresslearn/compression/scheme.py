@@ -3,44 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
-from ..errors import (DecodingError, MessageSizeError,
-                      SingularCovarianceError, ValidationError)
-from ..gaussmodels import Gaussian, LabeledSample, Mixture
+from ..errors import DecodingError, MessageSizeError, ValidationError
+from ..gaussmodels import (Distribution, Gaussian, LabeledSample, Mixture,
+                           gaussian_rows)
 from .message import CompressionMessage, PayloadLayout
-
-Decoded = Union[Gaussian, Mixture]
-
 
 def check_eps(eps: float) -> None:
     """Reject a codec accuracy ``eps`` outside ``(0, 1]``."""
     if not (0.0 < eps <= 1.0):
         raise ValidationError("eps must lie in (0, 1]")
-
-
-def message_gate(scheme_id: int, tau: Callable[[float], int],
-                 layout: Callable[[float], PayloadLayout]):
-    """``check(message, points, eps)``, the check of every message a codec
-    decodes (see :class:`Codec`); it returns ``points`` as a float array."""
-
-    def check(message: CompressionMessage, points, eps: float) -> np.ndarray:
-        check_eps(eps)
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2:
-            raise ValidationError("points must have shape (n, d)")
-        want = (scheme_id, tau(eps), layout(eps).n_bits)
-        got = (message.scheme_id, message.n_refs, message.n_bits)
-        if got != want:
-            raise DecodingError(f"message has (scheme id, references, "
-                                f"payload bits) {got}, not {want}")
-        if want[1] and message.sample_refs.max() >= pts.shape[0]:
-            raise DecodingError("sample reference out of range")
-        return pts
-
-    return check
 
 
 @dataclass(frozen=True)
@@ -86,17 +61,24 @@ class Codec:
 
     ``encode(target, sample, eps)`` consumes ``m_samples(eps)`` points
     from the sample; the encoder knows the target distribution.
-    ``decode(message, points, eps)`` is deterministic and sees only the
-    referenced sample points (as rows of ``points`` indexed by the
-    message's references).
 
-    :meth:`from_layout` puts ``encode`` and ``decode`` behind one gate:
-    ``eps`` in ``(0, 1]``, 2-D ``points``, and messages the learner can
-    enumerate: the codec's ``scheme_id``, exactly ``tau(eps)`` references
-    below ``len(points)``, exactly ``layout(eps).n_bits`` bits.  Other
-    messages, and payloads that decode to a covariance the models cannot
-    evaluate, raise :class:`DecodingError` on decode; a bad message from an
-    ``ok`` encode raises :class:`MessageSizeError`.
+    ``decode_rows(refs, digits, points, eps)`` is the scheme's one
+    decoder, deterministic and on arrays: row ``i`` of ``refs (N, tau)``
+    and ``digits (N, n_fields)`` (payload digits in wire order, below
+    their radices) is one message, which sees only the rows of ``points``
+    it references.  It returns ``(weights, means, covs, ok)``, each row
+    independent of the others: ``None``, ``(N, d)``, ``(N, d, d)`` and
+    ``(N,)`` for Gaussians; ``(N, k)`` weights and ``(N, k, ...)``
+    components for k-mixtures.  :meth:`decode_batch` makes them
+    distributions, and ``decode(message, points, eps)`` is :meth:`gate`
+    and a batch of one.  ``from_layout`` puts ``encode`` and ``decode``
+    behind the gate: ``eps`` in ``(0, 1]``, 2-D ``points``, and messages
+    the learner can enumerate: the codec's ``scheme_id``, exactly
+    ``tau(eps)`` references below ``len(points)``, exactly
+    ``layout(eps).n_bits`` bits of digits the layout accepts.  Other
+    messages, and payloads that decode to no distribution, raise
+    :class:`DecodingError` on decode; a bad message from an ``ok`` encode
+    raises :class:`MessageSizeError`.
     """
 
     name: str
@@ -105,35 +87,72 @@ class Codec:
     m_samples: Callable[[float], int]
     robustness: float
     layout: Callable[[float], PayloadLayout]
-    encode: Callable[[Decoded, LabeledSample, float], EncodeOutcome]
-    decode: Callable[[CompressionMessage, np.ndarray, float], Decoded]
+    encode: Callable[[Distribution, LabeledSample, float], EncodeOutcome]
+    decode: Callable[[CompressionMessage, np.ndarray, float], Distribution]
+    decode_rows: Callable[..., tuple]
     random_payload: Callable[[float, np.random.Generator], np.ndarray]
 
+    def gate(self, message: CompressionMessage, points, eps: float):
+        """``(points as a float array, payload digits)`` of a message this
+        codec decodes; any other message raises :class:`DecodingError`."""
+        check_eps(eps)
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2:
+            raise ValidationError("points must have shape (n, d)")
+        layout = self.layout(eps)
+        want = (self.scheme_id, self.tau(eps), layout.n_bits)
+        got = (message.scheme_id, message.n_refs, message.n_bits)
+        if got != want:
+            raise DecodingError(f"message has (scheme id, references, "
+                                f"payload bits) {got}, not {want}")
+        if want[1] and message.sample_refs.max() >= pts.shape[0]:
+            raise DecodingError("sample reference out of range")
+        return pts, layout.unpack(message.bits)
+
+    def decode_batch(self, refs, digits, points, eps: float) -> list:
+        """The distribution of each row of ``decode_rows``, its Gaussians
+        factored by one :func:`gaussian_rows` call; ``None`` where a
+        Gaussian's ``ok`` is False or its covariance is one ``Gaussian``
+        rejects.  Such a mixture component becomes the standard Gaussian
+        instead, the placeholder of a filler or junk payload."""
+        weights, means, covs, ok = self.decode_rows(refs, digits, points, eps)
+        rows = gaussian_rows(means, covs)
+        ok = ok & (rows.fault == 0)
+        if weights is None:
+            return [rows.gaussian(i) if ok[i] else None
+                    for i in range(len(ok))]
+        place = Gaussian(np.zeros(means.shape[-1]), np.eye(means.shape[-1]))
+        return [Mixture(w, [rows.gaussian((i, j)) if ok[i, j] else place
+                            for j in range(len(w))])
+                for i, w in enumerate(weights)]
+
     @classmethod
-    def from_layout(cls, name: str, scheme_id: int, encode, decode,
+    def from_layout(cls, name: str, scheme_id: int, encode, decode_rows,
                     layout: Callable[[float], PayloadLayout], *, tau,
                     m_samples, robustness: float) -> "Codec":
         """Codec whose payload width and draws come from ``layout(eps)``,
-        with the scheme's ``encode`` and ``decode`` behind the message gate."""
-        check = message_gate(scheme_id, tau, layout)
+        with the scheme's ``encode`` and ``decode_rows`` behind the gate."""
 
         def gated_encode(target, sample: LabeledSample, eps: float):
             check_eps(eps)
             outcome = encode(target, sample, eps)
             if outcome.ok:
                 try:
-                    check(outcome.message, sample.points, eps)
+                    codec.gate(outcome.message, sample.points, eps)
                 except DecodingError as exc:
                     raise MessageSizeError(f"{name} encoder: {exc}") from None
             return outcome
 
         def gated_decode(message: CompressionMessage, points, eps: float):
-            pts = check(message, points, eps)
-            try:
-                return decode(message, pts, eps)
-            except SingularCovarianceError as exc:
-                raise DecodingError(f"{name} payload: {exc}") from None
+            pts, digits = codec.gate(message, points, eps)
+            dist = codec.decode_batch(message.sample_refs[None], digits[None],
+                                      pts, eps)[0]
+            if dist is None:
+                raise DecodingError(f"{name} payload decodes to no "
+                                    "distribution")
+            return dist
 
-        return cls(name, scheme_id, tau, m_samples, robustness, layout,
-                   gated_encode, gated_decode,
-                   lambda eps, rng: layout(eps).random(rng))
+        codec = cls(name, scheme_id, tau, m_samples, robustness, layout,
+                    gated_encode, gated_decode, decode_rows,
+                    lambda eps, rng: layout(eps).random(rng))
+        return codec

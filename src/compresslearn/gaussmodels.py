@@ -36,14 +36,87 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_spd_shape(a: np.ndarray) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("matrix has non-finite entries")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if scale > 0.0 and float(np.max(np.abs(a - a.T))) > COV_SYMMETRY_RTOL * scale:
-        raise ValidationError("matrix is not symmetric within tolerance")
+# why a gaussian_rows row is unusable, in check order: fault code c is c - 1
+ROW_FAULTS = (
+    (ValidationError, "mean has non-finite entries"),
+    (ValidationError, "matrix has non-finite entries"),
+    (ValidationError, "matrix is not symmetric within tolerance"),
+    (SingularCovarianceError, "covariance is not finite once symmetrized"),
+    (SingularCovarianceError,
+     "covariance eigenvalue below 1e-12 of the spectral norm"),
+    (SingularCovarianceError, "inverse covariance is not finite"),
+    (SingularCovarianceError, "square root check failed"),
+)
+
+
+class GaussianRows(NamedTuple):
+    """The :func:`gaussian_rows` of a stack: per row, ``fault`` is 0 where
+    :class:`Gaussian` accepts it and otherwise ``1 +`` the index in
+    ``ROW_FAULTS`` of the first check it fails (its factors mean nothing).
+    """
+
+    fault: np.ndarray
+    mean: np.ndarray
+    cov: np.ndarray
+    sqrt_cov: np.ndarray
+    inv_cov: np.ndarray
+    log_det_cov: np.ndarray
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
+
+    def gaussian(self, i) -> "Gaussian":
+        """The :class:`Gaussian` of row ``i`` (index into the leading axes),
+        with copies of its arrays, so it keeps no other row alive."""
+        g = Gaussian.__new__(Gaussian)
+        g.log_det_cov, g._inv_sqrt = float(self.log_det_cov[i]), None
+        for name in ("mean", "cov", "sqrt_cov", "inv_cov", "eigvals",
+                     "eigvecs"):
+            setattr(g, name, _freeze(getattr(self, name)[i].copy()))
+        return g
+
+
+def gaussian_rows(means, covs) -> GaussianRows:
+    """Validate and factor each row of ``means (..., d)`` and ``covs (...,
+    d, d)`` as :class:`Gaussian` does one, each check a row mask.  One
+    batched ``eigh``, batched products and a row-wise ``log`` sum give a
+    row the bits of its own stack of one; a row that fails a check before
+    ``eigh`` is factored as the identity."""
+    mean = np.array(means, dtype=float)
+    cov = np.asarray(covs, dtype=float)
+    fault = np.zeros(cov.shape[:-2], dtype=np.int64)
+    mats = (-2, -1)
+
+    def flag(code, bad):
+        fault[(fault == 0) & bad] = code
+
+    def swap(a):
+        return np.swapaxes(a, -1, -2)
+
+    # the checks are written so that a NaN fails them
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        flag(1, ~np.isfinite(mean).all(-1))
+        flag(2, ~np.isfinite(cov).all(mats))
+        flag(3, np.abs(cov - swap(cov)).max(mats, initial=0.0)
+             > COV_SYMMETRY_RTOL * np.abs(cov).max(mats, initial=0.0))
+        cov = 0.5 * (cov + swap(cov))
+        flag(4, ~np.isfinite(cov).all(mats))
+        eye = np.eye(cov.shape[-1])
+        eigvals, eigvecs = np.linalg.eigh(
+            np.where((fault == 0)[..., None, None], cov, eye))
+        scale = np.abs(eigvals).max(-1, initial=0.0)
+        low = eigvals.min(-1, initial=np.inf)
+        flag(4, ~(scale < np.inf))
+        flag(5, ~((scale > 0.0) & (low >= COV_MIN_EIG_REL * scale)))
+        # every inverse entry is at most 1/low in magnitude
+        flag(6, ~(1.0 / low < np.inf))
+        sqrt_cov = (eigvecs * np.sqrt(eigvals)[..., None, :]) @ swap(eigvecs)
+        err = np.linalg.norm(sqrt_cov @ sqrt_cov - cov, axis=mats)
+        flag(7, ~(err <= SQRT_CHECK_RTOL * np.maximum(
+            1.0, np.linalg.norm(cov, axis=mats))))
+        inv_cov = (eigvecs / eigvals[..., None, :]) @ swap(eigvecs)
+        log_det = np.sum(np.log(eigvals), axis=-1)
+    return GaussianRows(fault, mean, cov, sqrt_cov, inv_cov, log_det,
+                        eigvals, eigvecs)
 
 
 class Gaussian:
@@ -58,7 +131,8 @@ class Gaussian:
         Symmetry is enforced within a relative tolerance of 1e-10 and the
         input is symmetrized as ``(cov + cov.T) / 2``; any eigenvalue below
         ``1e-12 * ||cov||_2`` is rejected, and so is a covariance whose
-        symmetrized form, eigenvalues, square root or inverse is not finite.
+        symmetrized form, eigenvalues, square root or inverse is not finite
+        (:func:`gaussian_rows` on a stack of one).
 
     Attributes
     ----------
@@ -78,39 +152,19 @@ class Gaussian:
         cov = np.asarray(cov, dtype=float)
         if mean.ndim != 1:
             raise ValidationError("mean must be a vector")
-        if not np.all(np.isfinite(mean)):
-            raise ValidationError("mean has non-finite entries")
-        _check_spd_shape(cov)
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+            raise ValidationError(
+                f"expected a square matrix, got shape {cov.shape}")
         if cov.shape[0] != mean.shape[0]:
             raise DimensionMismatchError(
                 f"mean has dim {mean.shape[0]} but cov is {cov.shape}")
-        cov = 0.5 * (cov + cov.T)
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        # the checks are written so that a NaN fails them: an entry that
-        # overflows when symmetrized gives NaN or inf eigenvalues
-        scale = float(np.max(np.abs(eigvals)))
-        low = float(eigvals.min())
-        if not scale < np.inf:
-            raise SingularCovarianceError(
-                "covariance is not finite once symmetrized")
-        if not (scale > 0.0 and low >= COV_MIN_EIG_REL * scale):
-            raise SingularCovarianceError(
-                "covariance eigenvalue below 1e-12 of the spectral norm")
-        # every inverse entry is at most 1/low in magnitude
-        if not 1.0 / low < np.inf:
-            raise SingularCovarianceError("inverse covariance is not finite")
-        sqrt_cov = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
-        err = np.linalg.norm(sqrt_cov @ sqrt_cov - cov)
-        if not err <= SQRT_CHECK_RTOL * max(1.0, np.linalg.norm(cov)):
-            raise SingularCovarianceError("square root check failed")
-        self.mean = _freeze(mean)
-        self.cov = _freeze(cov)
-        self.sqrt_cov = _freeze(sqrt_cov)
-        self.inv_cov = _freeze((eigvecs / eigvals) @ eigvecs.T)
-        self.log_det_cov = float(np.sum(np.log(eigvals)))
-        self.eigvals = _freeze(eigvals)
-        self.eigvecs = _freeze(eigvecs)
-        self._inv_sqrt = None
+        rows = gaussian_rows(mean[None], cov[None])
+        if rows.fault[0]:
+            exc, reason = ROW_FAULTS[rows.fault[0] - 1]
+            raise exc(reason)
+        g = rows.gaussian(0)
+        for name in self.__slots__:
+            setattr(self, name, getattr(g, name))
 
     @property
     def dim(self) -> int:

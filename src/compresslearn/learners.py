@@ -5,9 +5,9 @@ list.  Its ``O(m^2 n)`` strategies split their work into units that the
 program's worker pool (``utils._run_units``) runs in parallel, with
 results bit for bit those of one serial loop.  ``learn_from_compression``
 turns any codec into a learner by enumerating (or sampling) candidate
-messages, decoding them against a held sample prefix, and selecting on a
-fresh holdout; it is the one reduction, for single Gaussians and, through
-``compose_mixture``, for k-mixtures.
+messages, decoding them as one array batch against a held sample prefix,
+and selecting on a fresh holdout; it is the one reduction, for single
+Gaussians and, through ``compose_mixture``, for k-mixtures.
 ``learn_gaussian_efficient`` is the polynomial-time single-Gaussian
 estimator.  ``scipy.special`` loads on the first closed-form 1-D
 tournament, not on import.
@@ -57,9 +57,11 @@ def holdout_size(n_candidates: int, eps: float, delta: float) -> int:
     The tournament's union bound over candidate pairs needs
     ``ceil(ln(3 M^2 / delta) / (2 eps^2))`` holdout points for the
     3*opt + 4*eps guarantee to hold with probability ``1 - delta/3``.
-    The bound is in L1 distance (``3*opt + 2*eps`` in TV).  Its constant 3
-    is proven for the minimum-distance rule; for the most-wins rule of
-    :func:`select_candidate` it is a rate, which
+    The bound is in L1 distance (``3*opt + 2*eps`` in TV).  It covers
+    only the holdout's empirical masses, not the Monte Carlo error of the
+    ``mc_pools`` model masses (see :func:`select_candidate`).  Its
+    constant 3 is proven for the minimum-distance rule; for the most-wins
+    rule of :func:`select_candidate` it is a rate, which
     ``test_tournament_selection_guarantee`` checks.
     """
     if n_candidates < 1:
@@ -368,10 +370,17 @@ def _pool_fractions(batch, own, start: int, salt: int,
 def _split_tournament(cands, points: np.ndarray, I: np.ndarray,
                       J: np.ndarray, strategy: str, seed, n_pool: int):
     """``(p_hat, p_i, p_j)`` per pair ``(I[k], J[k])``, in the pair list's
-    order (see :func:`select_candidate`).  ``grid_1d`` and ``mc_pools``
-    run in units on the worker pool, which get the candidates as one
-    prepared batch per tournament (:func:`prepare_log_densities`);
-    ``closed_form_1d`` runs in-process."""
+    order (see :func:`select_candidate`).  ``closed_form_1d`` runs
+    in-process.  ``grid_1d`` and ``mc_pools`` split into units with the
+    same result wherever they run: blocks of holdout columns (integer
+    counts, divided by ``len(points)`` once), of the ``grid_1d`` pair list
+    and of MC pool rows.  The units carry the candidates as prepared
+    arrays (:func:`prepare_log_densities`), except that a pool block
+    carries its own candidates to draw their pools.  They run on the
+    program's ``fork`` worker pool (``utils._run_units``), one worker per
+    usable CPU, or in-process, one after the other, on a single CPU,
+    without ``fork`` and inside a child process such as a harness trial.
+    """
     if not len(I):
         return np.zeros((3, 0))
     if strategy == "closed_form_1d":
@@ -412,53 +421,36 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
 
     Each pair ``(i, j) = (I[k], J[k])`` of the one pair list ``I, J =
     np.triu_indices(m, 1)`` has the comparison region ``{x : f_i(x) >
-    f_j(x)}``, and every strategy computes its masses for the pair list it
-    is given, in that list's order.  The pair's winner is the candidate whose
-    own probability of the region is closer to the empirical holdout mass
-    (ties go to the lower index), and the result is the candidate with the
-    most wins.  Region probabilities are closed-form for 1-D Gaussians,
-    shared-grid quadrature when 1-D mixtures are present, and per-candidate
-    MC pools of ``n_pool`` draws above one dimension.  ``eps`` is the
-    selection accuracy the holdout was sized for (advisory here; see
-    :func:`holdout_size`).
+    f_j(x)}``, and every strategy computes its masses for that list, in
+    its order.  The pair's winner is the candidate whose own probability
+    of the region is closer to the region's empirical mass, the fraction
+    of holdout points where candidate i's log density strictly exceeds
+    candidate j's (ties go to the lower index), and the result is the
+    candidate with the most wins.  ``eps`` is the selection accuracy the
+    holdout was sized for (advisory here; see :func:`holdout_size`).
 
-    The empirical mass of a region is the fraction of holdout points where
-    candidate i's log density strictly exceeds candidate j's (ties count
-    for neither).  Strategy ``closed_form_1d`` counts it from the region's
-    interval endpoints with ``searchsorted`` on the sorted holdout, and
-    compares stored log densities only for points next to an endpoint and
-    for near-degenerate pairs; the counts equal the all-pairs comparison
-    exactly, in ``O((m^2 + n) log n)`` time.  Strategies ``grid_1d`` and
-    ``mc_pools`` evaluate every candidate on the holdout and count, for
-    each pair of the list, the points where row i exceeds row j
-    (:func:`pairwise_greater_counts`), in ``O(m^2 n)``.
+    * ``closed_form_1d`` (1-D Gaussians, in-process): closed-form region
+      masses, and holdout counts from each region's endpoints with
+      ``searchsorted`` on the sorted holdout, which equal the all-pairs
+      comparison exactly, in ``O((m^2 + n) log n)`` time.
+    * ``grid_1d`` (1-D mixtures present): quadrature on a shared grid.
+    * ``mc_pools`` (above one dimension): per-candidate MC pools of
+      ``n_pool`` draws.  Their Monte Carlo error lies outside the
+      holdout's union bound, and ``n_pool`` does not bound it: for a learn
+      at eps 0.2 with m = 100, 5000 draws per pool bound the ``m^2`` pool
+      estimates (Hoeffding and a union bound at ``delta/2``) only to about
+      2.9 times the selection accuracy ``eps/16``.  So the
+      ``3*opt + 4*eps`` guarantee does not cover this strategy.
 
-    Both stack the candidates once per tournament into one prepared batch
-    (:func:`prepare_log_densities`; a ``grid_1d`` pair block gets the
-    batch of the candidates from its lowest index up) and evaluate it on
-    each point set (a block of holdout columns, the ``grid_1d`` grid, and
-    each of the ``m`` MC pools), which runs the batched, tiled kernel and
-    gives the same bits as per-candidate :func:`log_density` calls.  The
-    work units carry those arrays, not the candidates, except that an MC
-    pool block carries its own candidates to draw their pools.  The work
-    is still ``O(m^2 n_pool)`` density terms for ``mc_pools`` and
-    ``O(m^2 n)`` comparisons for both; batching only shrinks its constant.
-
-    That work is split into independent units, each with the same result
-    wherever it runs: contiguous blocks of holdout columns (integer pair
-    counts, summed and divided by ``holdout.n`` once), blocks of MC pool
-    rows (a candidate's pool, its log densities, and its row of own-pool
-    fractions), and blocks of the ``grid_1d`` pair list, split by pair
-    count (each pair's mass one sum over the whole masked grid).  On Linux
-    the units run on the program's ``fork`` worker pool
-    (``utils._run_units``, shared with the gd encoder and the harness),
-    one worker per available CPU, created at first use; they run
-    in-process, one after the other, on a single CPU, without ``fork``,
-    and inside a child process such as a pool worker running a harness
-    trial.  Either way the winner and win vector are bit for bit those of
-    a serial all-pairs loop.  A worker that dies raises
-    :class:`WorkerPoolError`, and the next call starts a new pool.
-    ``closed_form_1d`` always runs in-process.
+    ``grid_1d`` and ``mc_pools`` make ``O(m^2 n)`` holdout comparisons
+    (:func:`pairwise_greater_counts`), plus ``O(m^2 n_pool)`` density
+    terms for ``mc_pools``, on the candidates stacked once per tournament
+    (:func:`prepare_log_densities`), with the same bits as per-candidate
+    :func:`log_density` calls.  The work runs as units on the program's
+    worker pool or in-process (see :func:`_split_tournament`); either way
+    the winner and win vector are bit for bit those of a serial all-pairs
+    loop.  A worker that dies raises :class:`WorkerPoolError`, and the
+    next call starts a new pool.
     """
     cands = list(cands)
     if not cands:
@@ -546,17 +538,19 @@ def learn_from_compression(codec: Codec, samp: LabeledSample, eps: float,
     payloads.  When that space exceeds ``budget`` (minus any planted
     ``extra_messages``, which are decoded first), a uniform random subset
     of messages is drawn instead and the result is flagged
-    ``budget_capped``.  Selection runs on a fresh holdout slice at
-    accuracy ``eps/16``.  Its ``3*opt + 4*eps`` bound, at that accuracy,
-    is in L1 (``3*opt + 2*eps`` in TV; see :func:`holdout_size`) and
-    relative to the best candidate decoded: ``opt`` is that
+    ``budget_capped``.  The messages, planted ones first, decode as one
+    batch of reference and payload-digit rows (``codec.decode_batch``);
+    each sampled message draws its references, then its payload.  A
+    message that decodes to no distribution is dropped, a candidate whose
+    covariance :class:`Gaussian` cannot evaluate included, so
+    ``candidate_count`` can fall well below ``budget``: about half of the
+    sampled g1d messages decode to a negative scale (126 to 138 of 300 in
+    four seeded learns at eps 0.2).  Selection runs on a fresh holdout
+    slice at accuracy ``eps/16``.  Its ``3*opt + 4*eps`` bound, at that
+    accuracy, is in L1 (``3*opt + 2*eps`` in TV; see :func:`holdout_size`)
+    and relative to the best candidate decoded: ``opt`` is that
     candidate's distance to the target, whatever the target, so when no
-    decoded candidate is close the bound says little.  Messages that fail
-    to decode are dropped, so ``candidate_count`` can fall well below
-    ``budget``.  A sampled g1d payload pairs a random-sign scale ratio
-    with random references, and about half such messages decode to a
-    negative scale (126 to 138 of 300 decoded in four seeded learns at
-    eps 0.2).
+    decoded candidate is close the bound says little.
 
     A k-mixture is learned by passing ``compose_mixture(base, k)``, which
     is what ``codec_for("mixture")`` does.  That codec claims no
@@ -577,26 +571,33 @@ def learn_from_compression(codec: Codec, samp: LabeledSample, eps: float,
     n_fill = budget - len(extras)
     capped = space > n_fill
 
-    # messages are made one at a time and decoded at once; decoding draws
-    # nothing, so each message takes its refs, then its payload, from rng
-    if capped:
-        messages = (CompressionMessage(codec.scheme_id,
-                                       rng.integers(n_enc, size=tau),
-                                       codec.random_payload(e_enum, rng))
-                    for _ in range(n_fill))
-    else:
-        payloads = [layout.by_index(p) for p in range(layout.count)]
-        refs = np.array(list(itertools.product(range(n_enc), repeat=tau)),
-                        dtype=np.int64)
-        messages = (CompressionMessage(codec.scheme_id, row, payload)
-                    for row in refs for payload in payloads)
     enc_points = samp.points[:n_enc]
-    decoded = []
-    for msg in itertools.chain(extras, messages):
+    gated = []
+    for msg in extras:
         try:
-            decoded.append(codec.decode(msg, enc_points, e_enum))
+            gated.append((msg.sample_refs,
+                          codec.gate(msg, enc_points, e_enum)[1]))
         except DecodingError:
             continue
+    n_rows = len(gated) + (n_fill if capped else space)
+    refs = np.empty((n_rows, tau), dtype=np.int64)
+    digits = np.empty((n_rows, len(layout.radices)), dtype=np.int64)
+    for i, (row, payload) in enumerate(gated):
+        refs[i], digits[i] = row, payload
+    if capped:
+        # the RNG calls of one message and its random_payload, in order
+        for i in range(len(gated), n_rows):
+            refs[i] = rng.integers(n_enc, size=tau)
+            digits[i] = layout.random_digits(rng)
+    else:
+        tuples = np.array(list(itertools.product(range(n_enc), repeat=tau)),
+                          dtype=np.int64)
+        refs[len(gated):] = np.repeat(tuples, layout.count, axis=0)
+        digits[len(gated):] = np.tile(
+            [layout.index_digits(p) for p in range(layout.count)],
+            (len(tuples), 1))
+    decoded = [dist for dist in codec.decode_batch(refs, digits, enc_points,
+                                                   e_enum) if dist is not None]
     if not decoded:
         raise ValidationError("no candidate message decoded to a distribution")
 

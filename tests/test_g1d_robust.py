@@ -7,9 +7,9 @@ import pytest
 
 from compresslearn import (DecodingError, Gaussian, LabeledSample,
                            ValidationError, sample, tv_1d)
-from compresslearn.compression import g1d_robust_codec
+from compresslearn.compression import (SCHEME_G1D_ROBUST, CompressionMessage,
+                                       g1d_robust_codec)
 from compresslearn.compression.g1d_robust import (ROBUSTNESS_L1,
-                                                  decode_g1d_robust,
                                                   m_samples_robust)
 
 
@@ -32,18 +32,26 @@ def test_message_shape_is_four_refs_one_bit():
     assert out.message.n_bits == 1
 
 
+def decode_points(x1, x2, y1, y2, b):
+    """Decode the message that references the four given points in order."""
+    msg = CompressionMessage(SCHEME_G1D_ROBUST, np.arange(4),
+                             np.array([b], dtype=np.uint8))
+    return g1d_robust_codec().decode(msg, np.array([[x1], [x2], [y1], [y2]]),
+                                     0.2)
+
+
 def test_decode_formulas():
     # bit 0: sd = |y1 - y2|; bit 1: sd = |y1 - y2| / 3; mean = (x1 + x2) / 2
-    g = decode_g1d_robust(1.0, 3.0, 0.0, 1.5, 0)
+    g = decode_points(1.0, 3.0, 0.0, 1.5, 0)
     assert float(g.mean[0]) == pytest.approx(2.0)
     assert math.sqrt(float(g.cov[0, 0])) == pytest.approx(1.5)
-    g3 = decode_g1d_robust(1.0, 3.0, 0.0, 1.5, 1)
+    g3 = decode_points(1.0, 3.0, 0.0, 1.5, 1)
     assert math.sqrt(float(g3.cov[0, 0])) == pytest.approx(0.5)
 
 
 def test_decode_rejects_zero_spread():
     with pytest.raises(DecodingError):
-        decode_g1d_robust(1.0, 3.0, 2.0, 2.0, 0)
+        decode_points(1.0, 3.0, 2.0, 2.0, 0)
 
 
 def test_roundtrip_without_contamination():

@@ -9,6 +9,9 @@ scheme learns at a small budget from a fixed sample, once without planted
 messages and once with the codec's own encoding of the target (found over
 disjoint batches of the encoding prefix) as its one ``extra_messages``
 entry.
+
+``ESTIMATE`` pins the winner itself: the sha256 of
+``dist_dumps(res.estimate)`` for the same learns.
 """
 
 import hashlib
@@ -17,8 +20,8 @@ import numpy as np
 import pytest
 
 from compresslearn import (Gaussian, LabeledSample, Mixture, codec_for,
-                           compression_sample_size, learn_from_compression,
-                           sample)
+                           compression_sample_size, dist_dumps,
+                           learn_from_compression, sample)
 from compresslearn.learners import _encoding_size
 
 from helpers import encode_with_retries
@@ -61,8 +64,32 @@ GOLDEN = {
         "45952adc4b1d08a5ba1892fbdebbf56e48f2c79a2d648a56d16f2b921b34097c",
 }
 
+ESTIMATE = {
+    "axis/plain":
+        "3fb5f26cc1aaf6210c9583c5ede9af571dd4aaefb6330c01a8f068e247692fa9",
+    "axis/planted":
+        "0bca498d88d41c0a2eda077eea617cfd9e1ff773b21ffcaa71f17c10461b5475",
+    "g1d/plain":
+        "850217d9df6beaa6cd1e3a1fc4507fdf62488e1b9fd7effde6ba6d20c85f796e",
+    "g1d/planted":
+        "fdde0c66807a1cf5b9fb20aeedb140be3294cd42aa762bb44f66c6206ff5c1f6",
+    "g1d_robust/plain":
+        "b50e4131b73747788c5ff1d3d80fd99b76e7ca0f5a2c84eed94d2ef86d3afe74",
+    "g1d_robust/planted":
+        "59b3bf721d0f292c7eb31591394e7a78880a6820f1a14b9985cbbd38a931137e",
+    "gd_d2/plain":
+        "3328b36ba3ec492c13ca78a4ad3edfda20787bf6074daa0803ae7010bba4277a",
+    "gd_d2/planted":
+        "9e3ea50eee8902f77a5943cdcf87476f3616e8c8d89841e65d588918451f5476",
+    "mixture_g1d/plain":
+        "3968d4d5f8f35384c91dff5e64967169fbb893102867d00e7a4b00a9717bec9d",
+    "mixture_g1d/planted":
+        "b160da7759bb14f8edf3f9086b385b5b1e18081717cbd901c53a97ab06ca644b",
+}
 
-def learn_digest(name: str, planted: bool) -> str:
+
+def learn(name: str, planted: bool):
+    """The case's learn result and the generator it was seeded with."""
     scheme, target, eps, budget = CASES[name]
     codec = codec_for(scheme, target)
     n = compression_sample_size(codec, eps, DELTA, budget)
@@ -79,6 +106,11 @@ def learn_digest(name: str, planted: bool) -> str:
     rng = np.random.default_rng([SEED, budget])
     res = learn_from_compression(codec, samp, eps, DELTA, budget, rng,
                                  extra_messages=extras)
+    return res, rng
+
+
+def learn_digest(name: str, planted: bool) -> str:
+    res, rng = learn(name, planted)
     h = hashlib.sha256()
     for value in (res.selection.index, res.candidate_count,
                   res.candidate_space, res.selection.n_holdout):
@@ -93,3 +125,12 @@ def learn_digest(name: str, planted: bool) -> str:
 def test_learn_golden(name, planted):
     key = f"{name}/{'planted' if planted else 'plain'}"
     assert learn_digest(name, planted) == GOLDEN[key]
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["plain", "planted"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_learn_estimate_golden(name, planted):
+    key = f"{name}/{'planted' if planted else 'plain'}"
+    res, _ = learn(name, planted)
+    digest = hashlib.sha256(dist_dumps(res.estimate).encode()).hexdigest()
+    assert digest == ESTIMATE[key]

@@ -30,15 +30,15 @@ from helpers import encode_with_retries
 def toy_codec() -> Codec:
     """One reference, one bit: mean from the point, sd 1.0 or 2.0."""
 
-    def decode(message, points, eps):
-        mu = float(points[int(message.sample_refs[0]), 0])
-        sd = 2.0 if int(message.bits[0]) else 1.0
-        return Gaussian([mu], [[sd * sd]])
+    def decode_rows(refs, digits, points, eps):
+        sd = np.where(digits[:, 0] == 1, 2.0, 1.0)
+        return (None, points[refs[:, 0]], (sd * sd)[:, None, None],
+                np.ones(len(refs), dtype=bool))
 
     def encode(target, samp, eps):
         raise NotImplementedError("enumeration-only test codec")
 
-    return Codec.from_layout("toy", SCHEME_G1D, encode, decode,
+    return Codec.from_layout("toy", SCHEME_G1D, encode, decode_rows,
                              lambda eps: PayloadLayout([2], [1]),
                              tau=lambda eps: 1, m_samples=lambda eps: 1,
                              robustness=0.0)
@@ -371,6 +371,15 @@ def test_learn_from_compression_extras_count_against_budget():
     with pytest.raises(ValidationError):
         learn_from_compression(codec, samp, eps, delta, 0, 9,
                                extra_messages=(extra,))
+
+
+def test_learn_drops_a_candidate_whose_variance_overflows():
+    """A sampled g1d message whose ``sigma_hat * sigma_hat`` overflows is
+    one more message that does not decode, not the end of the learn."""
+    samp = sample(Gaussian([0.0], [[1e307]]), 200000, 1)
+    res = learn_from_compression(g1d_codec(), samp, 0.3, 0.3, 20, 2)
+    assert 1 <= res.candidate_count < 20
+    assert np.all(np.isfinite(res.estimate.cov))
 
 
 @pytest.mark.parametrize("eps, delta, budget", [

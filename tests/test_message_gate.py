@@ -133,12 +133,18 @@ def test_an_outcome_is_ok_exactly_when_it_carries_a_message():
     assert not EncodeOutcome.failure("no luck").ok
 
 
-@pytest.mark.parametrize("cov", [[[1e-310]], [[1e308]]])
+# the last variance overflows to inf, as a decoded sigma_hat * sigma_hat can
+@pytest.mark.parametrize("cov", [[[1e-310]], [[1e308]], [[1e200 * 1e200]]])
 def test_decode_turns_an_unusable_covariance_into_a_decoding_error(cov):
     """A payload that decodes to a covariance ``Gaussian`` rejects is a
     message that does not decode, so a learn drops it."""
-    codec = Codec.from_layout("toy", SCHEME_G1D, None,
-                              lambda message, pts, eps: Gaussian([0.0], cov),
+
+    def decode_rows(refs, digits, pts, eps):
+        return (None, np.zeros((len(refs), 1)),
+                np.broadcast_to(cov, (len(refs), 1, 1)),
+                np.ones(len(refs), dtype=bool))
+
+    codec = Codec.from_layout("toy", SCHEME_G1D, None, decode_rows,
                               lambda eps: PayloadLayout([4], [2]),
                               tau=lambda eps: 1, m_samples=lambda eps: 1,
                               robustness=0.0)
