@@ -15,7 +15,7 @@ from ..gaussmodels import Gaussian, Mixture
 from .combinators import compose_mixture, compose_product, weight_grid_points
 from .g1d import g1d_codec
 from .g1d_robust import g1d_robust_codec
-from .gd import decode_gd_detailed, gd_codec
+from .gd import gd_codec
 from .grids import SymmetricGrid
 from .message import (SCHEME_G1D, SCHEME_G1D_ROBUST, SCHEME_GD,
                       SCHEME_MIXTURE, SCHEME_PRODUCT, CompressionMessage,
@@ -73,7 +73,6 @@ __all__ = [
     "codec_for",
     "compose_mixture",
     "compose_product",
-    "decode_gd_detailed",
     "g1d_codec",
     "g1d_robust_codec",
     "gd_codec",

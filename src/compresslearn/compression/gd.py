@@ -24,7 +24,6 @@ the anchor event survive per-sample total variation 1/3 from the truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -152,24 +151,10 @@ def _encode_gd(target: Gaussian, sample: LabeledSample,
     return EncodeOutcome.success(CompressionMessage(SCHEME_GD, refs, bits))
 
 
-@dataclass(frozen=True)
-class GdDecoded:
-    """Decoded Gaussian plus the reconstructed factor vectors.
-
-    ``scaled_vectors`` rows are the reconstructed ``v_j`` whose outer
-    products sum to the covariance; ``anchor_coeffs`` are the decoded
-    anchor coefficients.
-    """
-
-    gaussian: Gaussian
-    scaled_vectors: np.ndarray
-    anchor_coeffs: np.ndarray
-
-
 def _gd_params(refs: np.ndarray, digits: np.ndarray, pts: np.ndarray,
                eps: float):
-    """``(mean, cov, vecs, lam)`` of each row: the rows of ``vecs[i]`` are
-    its reconstructed ``v_j`` and ``lam[i]`` its anchor coefficients."""
+    """``(mean, cov, vecs)`` of each row: the rows of ``vecs[i]`` are its
+    reconstructed ``v_j``."""
     d = pts.shape[1]
     m = n_pairs(d)
     theta = coefficient_grid(eps, d).values(digits[:, :d * m]).reshape(
@@ -180,36 +165,20 @@ def _gd_params(refs: np.ndarray, digits: np.ndarray, pts: np.ndarray,
     cov = np.swapaxes(vecs, 1, 2) @ vecs
     cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
     mean = pts[refs[:, -1]] - (lam[:, None, :] @ vecs)[:, 0]
-    return mean, cov, vecs, lam
+    return mean, cov, vecs
 
 
 def _decode_gd(refs: np.ndarray, digits: np.ndarray, pts: np.ndarray,
                eps: float):
     """Each row's mean and covariance; a covariance ``Gaussian`` rejects
     gets one ridge of ``_RIDGE_REL`` times its mean eigenvalue."""
-    mean, cov, _, _ = _gd_params(refs, digits, pts, eps)
+    mean, cov, _ = _gd_params(refs, digits, pts, eps)
     d = pts.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         ridge = _RIDGE_REL * np.trace(cov, axis1=1, axis2=2) / d
         fix = (gaussian_rows(mean, cov).fault > 0) & (ridge > 0.0)
         cov[fix] += ridge[fix, None, None] * np.eye(d)
     return None, mean, cov, np.ones(len(refs), dtype=bool)
-
-
-def decode_gd_detailed(message: CompressionMessage, points: np.ndarray,
-                       eps: float) -> GdDecoded:
-    """Decode through the gate of ``gd_codec(d)``, ``d`` the column count
-    of ``points``, and also expose the per-direction reconstruction."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValidationError("points must have shape (n, d)")
-    codec = gd_codec(pts.shape[1])
-    gauss = codec.decode(message, pts, eps)
-    _, digits = codec.gate(message, pts, eps)
-    _, _, vecs, lam = _gd_params(message.sample_refs[None], digits[None],
-                                 pts, eps)
-    return GdDecoded(gaussian=gauss, scaled_vectors=vecs[0],
-                     anchor_coeffs=lam[0])
 
 
 def gd_codec(d: int) -> Codec:

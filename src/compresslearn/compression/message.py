@@ -52,8 +52,8 @@ class PayloadLayout:
     Field ``i`` holds a digit in ``[0, radices[i])`` written LSB-first in
     ``widths[i]`` bits, and fields follow each other in wire order.
     ``order`` lists the fields from least to most significant digit of the
-    payload index, so ``count``, ``by_index`` and ``random`` (one draw per
-    field, in wire order) enumerate exactly the payloads ``unpack``
+    payload index, so ``count``, ``by_index`` and ``random_digits`` (one
+    draw per field, in wire order) cover exactly the payloads ``unpack``
     accepts.  :meth:`concat` joins the layouts of a composite payload.
     """
 
@@ -102,9 +102,6 @@ class PayloadLayout:
         if digits.shape != self._radix.shape or not np.all(
                 digits.view(np.uint64) < self._radix.view(np.uint64)):
             raise ValidationError("digits do not fit the payload layout")
-        return self._bits(digits)
-
-    def _bits(self, digits: np.ndarray) -> np.ndarray:
         bits = np.right_shift(np.repeat(digits, self._width), self._shift,
                               dtype=np.int64).astype(np.uint8) & 1
         bits.setflags(write=False)
@@ -156,10 +153,6 @@ class PayloadLayout:
         if len(self.radices) < 4:
             return np.array([rng.integers(r) for r in self.radices])
         return rng.integers(0, self._radix)
-
-    def random(self, rng: np.random.Generator) -> np.ndarray:
-        """Bits of a uniform payload, :meth:`random_digits`."""
-        return self._bits(self.random_digits(rng))
 
 
 def _flat_indices(values, bound: int, dtype, error: str) -> np.ndarray:

@@ -152,7 +152,10 @@ class Codec:
                                     "distribution")
             return dist
 
+        def random_payload(eps: float, rng: np.random.Generator):
+            fields = layout(eps)
+            return fields.pack(fields.random_digits(rng))
+
         codec = cls(name, scheme_id, tau, m_samples, robustness, layout,
-                    gated_encode, gated_decode, decode_rows,
-                    lambda eps, rng: layout(eps).random(rng))
+                    gated_encode, gated_decode, decode_rows, random_payload)
         return codec

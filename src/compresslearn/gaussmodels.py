@@ -67,12 +67,7 @@ class GaussianRows(NamedTuple):
     def gaussian(self, i) -> "Gaussian":
         """The :class:`Gaussian` of row ``i`` (index into the leading axes),
         with copies of its arrays, so it keeps no other row alive."""
-        g = Gaussian.__new__(Gaussian)
-        g.log_det_cov, g._inv_sqrt = float(self.log_det_cov[i]), None
-        for name in ("mean", "cov", "sqrt_cov", "inv_cov", "eigvals",
-                     "eigvecs"):
-            setattr(g, name, _freeze(getattr(self, name)[i].copy()))
-        return g
+        return Gaussian.__new__(Gaussian)._fill(self, i)
 
 
 def gaussian_rows(means, covs) -> GaussianRows:
@@ -162,9 +157,15 @@ class Gaussian:
         if rows.fault[0]:
             exc, reason = ROW_FAULTS[rows.fault[0] - 1]
             raise exc(reason)
-        g = rows.gaussian(0)
-        for name in self.__slots__:
-            setattr(self, name, getattr(g, name))
+        self._fill(rows, 0)
+
+    def _fill(self, rows: GaussianRows, i) -> "Gaussian":
+        """Set the slots from copies of row ``i`` of ``rows``; return self."""
+        self.log_det_cov, self._inv_sqrt = float(rows.log_det_cov[i]), None
+        for name in ("mean", "cov", "sqrt_cov", "inv_cov", "eigvals",
+                     "eigvecs"):
+            setattr(self, name, _freeze(getattr(rows, name)[i].copy()))
+        return self
 
     @property
     def dim(self) -> int:

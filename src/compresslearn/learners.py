@@ -19,7 +19,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -29,13 +29,11 @@ from ._kernels import (pairwise_greater_counts,
                        pairwise_greater_fraction)  # noqa: F401
 from .compression import CompressionMessage, Codec
 from .errors import DecodingError, ValidationError
-from .gaussmodels import (Gaussian, LabeledSample, Mixture,
+from .gaussmodels import (Distribution, Gaussian, LabeledSample, Mixture,
                           evaluate_log_densities, log_density,
                           prepare_log_densities, sample)
 from .utils import (POOL_BLOCKS_PER_WORKER, _blocks, _run_units,
                     _worker_pool, as_generator)
-
-Distribution = Union[Gaussian, Mixture]
 
 SCHEFFE_MC_POOL = 5000      # MC draws per candidate for d > 1 region masses
 SCHEFFE_GRID_POINTS = 8193  # shared quadrature grid for 1-D mixtures
@@ -64,12 +62,13 @@ def holdout_size(n_candidates: int, eps: float, delta: float) -> int:
     rule of :func:`select_candidate` it is a rate, which
     ``test_tournament_selection_guarantee`` checks.
     """
+    from operator import index  # squares a numpy integer without wrapping
     if n_candidates < 1:
         raise ValidationError("need at least one candidate")
     if not (0.0 < eps < 1.0) or not (0.0 < delta < 1.0):
         raise ValidationError("eps and delta must lie in (0, 1)")
     try:
-        return math.ceil(math.log(3.0 * n_candidates ** 2 / delta)
+        return math.ceil(math.log(3.0 * index(n_candidates) ** 2 / delta)
                          / (2.0 * eps ** 2))
     except OverflowError:
         raise ValidationError(
@@ -209,7 +208,8 @@ def _closed_form_counts(I, J, coef, sizes, region, cands, points):
     * points outside the bands are counted with ``searchsorted`` on the
       sorted holdout, and points inside are compared on the stored rows;
     * a pair whose check fails (tangent, near-identical or identical
-      candidates, overflow) compares its whole rows.
+      candidates, overflow) gets one band over the whole line, so every
+      point is compared on the stored rows.
     """
     n = points.shape[0]
     x = points[:, 0]
@@ -246,16 +246,15 @@ def _closed_form_counts(I, J, coef, sizes, region, cands, points):
                                 & holds(hi_e, sides[1]))
             edges += [np.where(d > 0.0, lo_e, r), np.where(d > 0.0, hi_e, r)]
         ok &= flat | (edges[1] < edges[2])
-    e1, e2, e3, e4 = (np.where(ok, e, math.inf) for e in edges)
+    e1, e2, e3, e4 = (np.where(ok, e, full) for e, full in
+                      zip(edges, (-math.inf, math.inf, math.inf, math.inf)))
     p1 = np.searchsorted(xs, e1, "left")
     p2 = np.searchsorted(xs, e2, "right")
     p3 = np.searchsorted(xs, e3, "left")
     p4 = np.searchsorted(xs, e4, "right")
     counts = np.where(s_out > 0.0, p1 + (n - p4), p3 - p2)
-    banded = np.flatnonzero(ok & ((p2 > p1) | (p4 > p3)))
-    whole = np.flatnonzero(~ok)
-    needed = np.unique(np.concatenate((I[banded], J[banded],
-                                       I[whole], J[whole])))
+    banded = np.flatnonzero((p2 > p1) | (p4 > p3))
+    needed = np.unique(np.concatenate((I[banded], J[banded])))
     # one n-float row per call, not one (len(needed), n) block: on learn_1d
     # that block made the allocator keep about 13 MB more heap resident
     ld = {int(k): np.atleast_1d(log_density(cands[k], points))
@@ -263,8 +262,6 @@ def _closed_form_counts(I, J, coef, sizes, region, cands, points):
     for k in banded:
         cols = np.concatenate((order[p1[k]:p2[k]], order[p3[k]:p4[k]]))
         counts[k] += np.count_nonzero(ld[I[k]][cols] > ld[J[k]][cols])
-    for k in whole:
-        counts[k] = np.count_nonzero(ld[I[k]] > ld[J[k]])
     return counts
 
 
@@ -427,7 +424,8 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
     of holdout points where candidate i's log density strictly exceeds
     candidate j's (ties go to the lower index), and the result is the
     candidate with the most wins.  ``eps`` is the selection accuracy the
-    holdout was sized for (advisory here; see :func:`holdout_size`).
+    holdout was sized for (advisory here; see :func:`holdout_size`).  A
+    holdout point that is not finite raises :class:`ValidationError`.
 
     * ``closed_form_1d`` (1-D Gaussians, in-process): closed-form region
       masses, and holdout counts from each region's endpoints with
@@ -463,6 +461,8 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
         raise ValidationError("holdout dimension does not match candidates")
     if holdout.n < 1:
         raise ValidationError("holdout must be nonempty")
+    if not np.isfinite(holdout.points).all():
+        raise ValidationError("holdout points must be finite")
     if not (0.0 < eps < 1.0):
         raise ValidationError("eps must lie in (0, 1)")
     # the one pair list: every strategy returns its masses in this order

@@ -18,9 +18,9 @@ import numpy as np
 import compresslearn as cl
 from compresslearn.cli import compresslearn_main
 from compresslearn.compression import (compose_mixture, compose_product,
-                                       decode_gd_detailed, g1d_codec,
-                                       g1d_robust_codec, gd_codec,
+                                       g1d_codec, g1d_robust_codec, gd_codec,
                                        weight_grid_points)
+from compresslearn.compression.gd import _gd_params
 from compresslearn.lowerbound import cross_bound, violating_pairs
 
 from helpers import spd_with_condition
@@ -233,21 +233,24 @@ def test_full_covariance_scheme_error_chain():
         if not out.ok:
             continue
         successes += 1
-        detail = decode_gd_detailed(out.message, samp.points, eps)
+        est_g = codec.decode(out.message, samp.points, eps)
+        pts, digits = codec.gate(out.message, samp.points, eps)
+        scaled = _gd_params(out.message.sample_refs[None], digits[None], pts,
+                            eps)[2][0]
         vals, vecs = np.linalg.eigh(cov)
         sqrt_cov = (vecs * np.sqrt(vals)) @ vecs.T
         inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
         true_vecs = (sqrt_cov @ vecs).T
         for j in range(d):
             err = float(np.linalg.norm(
-                inv_sqrt @ (detail.scaled_vectors[j] - true_vecs[j])))
+                inv_sqrt @ (scaled[j] - true_vecs[j])))
             worst_vec = max(worst_vec, err)
             assert err <= vec_cap, (i, j, err)
         mean_err = float(np.linalg.norm(
-            inv_sqrt @ (np.asarray(detail.gaussian.mean) - mu)))
+            inv_sqrt @ (np.asarray(est_g.mean) - mu)))
         worst_mean = max(worst_mean, mean_err)
         assert mean_err <= eps / 2.0, (i, mean_err)
-        est = cl.tv_mc(target, detail.gaussian, n_mc=20000, seed=1000 + i)
+        est = cl.tv_mc(target, est_g, n_mc=20000, seed=1000 + i)
         assert est.value <= eps + 3.0 * est.std_error, (i, est.value)
     rate = successes / trials
     print(f"success={rate} floor={2 / 3:.4f} worst_vec={worst_vec:.3e} "

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from compresslearn import DecodingError, Gaussian, LabeledSample, sample
-from compresslearn.compression import CompressionMessage, gd_codec
-from compresslearn.compression.gd import (C_HULL, M_MULT, anchor_grid,
-                                          coefficient_grid, decode_gd_detailed,
-                                          n_pairs)
+from compresslearn.compression import (SCHEME_GD, CompressionMessage,
+                                       gd_codec)
+from compresslearn.compression.gd import (C_HULL, M_MULT, _RIDGE_REL,
+                                          _gd_params, anchor_grid,
+                                          coefficient_grid, n_pairs)
 
 from helpers import encode_with_retries, spd_with_condition
 
@@ -54,15 +55,16 @@ def test_roundtrip_whitened_error_chains():
         if not out.ok:
             continue
         successes += 1
-        detail = decode_gd_detailed(out.message, samp.points, eps)
+        est = codec.decode(out.message, samp.points, eps)
+        pts, digits = codec.gate(out.message, samp.points, eps)
+        vecs = _gd_params(out.message.sample_refs[None], digits[None], pts,
+                          eps)[2][0]
         inv_sqrt = target.inv_sqrt_cov
         true_vecs = (target.sqrt_cov @ target.eigvecs).T  # rows Psi w_j
-        order_free = detail.scaled_vectors
         for j in range(d):
-            err = np.linalg.norm(inv_sqrt @ (order_free[j] - true_vecs[j]))
+            err = np.linalg.norm(inv_sqrt @ (vecs[j] - true_vecs[j]))
             assert err <= eps / (24.0 * d * d)
-        mean_err = np.linalg.norm(
-            inv_sqrt @ (detail.gaussian.mean - target.mean))
+        mean_err = np.linalg.norm(inv_sqrt @ (est.mean - target.mean))
         assert mean_err <= eps / 2.0
     assert successes / trials >= 2.0 / 3.0
 
@@ -115,6 +117,31 @@ def test_decoded_covariance_is_spd_and_close():
     assert eigs.min() > 0.0
     rel = np.linalg.norm(decoded.cov - target.cov) / np.linalg.norm(target.cov)
     assert rel < 0.5
+
+
+def test_decode_ridges_a_rank_one_covariance():
+    """Collinear differences give a rank-one ``V^T V``, which ``Gaussian``
+    rejects; the decoder adds ``_RIDGE_REL * trace / d`` to its diagonal."""
+    d = 2
+    eps = 0.5
+    codec = gd_codec(d)
+    m = n_pairs(d)
+    t = np.arange(2 * m + 1, dtype=float)
+    pts = np.column_stack([t, 2.0 * t])
+    refs = np.arange(2 * m + 1)
+    digits = np.concatenate([
+        coefficient_grid(eps, d).offsets(np.full(d * m, 0.01)),
+        anchor_grid(eps, d).offsets(np.zeros(d))])
+    msg = CompressionMessage(SCHEME_GD, refs, codec.layout(eps).pack(digits))
+    est = codec.decode(msg, pts, eps)
+    _, cov, _ = _gd_params(refs[None], digits[None], pts, eps)
+    cov = cov[0]
+    assert np.linalg.matrix_rank(cov) == 1
+    expect = cov + (_RIDGE_REL * np.trace(cov) / d) * np.eye(d)
+    np.testing.assert_array_equal(est.cov, expect)
+    lo, hi = np.linalg.eigvalsh(est.cov)
+    assert lo == pytest.approx(1.85e-7, rel=0.01)
+    assert hi == pytest.approx(3.70e3, rel=0.01)
 
 
 def test_decode_validates_message_shape():

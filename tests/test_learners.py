@@ -52,6 +52,16 @@ def test_holdout_size_formula():
         holdout_size(0, 0.1, 0.2)
 
 
+def test_holdout_size_squares_numpy_integers_exactly():
+    """A numpy integer count squares as a Python int, not in wrapping
+    int64, here and through ``compression_sample_size``."""
+    assert holdout_size(np.int64(10 ** 10), 0.0125, 0.05) \
+        == holdout_size(10 ** 10, 0.0125, 0.05) == 160468
+    codec = g1d_codec()
+    assert compression_sample_size(codec, 0.2, 0.1, np.int64(5 * 10 ** 9)) \
+        == compression_sample_size(codec, 0.2, 0.1, 5 * 10 ** 9) == 156041
+
+
 def test_boost_rounds():
     assert _boost_rounds(0.2) == math.ceil(math.log(10.0) / math.log(3.0))
     assert _boost_rounds(2.0 / 3.0) == 1
@@ -65,6 +75,19 @@ def test_select_candidate_rejects_empty_and_mixed_dimensions():
         select_candidate((), holdout, 0.1)
     with pytest.raises(ValidationError, match="one dimension"):
         select_candidate((g, Gaussian([0.0, 0.0], np.eye(2))), holdout, 0.1)
+
+
+def test_select_candidate_rejects_non_finite_holdout():
+    """A NaN holdout point would make the closed-form counts disagree
+    with the stored comparison (p_hat 0.2, 0.8, 0.8 against 0.2, 0.6,
+    0.6 here), so selection refuses it."""
+    cands = [Gaussian([0.0], [[1.0]]), Gaussian([0.5], [[2.0]]),
+             Gaussian([-1.0], [[0.5]])]
+    for bad in (np.nan, np.inf):
+        holdout = LabeledSample(np.array([[0.1], [1.0], [-2.0], [bad],
+                                          [3.0]]))
+        with pytest.raises(ValidationError, match="finite"):
+            select_candidate(cands, holdout, 0.1)
 
 
 def test_select_candidate_closed_form_picks_planted_best():
