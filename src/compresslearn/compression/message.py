@@ -52,9 +52,10 @@ class PayloadLayout:
     Field ``i`` holds a digit in ``[0, radices[i])`` written LSB-first in
     ``widths[i]`` bits, and fields follow each other in wire order.
     ``order`` lists the fields from least to most significant digit of the
-    payload index, so ``count``, ``by_index`` and ``random_digits`` (one
-    draw per field, in wire order) cover exactly the payloads ``unpack``
-    accepts.  :meth:`concat` joins the layouts of a composite payload.
+    payload index, so ``count``, ``index_digits`` and ``random_digits``
+    (one draw per field, in wire order) cover exactly the payloads
+    ``unpack`` accepts.  :meth:`concat` joins the layouts of a composite
+    payload.
     """
 
     def __init__(self, radices, widths, order=None):
@@ -127,10 +128,6 @@ class PayloadLayout:
             raise DecodingError(f"malformed payload: field {i} holds "
                                 f"{digits[i]} of only {self.radices[i]} values")
         return digits
-
-    def by_index(self, idx: int) -> np.ndarray:
-        """Payload bits of mixed-radix index ``idx`` in ``[0, count)``."""
-        return self.pack(self.index_digits(idx))
 
     def index_digits(self, idx: int) -> list:
         """Digits, in wire order, of mixed-radix index ``idx`` in

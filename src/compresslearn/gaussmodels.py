@@ -260,6 +260,22 @@ def _affine(z: np.ndarray, g: Gaussian) -> np.ndarray:
     return x
 
 
+# rows per block of sample's label draws and in-place transforms
+_SAMPLE_CHUNK_ROWS = 1 << 16
+
+
+def _row_blocks(n: int):
+    """``[a, b)`` blocks of at most ``_SAMPLE_CHUNK_ROWS`` rows covering
+    ``n`` rows, a one-row tail joined to the block before it."""
+    a = 0
+    while a < n:
+        b = min(a + _SAMPLE_CHUNK_ROWS, n)
+        if n - b == 1:
+            b = n
+        yield a, b
+        a = b
+
+
 def sample(dist: Distribution, n: int, seed) -> LabeledSample:
     """Draw ``n`` points from ``dist``.
 
@@ -268,14 +284,21 @@ def sample(dist: Distribution, n: int, seed) -> LabeledSample:
     ``n`` must be a Python or numpy integer.  A draw that numpy cannot
     allocate raises :class:`ValidationError`, naming ``n`` and ``d``.
 
-    Temporary memory: a Gaussian holds ``z`` next to the output, so it
-    peaks at about twice the output.  A mixture draws ``z`` into the
-    output array and transforms one component's rows at a time, so beyond
-    the output (points and labels) it holds that component's gathered rows
-    twice, before and after the transform, plus a boolean mask.  The bits
-    are those of ``mean + z @ sqrt_cov`` computed in fresh arrays: the RNG
-    calls are the same, each component gets one matmul over the same rows,
-    and ``x + mean == mean + x`` exactly.
+    Temporary memory: ``z`` is drawn into the output array and transformed
+    in place over blocks of ``_SAMPLE_CHUNK_ROWS`` rows, and a mixture's
+    labels are drawn block by block, so beyond the output (points and
+    labels) a draw holds a few blocks' worth of bytes.  At n = 10**6 and
+    d = 2 it peaks at 1.11 times the output for a Gaussian and 1.06 times
+    for a two-component mixture.
+
+    The bits and RNG calls are those of ``rng.choice(k, size=n, p=weights)``
+    and then ``mean + z @ sqrt_cov`` in fresh arrays, one matmul per
+    component: the labels come from the calls ``choice`` makes, and a
+    matmul over any block of two or more rows gives those rows of the
+    whole product bit for bit.  Only a one-row matmul (numpy's vector
+    path) can differ, so no block has one row unless the whole transform
+    does: a one-row tail joins the block before it, and a component's lone
+    row in a block is transformed as a two-row block holding it twice.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValidationError(f"n must be an integer, got {n!r}")
@@ -284,19 +307,26 @@ def sample(dist: Distribution, n: int, seed) -> LabeledSample:
     rng = as_generator(seed)
     try:
         if isinstance(dist, Gaussian):
-            return LabeledSample(
-                points=_affine(rng.standard_normal((n, dist.dim)), dist))
-        if isinstance(dist, Mixture):
-            k = dist.n_components
-            labels = rng.choice(k, size=n, p=dist.weights)
             pts = rng.standard_normal((n, dist.dim))
-            for c in range(k):
-                mask = labels == c
-                if np.any(mask):
-                    # one matmul per component: BLAS picks its kernel by
-                    # row count, so splitting the rows could change the
-                    # last bit
-                    pts[mask] = _affine(pts[mask], dist.components[c])
+            for a, b in _row_blocks(n):
+                pts[a:b] = _affine(pts[a:b], dist)
+            return LabeledSample(points=pts)
+        if isinstance(dist, Mixture):
+            cdf = dist.weights.cumsum()
+            cdf /= cdf[-1]
+            labels = np.empty(n, dtype=np.int64)
+            for a, b in _row_blocks(n):
+                labels[a:b] = cdf.searchsorted(rng.random(b - a),
+                                               side="right")
+            pts = rng.standard_normal((n, dist.dim))
+            multi = np.bincount(labels, minlength=dist.n_components) > 1
+            for a, b in _row_blocks(n):
+                block, block_labels = pts[a:b], labels[a:b]
+                for c, comp in enumerate(dist.components):
+                    rows = np.flatnonzero(block_labels == c)
+                    if rows.size == 1 and multi[c]:
+                        rows = rows.repeat(2)
+                    block[rows] = _affine(block[rows], comp)
             return LabeledSample(points=pts, labels=labels)
     # numpy raises these for a draw it cannot allocate, or even size
     except (MemoryError, ValueError, OverflowError) as exc:

@@ -47,6 +47,11 @@ EFFICIENT_SAMPLE_CONST = 8.0
 # holdout_size) puts the winner within 5*eps/8 <= eps in TV
 ENUM_ACCURACY_DIV = 6.0
 SELECT_ACCURACY_DIV = 16.0
+# peak resident bytes per pair of the pair list, main process and two pool
+# workers together, measured at m = 2000 (closed_form_1d, in-process),
+# m = 1800 (grid_1d) and m = 1400 (mc_pools, beside its 8 m^2 prob_own)
+TOURNAMENT_PAIR_BYTES = {"closed_form_1d": 330, "grid_1d": 640,
+                         "mc_pools": 400}
 
 
 def holdout_size(n_candidates: int, eps: float, delta: float) -> int:
@@ -412,6 +417,33 @@ def _split_tournament(cands, points: np.ndarray, I: np.ndarray,
     return p_hat, prob_own[I, J], 1.0 - prob_own[J, I]
 
 
+def _mem_available():
+    """``MemAvailable`` from ``/proc/meminfo`` in bytes, or ``None`` where
+    it cannot be read."""
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _check_tournament_memory(m: int, strategy: str) -> None:
+    """Raise :class:`ValidationError` when a tournament over ``m``
+    candidates would need more memory than the host has available."""
+    need = TOURNAMENT_PAIR_BYTES[strategy] * (m * (m - 1) // 2)
+    if strategy == "mc_pools":
+        need += 8 * m * m  # prob_own
+    avail = _mem_available()
+    if avail is not None and need > avail:
+        raise ValidationError(
+            f"a tournament over m={m} candidates needs about "
+            f"{need / 2**20:.0f} MiB, more than the {avail / 2**20:.0f} MiB "
+            f"available; lower the budget")
+
+
 def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
                      n_pool: int = SCHEFFE_MC_POOL) -> SelectionResult:
     """Pick the candidate whose density best matches the holdout sample.
@@ -425,7 +457,9 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
     candidate j's (ties go to the lower index), and the result is the
     candidate with the most wins.  ``eps`` is the selection accuracy the
     holdout was sized for (advisory here; see :func:`holdout_size`).  A
-    holdout point that is not finite raises :class:`ValidationError`.
+    holdout point that is not finite raises :class:`ValidationError`, and
+    so does a tournament whose pair list would not fit the host's
+    ``MemAvailable`` (estimated from ``TOURNAMENT_PAIR_BYTES``).
 
     * ``closed_form_1d`` (1-D Gaussians, in-process): closed-form region
       masses, and holdout counts from each region's endpoints with
@@ -465,15 +499,15 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
         raise ValidationError("holdout points must be finite")
     if not (0.0 < eps < 1.0):
         raise ValidationError("eps must lie in (0, 1)")
-    # the one pair list: every strategy returns its masses in this order
-    I, J = np.triu_indices(len(cands), 1)
-
     if d == 1 and all(isinstance(c, Gaussian) for c in cands):
         strategy = "closed_form_1d"
     elif d == 1:
         strategy = "grid_1d"
     else:
         strategy = "mc_pools"
+    _check_tournament_memory(len(cands), strategy)
+    # the one pair list: every strategy returns its masses in this order
+    I, J = np.triu_indices(len(cands), 1)
     p_hat, p_i, p_j = _split_tournament(cands, holdout.points, I, J,
                                         strategy, seed, n_pool)
 

@@ -177,6 +177,21 @@ def test_learn_reports_a_budget_too_large_to_size_a_holdout(capsys):
     assert err.count("\n") == 1
 
 
+def test_learn_reports_a_tournament_too_large_for_memory(monkeypatch,
+                                                         capsys):
+    monkeypatch.setattr("compresslearn.learners._mem_available",
+                        lambda: 1 << 20)
+    code = learn_main([
+        "--target", GAUSS_A, "--scheme", "g1d", "--eps", "0.3",
+        "--delta", "0.4", "--budget", "400"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("learn: a tournament over m=")
+    assert err.endswith("MiB, more than the 1 MiB available; "
+                        "lower the budget\n")
+    assert err.count("\n") == 1
+
+
 # only ever run under the address-space limit: the draw asks for 830 GiB
 TOO_LARGE_SAMPLE = """
 import resource, sys

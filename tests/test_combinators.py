@@ -191,7 +191,7 @@ def test_mixture_rejects_off_grid_weight():
     pts = rng.standard_normal((10, 1))
     refs = np.arange(mix_codec.tau(eps)) % 10
     layout = mix_codec.layout(eps)
-    good = layout.by_index(layout.count // 2)
+    good = layout.pack(layout.index_digits(layout.count // 2))
     for digit in (29, 30, 31):
         bits = good.copy()
         bits[:5] = [(digit >> i) & 1 for i in range(5)]

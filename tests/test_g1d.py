@@ -133,8 +133,9 @@ def test_payload_enumeration_covers_encoded_message():
     total = layout.count
     assert total == (scale_ratio_grid(eps).n_points
                      * mean_offset_grid(eps).n_points)
-    match = any(np.array_equal(layout.by_index(i), out.message.bits)
+    match = any(np.array_equal(layout.pack(layout.index_digits(i)),
+                               out.message.bits)
                 for i in range(total))
     assert match
     with pytest.raises(ValidationError):
-        layout.by_index(total)
+        layout.pack(layout.index_digits(total))

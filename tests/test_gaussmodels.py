@@ -192,16 +192,17 @@ def _sample_peak_ratio(dist, n: int) -> float:
     return peak / out
 
 
-@pytest.mark.parametrize("dist, bound", [
-    (Gaussian([0.5, -1.0], [[2.0, 0.5], [0.5, 1.0]]), 2.1),
-    (Mixture([0.5, 0.5], [Gaussian([-2.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
-                          Gaussian([2.0, 1.0], [[1.5, 0.3], [0.3, 0.8]])]),
-     1.8)], ids=["gaussian", "mixture"])
-def test_sample_temporary_memory(dist, bound):
-    # a Gaussian holds the draws next to the output; a mixture transforms
-    # one component's rows at a time inside the output (3.00x and 2.38x
-    # when every step made a fresh array)
-    assert _sample_peak_ratio(dist, 10 ** 6) <= bound
+@pytest.mark.parametrize("dist", [
+    Gaussian([0.5, -1.0], [[2.0, 0.5], [0.5, 1.0]]),
+    Mixture([0.5, 0.5], [Gaussian([-2.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+                         Gaussian([2.0, 1.0], [[1.5, 0.3], [0.3, 0.8]])])],
+    ids=["gaussian", "mixture"])
+def test_sample_temporary_memory(dist):
+    # the draws are transformed in place over fixed row blocks, so a draw
+    # holds O(block) bytes beyond its output (1.11x and 1.06x; 2.05x and
+    # 1.71x when a Gaussian held its draws next to the output and a
+    # mixture gathered a whole component's rows)
+    assert _sample_peak_ratio(dist, 10 ** 6) <= 1.25
 
 
 def test_labeled_sample_validation():

@@ -191,11 +191,11 @@ def test_payload_index_enumeration():
     layout = codec.layout(eps)
     total = layout.count
     assert total > 0
-    first = layout.by_index(0)
-    last = layout.by_index(total - 1)
+    first = layout.pack(layout.index_digits(0))
+    last = layout.pack(layout.index_digits(total - 1))
     assert len(first) == len(last) == codec.layout(eps).n_bits
     with pytest.raises(Exception):
-        layout.by_index(total)
+        layout.pack(layout.index_digits(total))
 
 
 def test_scheme_constants():

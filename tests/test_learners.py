@@ -22,7 +22,9 @@ from compresslearn import (Gaussian, LabeledSample, Mixture,
 from compresslearn.compression import (CompressionMessage, Codec, SCHEME_G1D,
                                        PayloadLayout, compose_mixture,
                                        g1d_codec, gd_codec)
-from compresslearn.learners import _boost_rounds, _closed_form_1d
+from compresslearn.learners import (TOURNAMENT_PAIR_BYTES, _boost_rounds,
+                                    _check_tournament_memory,
+                                    _closed_form_1d, _mem_available)
 
 from helpers import encode_with_retries
 
@@ -316,6 +318,22 @@ def test_closed_form_selection_matches_per_pair_reference(seed):
     np.testing.assert_array_equal(np.stack((p_i, p_j)), masses)
 
 
+# a child's own peak RSS in KiB: VmHWM belongs to the address space the
+# child runs in, while its ru_maxrss starts at the RSS of the test process
+# that forked it, which exec keeps
+CHILD_PEAK = textwrap.dedent("""
+    import resource
+    def peak_kib():
+        try:
+            with open("/proc/self/status") as f:
+                for line in f:
+                    if line.startswith("VmHWM:"):
+                        return int(line.split()[1])
+        except OSError:
+            pass
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+""")
+
 README_EXAMPLE = textwrap.dedent("""
     import json, resource
     # a regression fails fast with MemoryError instead of swapping the host
@@ -334,22 +352,83 @@ README_EXAMPLE = textwrap.dedent("""
     print(json.dumps({
         "tv": cl.tv_1d(target, result.estimate).value,
         "strategy": result.selection.strategy,
-        "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+        "peak_kib": peak_kib()}))
+""")
+
+MIXTURE_2D_EXAMPLE = textwrap.dedent("""
+    import json, resource
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+    import numpy as np
+    import compresslearn as cl
+
+    target = cl.Mixture([0.5, 0.5], [
+        cl.Gaussian([-2.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+        cl.Gaussian([2.0, 1.0], [[1.5, 0.3], [0.3, 0.8]])])
+    codec = cl.codec_for("mixture", target)
+    eps, delta, budget = 0.3, 0.1, 60
+
+    rng = np.random.default_rng(7)
+    n = cl.compression_sample_size(codec, eps, delta, budget)
+    samp = cl.sample(target, n, rng)
+    result = cl.learn_from_compression(codec, samp, eps, delta, budget, rng)
+    print(json.dumps({
+        "n": n, "candidates": result.candidate_count,
+        "peak_kib": peak_kib()}))
 """)
 
 
-def test_readme_example_runs_within_memory():
+def _run_child(code: str) -> dict:
+    """Run ``code`` after ``CHILD_PEAK`` in a fresh interpreter on this
+    checkout's ``src``; return the JSON record it prints last."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    out = subprocess.run([sys.executable, "-c", README_EXAMPLE],
+    out = subprocess.run([sys.executable, "-c", CHILD_PEAK + code],
                          capture_output=True, text=True, env=env,
                          timeout=300)
     assert out.returncode == 0, out.stderr
-    rec = json.loads(out.stdout.splitlines()[-1])
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_readme_example_runs_within_memory():
+    rec = _run_child(README_EXAMPLE)
     assert rec["strategy"] == "closed_form_1d"
     assert rec["tv"] <= 0.1
-    assert rec["maxrss_kib"] < 1024 * 1024
+    assert rec["peak_kib"] < 1024 * 1024
+
+
+def test_mixture_2d_readme_flow_peaks_near_its_sample():
+    """The README flow on a 2-D mixture draws 3.9M points (94 MB with
+    labels); the whole learn stays under 170 MB (209 MB when ``sample``
+    held a second copy of a component's rows)."""
+    rec = _run_child(MIXTURE_2D_EXAMPLE)
+    assert rec["n"] > 3_000_000
+    assert rec["candidates"] > 0
+    assert rec["peak_kib"] < 170 * 1024
+
+
+def test_tournament_memory_guard_passes_m_300_on_the_real_probe():
+    avail = _mem_available()
+    assert avail is None or avail > 0
+    for strategy in TOURNAMENT_PAIR_BYTES:
+        _check_tournament_memory(300, strategy)
+    cands = [Gaussian([mu], [[1.0]]) for mu in np.linspace(-1.0, 1.0, 300)]
+    res = select_candidate(cands, sample(Gaussian([0.0], [[1.0]]), 500, 3),
+                           0.2)
+    assert res.scheffe_wins.shape == (300,)
+
+
+def test_tournament_memory_guard_names_m_and_both_sizes(monkeypatch):
+    monkeypatch.setattr("compresslearn.learners._mem_available",
+                        lambda: 1 << 20)
+    # 4950 pairs at 400 bytes plus an 80 KB prob_own
+    with pytest.raises(ValidationError,
+                       match=r"over m=100 candidates needs about 2 MiB, "
+                             r"more than the 1 MiB available"):
+        _check_tournament_memory(100, "mc_pools")
+    _check_tournament_memory(50, "mc_pools")
+    monkeypatch.setattr("compresslearn.learners._mem_available", lambda: None)
+    _check_tournament_memory(10 ** 6, "grid_1d")
 
 
 def test_learn_from_compression_exhaustive_space():

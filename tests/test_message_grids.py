@@ -92,13 +92,14 @@ def test_layout_index_follows_significance_order():
     assert layout.count == 30
     seen = set()
     for idx in range(layout.count):
-        a, b, c = layout.unpack(layout.by_index(idx)).tolist()
+        bits = layout.pack(layout.index_digits(idx))
+        a, b, c = layout.unpack(bits).tolist()
         assert idx == b + 5 * (a + 3 * c)
         seen.add((a, b, c))
     assert len(seen) == 30
     for idx in (-1, layout.count):
         with pytest.raises(ValidationError):
-            layout.by_index(idx)
+            layout.pack(layout.index_digits(idx))
 
 
 def test_layout_concatenation_nests_indices():
@@ -108,8 +109,9 @@ def test_layout_concatenation_nests_indices():
     assert both.count == first.count * second.count
     for i, j in ((0, 0), (4, 9), (14, 13), (7, 5)):
         np.testing.assert_array_equal(
-            both.by_index(i + first.count * j),
-            np.concatenate([first.by_index(i), second.by_index(j)]))
+            both.pack(both.index_digits(i + first.count * j)),
+            np.concatenate([first.pack(first.index_digits(i)),
+                            second.pack(second.index_digits(j))]))
 
 
 def test_layout_random_draws_each_field_in_wire_order():

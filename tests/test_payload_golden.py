@@ -6,8 +6,8 @@ The digests were recorded from the bit-at-a-time packing that preceded
 * ``random``: 16 ``random_payload`` draws from ``default_rng(20171014)``,
   then the generator's next ``integers(1 << 62)``, which pins how much of
   the stream the draws consume;
-* ``index``: the layout's ``count`` and ``by_index`` at 0, 1, ``count - 1``
-  and three large indices;
+* ``index``: the layout's ``count`` and ``pack(index_digits(i))`` at 0, 1,
+  ``count - 1`` and three large indices;
 * ``encode``: ``to_bytes()`` of the message encoded from a fixed sample.
 """
 
@@ -68,7 +68,7 @@ def payload_digests(name: str, eps: float) -> dict:
     count = layout.count
     h = hashlib.sha256(count.to_bytes(count.bit_length() // 8 + 1, "little"))
     for idx in (0, 1, count - 1, count // 2, count // 3, (5 * count) // 7):
-        _hash_bits(h, layout.by_index(idx))
+        _hash_bits(h, layout.pack(layout.index_digits(idx)))
     out["index"] = h.hexdigest()
 
     samp = sample(target, 2 * codec.m_samples(eps), 7)

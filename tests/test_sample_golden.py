@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from compresslearn import Gaussian, Mixture, sample
+from compresslearn import Gaussian, Mixture, gaussmodels, sample
 
 DIMS = (1, 2, 3, 5, 8)
 NS = (0, 1, 2, 3, 7, 100, 65537)
@@ -37,15 +37,17 @@ def _targets() -> dict:
                 weights, [_gaussian(d, c + 1) for c in range(k)])
     out["mix_d2_zero_weight"] = Mixture(
         [0.5, 0.0, 0.5], [_gaussian(2, c + 1) for c in range(3)])
+    out["mix_d2_rare"] = Mixture(
+        [0.5, 0.001, 0.499], [_gaussian(2, c + 1) for c in range(3)])
     return out
 
 
 TARGETS = _targets()
 
 
-def sample_digest(name: str, kind: str) -> str:
+def sample_digest(name: str, kind: str, ns=NS) -> str:
     h = hashlib.sha256()
-    for n in NS:
+    for n in ns:
         seed = (INT_SEED if kind == "int"
                 else np.random.default_rng([INT_SEED, n]))
         samp = sample(TARGETS[name], n, seed)
@@ -107,6 +109,10 @@ DIGESTS = {
         "ed2fc92cf83807bd5d2a4b035ea18e4ca04b061520fa138317afe8a96c034598",
     ("mix_d2_zero_weight", "generator"):
         "f2f567adc1c86f7a2d67753ed9c3d359fe1d95714e98794490a420b4be507c09",
+    ("mix_d2_rare", "int"):
+        "7cb627b277233f8e9a42a2c32345f26b3c35d80bb02d29d37c8a45c5f2867bff",
+    ("mix_d2_rare", "generator"):
+        "af38f713aaa69aa8d68bf6ae9f0b8cc5167fdb8d242672c42ec42b69fd09c32c",
     ("mix_d3_k1", "int"):
         "86ab2ba6d6b186b2fd82ab10d89505c784ed21d9df53dbb89e0d7e159dd712d8",
     ("mix_d3_k1", "generator"):
@@ -150,3 +156,62 @@ DIGESTS = {
 @pytest.mark.parametrize("name", sorted(TARGETS))
 def test_sample_golden(name, kind):
     assert sample_digest(name, kind) == DIGESTS[name, kind]
+
+
+# sizes that span several of sample's row chunks, with a one-row tail
+MULTI_CHUNK_NS = (3 * 2**16 + 1, 200003)
+MULTI_CHUNK_DIGESTS = {
+    ("gauss_d3", "int"):
+        "54c2a871a18fcdc3bcc40f9870788be8f6862bac08681c5b01f976dfbb0f43bb",
+    ("gauss_d3", "generator"):
+        "f03909268c060315a77307a2c598b497059e4e34fe69d55234db7829c504e458",
+    ("mix_d2_rare", "int"):
+        "4a7b11779fdc3e0e84319d24eb45505b12972f94fcfd294e306138a165f35fb4",
+    ("mix_d2_rare", "generator"):
+        "e1ea4c8dfb885e03ac592c38792bc102d30c45f18176e1fa4b75cca4b80e4d89",
+}
+
+
+@pytest.mark.parametrize("name, kind", sorted(MULTI_CHUNK_DIGESTS))
+def test_sample_golden_multi_chunk(name, kind):
+    assert (sample_digest(name, kind, MULTI_CHUNK_NS)
+            == MULTI_CHUNK_DIGESTS[name, kind])
+
+
+def _one_matmul_sample(dist, n, rng):
+    """``sample``'s reference: ``rng.choice`` for the labels, then one
+    ``mean + z @ sqrt_cov`` per component over all of its rows."""
+    if isinstance(dist, Gaussian):
+        z = rng.standard_normal((n, dist.dim))
+        return dist.mean + z @ dist.sqrt_cov, None
+    labels = rng.choice(dist.n_components, size=n, p=dist.weights)
+    z = rng.standard_normal((n, dist.dim))
+    pts = np.empty_like(z)
+    for c, comp in enumerate(dist.components):
+        mask = labels == c
+        pts[mask] = comp.mean + z[mask] @ comp.sqrt_cov
+    return pts, labels
+
+
+SMALL_CHUNK_NS = (0, 1, 2, 3, 4, 5, 8, 15, 64, 1001, 5003)
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 7])
+@pytest.mark.parametrize("name", ["gauss_d1", "gauss_d5", "gauss_d8",
+                                  "mix_d1_k2", "mix_d5_k3", "mix_d8_k2",
+                                  "mix_d2_rare", "mix_d2_zero_weight"])
+def test_sample_matches_one_matmul_at_any_chunk(monkeypatch, name, chunk):
+    """Splitting the draw into blocks of ``chunk`` rows keeps every bit
+    and RNG call; at d >= 5 a one-row matmul would not."""
+    monkeypatch.setattr(gaussmodels, "_SAMPLE_CHUNK_ROWS", chunk)
+    dist = TARGETS[name]
+    for n in SMALL_CHUNK_NS:
+        rng, ref_rng = (np.random.default_rng([n, chunk]) for _ in range(2))
+        samp = sample(dist, n, rng)
+        pts, labels = _one_matmul_sample(dist, n, ref_rng)
+        assert np.array_equal(samp.points, pts)
+        if labels is None:
+            assert samp.labels is None
+        else:
+            assert np.array_equal(samp.labels, labels)
+        assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
