@@ -111,7 +111,8 @@ def _encode_gd(target: Gaussian, sample: LabeledSample,
     if sample.n < 2 * m:
         raise ValidationError(f"need at least {2 * m} sample points")
     pts = sample.points[:2 * m]
-    inv_sqrt = target.inv_sqrt_cov
+    eigvals, eigvecs = np.linalg.eigh(target.cov)
+    inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
     diffs = pts[1::2] - pts[0::2]              # (m, d), raw differences
     whitened = (diffs @ inv_sqrt) / math.sqrt(2.0)
     norms = np.linalg.norm(whitened, axis=1)
@@ -123,7 +124,6 @@ def _encode_gd(target: Gaussian, sample: LabeledSample,
 
     # eigenvectors of the covariance carry the targets w_j / C_HULL; the
     # d solves are independent units, run on the worker pool
-    eigvecs = target.eigvecs
     theta = np.zeros((d, m))
     sols = _run_units([(_solve_direction, kept, eigvecs[:, j] / C_HULL)
                        for j in range(d)])

@@ -61,8 +61,6 @@ class GaussianRows(NamedTuple):
     sqrt_cov: np.ndarray
     inv_cov: np.ndarray
     log_det_cov: np.ndarray
-    eigvals: np.ndarray
-    eigvecs: np.ndarray
 
     def gaussian(self, i) -> "Gaussian":
         """The :class:`Gaussian` of row ``i`` (index into the leading axes),
@@ -110,8 +108,7 @@ def gaussian_rows(means, covs) -> GaussianRows:
             1.0, np.linalg.norm(cov, axis=mats))))
         inv_cov = (eigvecs / eigvals[..., None, :]) @ swap(eigvecs)
         log_det = np.sum(np.log(eigvals), axis=-1)
-    return GaussianRows(fault, mean, cov, sqrt_cov, inv_cov, log_det,
-                        eigvals, eigvecs)
+    return GaussianRows(fault, mean, cov, sqrt_cov, inv_cov, log_det)
 
 
 class Gaussian:
@@ -139,8 +136,7 @@ class Gaussian:
         Log determinant of ``cov``.
     """
 
-    __slots__ = ("mean", "cov", "sqrt_cov", "inv_cov", "log_det_cov",
-                 "eigvals", "eigvecs", "_inv_sqrt")
+    __slots__ = ("mean", "cov", "sqrt_cov", "inv_cov", "log_det_cov")
 
     def __init__(self, mean, cov):
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
@@ -161,23 +157,14 @@ class Gaussian:
 
     def _fill(self, rows: GaussianRows, i) -> "Gaussian":
         """Set the slots from copies of row ``i`` of ``rows``; return self."""
-        self.log_det_cov, self._inv_sqrt = float(rows.log_det_cov[i]), None
-        for name in ("mean", "cov", "sqrt_cov", "inv_cov", "eigvals",
-                     "eigvecs"):
+        self.log_det_cov = float(rows.log_det_cov[i])
+        for name in ("mean", "cov", "sqrt_cov", "inv_cov"):
             setattr(self, name, _freeze(getattr(rows, name)[i].copy()))
         return self
 
     @property
     def dim(self) -> int:
         return int(self.mean.shape[0])
-
-    @property
-    def inv_sqrt_cov(self) -> np.ndarray:
-        """Inverse of the symmetric square root, computed lazily."""
-        if self._inv_sqrt is None:
-            self._inv_sqrt = _freeze(
-                (self.eigvecs / np.sqrt(self.eigvals)) @ self.eigvecs.T)
-        return self._inv_sqrt
 
     def __repr__(self) -> str:
         return f"Gaussian(d={self.dim})"

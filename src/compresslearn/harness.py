@@ -325,13 +325,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
         raise ValidationError("workers must be >= 1")
     tasks = [(cfg, g, t)
              for g in range(len(cfg.grid)) for t in range(cfg.trials)]
-    if workers == 1 or len(tasks) == 1:
-        results = [_run_one(task) for task in tasks]
-    else:
-        blocks = _blocks(len(tasks),
-                         POOL_BLOCKS_PER_WORKER * _worker_pool()[1])
-        results = [row for done in _run_units(
-            [(_run_trials, tasks[a:b]) for a, b in blocks]) for row in done]
+    parts = 1 if workers == 1 or len(tasks) == 1 \
+        else POOL_BLOCKS_PER_WORKER * _worker_pool()[1]
+    results = [row for done in _run_units(
+        [(_run_trials, tasks[a:b]) for a, b in _blocks(len(tasks), parts)])
+        for row in done]
     return [
         ExperimentRow(
             experiment=cfg.experiment, grid_value=cfg.grid[g], trial=t,

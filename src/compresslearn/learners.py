@@ -396,9 +396,10 @@ def _split_tournament(cands, points: np.ndarray, I: np.ndarray,
         # blocks of the pair list, balanced by pair count
         grid = _shared_grid(cands)
         for a, b in _blocks(len(I), workers):
-            lo = min(I[a:b].min(), J[a:b].min())
-            # row r of the block's batch is candidate lo + r; a row's bits
+            # every pair has I < J, so the block's lowest candidate is an
+            # I; row r of its batch is candidate lo + r, and a row's bits
             # do not depend on the batch
+            lo = int(I[a:b].min())
             units.append((_grid_masses, prepare_log_densities(cands[lo:]),
                           grid, I[a:b] - lo, J[a:b] - lo))
     else:

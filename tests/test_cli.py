@@ -1,5 +1,6 @@
 """Command line entry points, invoked in process."""
 
+import csv
 import json
 import math
 import os
@@ -13,6 +14,8 @@ import pytest
 from compresslearn import cli, harness
 from compresslearn.cli import (compresslearn_main, distances_main, learn_main,
                                lowerbound_main)
+from compresslearn.distances import tv_frobenius_proxy
+from compresslearn.gaussmodels import dist_from_json
 from helpers import exit_in_child
 
 GAUSS_A = json.dumps({"type": "gaussian", "mean": [0.0], "cov": [[1.0]]})
@@ -71,6 +74,29 @@ def test_distances_kl_rejects_mixture(capsys):
     code = distances_main(["--p", mix, "--q", GAUSS_A, "--metric", "kl"])
     assert code == 2
     assert "kl" in capsys.readouterr().err
+
+
+def test_distances_proxy_equals_the_library_value(capsys):
+    p = {"type": "gaussian", "mean": [0.0, 0.0],
+         "cov": [[2.0, 0.3], [0.3, 1.0]]}
+    q = {"type": "gaussian", "mean": [0.0, 0.0],
+         "cov": [[1.0, 0.0], [0.0, 0.5]]}
+    code, rec = run_json(capsys, distances_main,
+                         ["--p", json.dumps(p), "--q", json.dumps(q),
+                          "--metric", "proxy"])
+    assert code == 0
+    assert rec == {"method": "frobenius_proxy", "std_error": 0.0,
+                   "value": tv_frobenius_proxy(dist_from_json(p),
+                                               dist_from_json(q))}
+
+
+def test_distances_proxy_rejects_a_mixture_in_one_line(capsys):
+    mix = json.dumps({"type": "mixture", "weights": [1.0],
+                      "components": [json.loads(GAUSS_A)]})
+    code = distances_main(["--p", GAUSS_A, "--q", mix, "--metric", "proxy"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "distances: the frobenius proxy needs two Gaussians\n"
 
 
 @pytest.mark.parametrize("metric, p", [
@@ -312,6 +338,26 @@ def test_compresslearn_run(tmp_path, capsys):
     assert (out_dir / "summary.csv").exists()
     manifest = json.loads((out_dir / "run-manifest.json").read_text())
     assert manifest["config"]["experiment"] == "hull_probe"
+
+
+def test_compresslearn_run_records_a_failed_encode(tmp_path, capsys):
+    # at this seed the g1d encoder misses its acceptance events in trial 3
+    cfg = dict(experiment="scheme_roundtrip", grid_kind="eps", grid=[0.3],
+               trials=4, seed=0, scheme="g1d",
+               target={"type": "gaussian", "mean": [0.0], "cov": [[1.0]]})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    code = compresslearn_main(["run", "--config", str(cfg_path),
+                               "--out", str(out_dir)])
+    assert code == 0
+    rows = (out_dir / "rows.csv").read_text().splitlines()[2:]
+    assert [",true," in row for row in rows] == [True, True, True, False]
+    assert ",3," in rows[3] and ",false,nan,nan," in rows[3]
+    with open(out_dir / "summary.csv") as f:
+        summary = list(csv.DictReader(
+            line for line in f if not line.startswith("#")))
+    assert float(summary[0]["success_rate"]) == 0.75
 
 
 def test_compresslearn_run_rejects_bad_config(tmp_path, capsys):

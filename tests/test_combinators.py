@@ -201,3 +201,28 @@ def test_mixture_rejects_off_grid_weight():
         else:
             with pytest.raises(DecodingError, match="malformed payload"):
                 mix_codec.decode(msg, pts, eps)
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("no points", "component 1 exhausted its sample batches: "
+                  "too few labeled points"),
+    ("every batch fails", "component 0 exhausted its sample batches: "
+                          "scale difference outside (C_LOW, C_HIGH) band"),
+], ids=["no points", "every batch fails"])
+def test_mixture_encode_fails_when_a_component_exhausts_its_batches(
+        case, reason):
+    mix_codec = compose_mixture(g1d_codec(), 2)
+    eps = 0.3
+    target = Mixture([0.5, 0.5], [Gaussian([0.0], [[1.0]]),
+                                  Gaussian([5.0], [[1.0]])])
+    n = mix_codec.m_samples(eps)
+    if case == "no points":
+        # component 0 encodes from its own draws; component 1 has no points
+        samp = LabeledSample(sample(target.components[0], n, 56).points,
+                             np.zeros(n, dtype=np.int64))
+    else:
+        # every point sits at 0.0: each g1d batch has a zero scale difference
+        samp = LabeledSample(np.zeros((n, 1)), np.arange(n) % 2)
+    out = mix_codec.encode(target, samp, eps)
+    assert not out.ok
+    assert out.reason == reason

@@ -10,7 +10,7 @@ from compresslearn import (SCHEME_CHOICES, DecodingError, Gaussian, Mixture,
 from compresslearn.compression import CompressionMessage
 from compresslearn.gaussmodels import ROW_FAULTS, gaussian_rows
 
-FACTORS = ("sqrt_cov", "inv_cov", "log_det_cov", "eigvals", "eigvecs")
+FACTORS = ("sqrt_cov", "inv_cov", "log_det_cov")
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -25,7 +25,7 @@ def test_stacked_factors_equal_per_matrix_factors(d):
         w, v = np.linalg.eigh(cov)
         want = {"sqrt_cov": (v * np.sqrt(w)) @ v.T,
                 "inv_cov": (v / w) @ v.T,
-                "log_det_cov": np.sum(np.log(w)), "eigvals": w, "eigvecs": v}
+                "log_det_cov": np.sum(np.log(w))}
         for name in FACTORS:
             np.testing.assert_array_equal(getattr(rows, name)[i], want[name])
 

@@ -127,3 +127,39 @@ def test_decode_message_validates_counts():
     short = samp.points[:int(out.message.sample_refs.max())]
     with pytest.raises(DecodingError):
         g1d_robust_codec().decode(out.message, short, eps)
+
+
+def cell_points(cells, eps=0.5):
+    """``m_samples_robust(eps)`` points for target N(0, 1): one at the
+    centre of each given 1-based cell, in order, then points far outside
+    the window (cell ``k`` is ``[-2 + (k-1) eps, -2 + k eps)``)."""
+    pts = np.full((m_samples_robust(eps), 1), 100.0)
+    pts[:len(cells), 0] = [-2.0 + (k - 0.5) * eps for k in cells]
+    return LabeledSample(pts)
+
+
+def test_encoder_falls_back_to_cells_three_scales_apart():
+    # eps 0.5: M = 2, 8 cells; no preferred pair (3, 5) or (4, 6) is
+    # occupied, the fallback pair (1, 7) is, and so is the mean pair (2, 7)
+    eps = 0.5
+    target = Gaussian([0.0], [[1.0]])
+    samp = cell_points([7, 2, 1], eps)
+    out = g1d_robust_codec().encode(target, samp, eps)
+    assert out.ok
+    assert out.message.sample_refs.tolist() == [1, 0, 2, 0]
+    assert out.message.bits.tolist() == [1]
+    decoded = g1d_robust_codec().decode(out.message, samp.points, eps)
+    # cell centres -1.75 and 1.25 are three scales apart
+    assert float(decoded.mean[0]) == 0.0
+    assert float(decoded.cov[0, 0]) == 1.0
+
+
+@pytest.mark.parametrize("cells, reason", [
+    ([1, 2], "no occupied variance cell pair"),
+    ([3, 5], "no occupied mean cell pair"),
+], ids=["variance", "mean"])
+def test_encoder_names_the_cell_pair_it_cannot_find(cells, reason):
+    out = g1d_robust_codec().encode(Gaussian([0.0], [[1.0]]),
+                                    cell_points(cells), 0.5)
+    assert not out.ok
+    assert out.reason == reason

@@ -59,8 +59,9 @@ def test_roundtrip_whitened_error_chains():
         pts, digits = codec.gate(out.message, samp.points, eps)
         vecs = _gd_params(out.message.sample_refs[None], digits[None], pts,
                           eps)[2][0]
-        inv_sqrt = target.inv_sqrt_cov
-        true_vecs = (target.sqrt_cov @ target.eigvecs).T  # rows Psi w_j
+        eigvals, eigvecs = np.linalg.eigh(target.cov)
+        inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+        true_vecs = (target.sqrt_cov @ eigvecs).T  # rows Psi w_j
         for j in range(d):
             err = np.linalg.norm(inv_sqrt @ (vecs[j] - true_vecs[j]))
             assert err <= eps / (24.0 * d * d)

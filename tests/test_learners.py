@@ -484,6 +484,17 @@ def test_learn_drops_a_candidate_whose_variance_overflows():
     assert np.all(np.isfinite(res.estimate.cov))
 
 
+def test_learn_fails_when_no_message_decodes():
+    # every point is 0.0, so each g1d message decodes to a zero scale
+    codec = g1d_codec()
+    eps, delta, budget = 0.3, 0.3, 20
+    n = compression_sample_size(codec, eps, delta, budget)
+    with pytest.raises(ValidationError, match="no candidate message decoded "
+                       "to a distribution"):
+        learn_from_compression(codec, LabeledSample(np.zeros((n, 1))), eps,
+                               delta, budget, 3)
+
+
 @pytest.mark.parametrize("eps, delta, budget", [
     (0.3, 0.0, 10), (0.0, 0.3, 10), (1.5, 0.3, 10), (0.3, 1.0, 10),
     (0.3, 0.3, 0)])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from compresslearn import (Codebook, FanoInputs, Gaussian, ValidationError,
                            fano_error_bound, fano_sample_lower, kl_gaussians,
-                           kl_pair, kl_upper_bound, make_codebook,
+                           kl_pair, kl_upper_bound, lowerbound, make_codebook,
                            make_lb_family, make_mixture_lb_family,
                            mixture_mean_separation, random_orthonormal,
                            tv_pair_lower, tv_separation, verify_codebook)
@@ -169,3 +169,37 @@ def test_cross_gram_sq_matches_numpy():
     v = random_orthonormal(12, 3, rng)
     assert cross_gram_sq(u, v) == pytest.approx(
         np.linalg.norm(u.T @ v, ord="fro") ** 2, rel=1e-12)
+
+
+def repeating_orthonormal(monkeypatch, repeats):
+    """Make ``lowerbound.random_orthonormal`` return one fixed subspace for
+    its first ``repeats`` calls, then draw as before; return the list of
+    subspaces it returns."""
+    draw = lowerbound.random_orthonormal
+    fixed = draw(18, 2, 99)
+    returned = []
+
+    def repeating(d, cols, rng):
+        u = fixed if len(returned) < repeats else draw(d, cols, rng)
+        returned.append(u)
+        return u
+
+    monkeypatch.setattr(lowerbound, "random_orthonormal", repeating)
+    return returned
+
+
+def test_family_redraws_both_members_of_a_violating_pair(monkeypatch):
+    # members 0 and 1 share a subspace: |U_0^T U_1|_F^2 = 2 > d / (2r) = 1
+    returned = repeating_orthonormal(monkeypatch, 2)
+    fam = make_lb_family(18, 9, 0.25, 3, 5)
+    assert len(returned) == 5
+    assert fam.us[0] is returned[3] and fam.us[1] is returned[4]
+    assert fam.us[2] is returned[2]
+    assert violating_pairs(fam.us, cross_bound(18, 9)) == []
+
+
+def test_family_that_never_separates_raises(monkeypatch):
+    repeating_orthonormal(monkeypatch, math.inf)
+    with pytest.raises(ValidationError, match="3 pairs still violate the "
+                       "alignment bound after 100 rounds"):
+        make_lb_family(18, 9, 0.25, 3, 5)

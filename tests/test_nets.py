@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from compresslearn import ValidationError
+from compresslearn import ValidationError, nets
 from compresslearn.nets import hull_contains_ball, solve_hull_coefficients
 
 
@@ -57,3 +57,25 @@ def test_gaussian_cloud_hull_contains_small_ball():
     pts = pts[np.linalg.norm(pts, axis=1) <= 4.0 * math.sqrt(d)]
     ok, cert = hull_contains_ball(pts, 1.0 / 20.0)
     assert ok and cert is None
+
+
+def test_solve_hull_coefficients_returns_zeros_for_a_zero_target():
+    pts = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    theta = solve_hull_coefficients(pts, np.zeros(2))
+    assert theta.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_solve_hull_coefficients_bounds_a_least_squares_solution_above_one(
+        monkeypatch):
+    # the minimum-norm solution 1.05 * [1, 0.1] / 1.01 is above 1 in its
+    # first entry; solutions inside the unit box exist
+    pts = np.array([[1.0], [0.1]])
+    target = np.array([1.05])
+    theta0 = np.linalg.lstsq(pts.T, target, rcond=None)[0]
+    assert np.max(np.abs(theta0)) > 1.0
+    # without bisection the box-bounded solve is the answer
+    for iters in (0, nets._BISECT_ITERS):
+        monkeypatch.setattr(nets, "_BISECT_ITERS", iters)
+        theta = solve_hull_coefficients(pts, target)
+        assert np.max(np.abs(theta)) <= 1.0
+        np.testing.assert_allclose(theta @ pts, target, atol=1e-8)
