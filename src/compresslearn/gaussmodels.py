@@ -276,7 +276,12 @@ def sample(dist: Distribution, n: int, seed) -> LabeledSample:
     labels are drawn block by block, so beyond the output (points and
     labels) a draw holds a few blocks' worth of bytes.  At n = 10**6 and
     d = 2 it peaks at 1.11 times the output for a Gaussian and 1.06 times
-    for a two-component mixture.
+    for a two-component mixture.  A mixture's points and labels are views
+    of one buffer, freed together.  A separate labels array can sit under
+    glibc's adaptive mmap threshold (up to 32 MiB) while the points sit
+    above it; after one such free the next lands on the heap, where a
+    freed copy can stay resident, so a learn's peak RSS would vary by one
+    labels array from run to run.
 
     The bits and RNG calls are those of ``rng.choice(k, size=n, p=weights)``
     and then ``mean + z @ sqrt_cov`` in fresh arrays, one matmul per
@@ -301,11 +306,14 @@ def sample(dist: Distribution, n: int, seed) -> LabeledSample:
         if isinstance(dist, Mixture):
             cdf = dist.weights.cumsum()
             cdf /= cdf[-1]
-            labels = np.empty(n, dtype=np.int64)
+            # points and labels share one allocation (see the docstring)
+            buf = np.empty(n * (dist.dim + 1))
+            pts = buf[:n * dist.dim].reshape(n, dist.dim)
+            labels = buf[n * dist.dim:].view(np.int64)
             for a, b in _row_blocks(n):
                 labels[a:b] = cdf.searchsorted(rng.random(b - a),
                                                side="right")
-            pts = rng.standard_normal((n, dist.dim))
+            rng.standard_normal(out=pts)
             multi = np.bincount(labels, minlength=dist.n_components) > 1
             for a, b in _row_blocks(n):
                 block, block_labels = pts[a:b], labels[a:b]

@@ -1,7 +1,13 @@
 """Distribution containers, sampling, densities, JSON serialization."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +207,48 @@ def test_sample_temporary_memory(dist):
     # 1.71x when a Gaussian held its draws next to the output and a
     # mixture gathered a whole component's rows)
     assert _sample_peak_ratio(dist, 10 ** 6) <= 1.25
+
+
+# learn_2d's mixture draw: its labels (31 MB) sit under glibc's 32 MiB
+# adaptive mmap threshold, its points above it
+REPEATED_MIXTURE_DRAWS = textwrap.dedent("""
+    import json
+    import compresslearn as cl
+
+    def rss_kib():
+        with open("/proc/self/status") as f:
+            for line in f:
+                if line.startswith("VmRSS:"):
+                    return int(line.split()[1])
+
+    mix = cl.Mixture([0.5, 0.5], [
+        cl.Gaussian([-2.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+        cl.Gaussian([2.0, 1.0], [[1.5, 0.3], [0.3, 0.8]])])
+    cl.sample(mix, 10, 0)
+    base, grown = rss_kib(), []
+    for seed in range(4):
+        samp = cl.sample(mix, 3_911_422, seed)
+        del samp
+        grown.append(rss_kib() - base)
+    print(json.dumps(grown))
+""")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmRSS from /proc")
+def test_repeated_mixture_draws_return_their_memory():
+    """A freed mixture sample leaves no labels array resident: a separate
+    labels array landed on the heap from the second draw on and stayed,
+    so the same learn peaked 30 MB higher in some runs than in others."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", REPEATED_MIXTURE_DRAWS],
+                         capture_output=True, text=True, env=env,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    grown = json.loads(out.stdout.splitlines()[-1])
+    assert max(grown) < 8 * 1024, grown
 
 
 def test_labeled_sample_validation():
