@@ -83,14 +83,9 @@ def compose_product(base: Codec, d: int) -> Codec:
     def encode(target, samp: LabeledSample, eps: float) -> EncodeOutcome:
         if not isinstance(target, Gaussian):
             raise ValidationError("product codec encodes Gaussians")
-        if target.dim != d or samp.dim != d:
-            raise ValidationError(f"target and sample must have dimension {d}")
         variances = _diag_or_raise(target.cov)
         e = sub_eps(eps)
         m_base = base.m_samples(e)
-        if samp.n < n_batches * m_base:
-            raise ValidationError(
-                f"need at least {n_batches * m_base} sample points")
         rows = np.arange(n_batches * m_base)
         all_refs = []
         all_bits = []
@@ -109,8 +104,6 @@ def compose_product(base: Codec, d: int) -> Codec:
             np.concatenate(all_bits)))
 
     def decode_rows(refs, digits, pts: np.ndarray, eps: float):
-        if pts.shape[1] != d:
-            raise ValidationError(f"points must have shape (n, {d})")
         _, means, covs, oks = zip(*_slot_decodes(
             base, refs, digits, lambda j: pts[:, j:j + 1], sub_eps(eps), d))
         cov = np.zeros((len(refs), d, d))
@@ -126,7 +119,7 @@ def compose_product(base: Codec, d: int) -> Codec:
 
     return Codec.from_layout(
         f"product[{base.name}]^{d}", SCHEME_PRODUCT, encode, decode_rows,
-        layout, tau=lambda eps: d * base.tau(sub_eps(eps)),
+        layout, dim=d, tau=lambda eps: d * base.tau(sub_eps(eps)),
         m_samples=m_samples, robustness=base.robustness)
 
 
@@ -221,7 +214,7 @@ def compose_mixture(base: Codec, k: int) -> Codec:
 
     return Codec.from_layout(
         f"mixture[{base.name}]x{k}", SCHEME_MIXTURE, encode, decode_rows,
-        layout, tau=lambda eps: k * base.tau(sub_eps(eps)),
+        layout, dim=base.dim, tau=lambda eps: k * base.tau(sub_eps(eps)),
         m_samples=m_samples,
         # contamination tolerance does not compose through mixtures here
         robustness=0.0)

@@ -42,7 +42,7 @@ def mean_offset_grid(eps: float) -> SymmetricGrid:
 
 
 def _sigma_mu(target: Gaussian) -> tuple[float, float]:
-    if not isinstance(target, Gaussian) or target.dim != 1:
+    if not isinstance(target, Gaussian):
         raise ValidationError("this scheme encodes one-dimensional Gaussians")
     return math.sqrt(float(target.cov[0, 0])), float(target.mean[0])
 
@@ -62,8 +62,6 @@ def _encode_g1d(target: Gaussian, sample: LabeledSample,
     misses the encoder's acceptance events.
     """
     sigma, mu = _sigma_mu(target)
-    if sample.n < _M_SAMPLES or sample.dim != 1:
-        raise ValidationError("need at least 3 one-dimensional sample points")
     g1, g2, g3 = (float(v) for v in sample.points[:3, 0])
     g = (g1 - g2) / math.sqrt(2.0)
     if not (C_LOW * sigma < abs(g) < C_HIGH * sigma):
@@ -80,8 +78,6 @@ def _encode_g1d(target: Gaussian, sample: LabeledSample,
 def _decode_g1d(refs: np.ndarray, digits: np.ndarray, pts: np.ndarray,
                 eps: float):
     """Each row's mean and variance from its three referenced points."""
-    if pts.shape[1] != 1:
-        raise ValidationError("points must have shape (n, 1)")
     g1, g2, g3 = pts[refs, 0].T
     lam = scale_ratio_grid(eps).values(digits[:, 0])
     eta = mean_offset_grid(eps).values(digits[:, 1])
@@ -95,6 +91,6 @@ def _decode_g1d(refs: np.ndarray, digits: np.ndarray, pts: np.ndarray,
 def g1d_codec() -> Codec:
     """Codec wrapper: tau = 3 references, O(log(1/eps)) bits, m = 3 samples."""
     return Codec.from_layout("g1d", SCHEME_G1D, _encode_g1d, _decode_g1d,
-                             g1d_layout, tau=lambda eps: _TAU,
+                             g1d_layout, dim=1, tau=lambda eps: _TAU,
                              m_samples=lambda eps: _M_SAMPLES,
                              robustness=0.0)

@@ -45,19 +45,16 @@ def m_samples_robust(eps: float) -> int:
 def _encode_g1d_robust(target: Gaussian, sample: LabeledSample,
                        eps: float) -> EncodeOutcome:
     """Pick one mean pair and one variance pair of occupied cells."""
-    if not isinstance(target, Gaussian) or target.dim != 1:
+    if not isinstance(target, Gaussian):
         raise ValidationError("this scheme encodes one-dimensional Gaussians")
-    m_need = m_samples_robust(eps)
-    if sample.n < m_need or sample.dim != 1:
-        raise ValidationError(f"need at least {m_need} one-dimensional points")
     sigma = math.sqrt(float(target.cov[0, 0]))
     mu = float(target.mean[0])
     big_m = math.ceil(1.0 / eps)
     n_cells = 4 * big_m
-    pts = sample.points[:m_need, 0]
+    pts = sample.points[:m_samples_robust(eps), 0]
     cell_width = eps * sigma
     left = mu - 2.0 * sigma
-    # 1-based cell ids 1..4M inside the window; everything else is discarded
+    # 0-based cell ids 0..4M-1 inside the window; everything else is -1
     raw = np.floor((pts - left) / cell_width).astype(np.int64)
     raw[(pts < left) | (raw >= n_cells)] = -1
     first = first_occupants(raw, n_cells)  # first sample index per 0-based cell
@@ -94,8 +91,6 @@ def _decode_g1d_robust(refs: np.ndarray, digits: np.ndarray,
                        pts: np.ndarray, eps: float):
     """Decoder map: mean ``(x1+x2)/2``; variance ``|y1-y2|^2``, divided by 9
     when the fallback bit is set."""
-    if pts.shape[1] != 1:
-        raise ValidationError("points must have shape (n, 1)")
     x1, x2, y1, y2 = pts[refs, 0].T
     spread = np.abs(y1 - y2)
     sd = np.where(digits[:, 0] == 1, spread / 3.0, spread)
@@ -109,6 +104,6 @@ def g1d_robust_codec() -> Codec:
     """Codec wrapper: 4 references, 1 bit, m = ceil(M_MULT/eps) samples."""
     return Codec.from_layout("g1d_robust", SCHEME_G1D_ROBUST,
                              _encode_g1d_robust, _decode_g1d_robust,
-                             lambda eps: _LAYOUT, tau=lambda eps: _TAU,
+                             lambda eps: _LAYOUT, dim=1, tau=lambda eps: _TAU,
                              m_samples=m_samples_robust,
                              robustness=ROBUSTNESS_L1)

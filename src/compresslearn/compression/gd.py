@@ -106,10 +106,6 @@ def _encode_gd(target: Gaussian, sample: LabeledSample,
         raise ValidationError("this scheme encodes Gaussians")
     d = target.dim
     m = n_pairs(d)
-    if sample.dim != d:
-        raise ValidationError("sample dimension does not match the target")
-    if sample.n < 2 * m:
-        raise ValidationError(f"need at least {2 * m} sample points")
     pts = sample.points[:2 * m]
     eigvals, eigvecs = np.linalg.eigh(target.cov)
     inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
@@ -185,7 +181,7 @@ def gd_codec(d: int) -> Codec:
     """Codec wrapper for fixed dimension ``d``."""
     m = n_pairs(d)
     return Codec.from_layout(f"gd[d={d}]", SCHEME_GD, _encode_gd, _decode_gd,
-                             lambda eps: gd_layout(eps, d, m),
+                             lambda eps: gd_layout(eps, d, m), dim=d,
                              tau=lambda eps: tau_gd(d),
                              m_samples=lambda eps: m_samples_gd(d),
                              robustness=ROBUSTNESS_L1)

@@ -49,8 +49,9 @@ class Codec:
     """A (tau, t, m) sample compression scheme: its profile, payload
     layout, encoder and decoder.
 
-    ``tau(eps)`` is the exact number of sample references in each message
-    and ``m_samples(eps)`` the number of sample points the encoder
+    ``dim`` is the dimension of the distributions the codec encodes and
+    decodes, ``tau(eps)`` the exact number of sample references in each
+    message and ``m_samples(eps)`` the number of sample points the encoder
     consumes; ``robustness`` is the L1 contamination radius the scheme
     tolerates (0 for non-robust schemes).
 
@@ -72,17 +73,22 @@ class Codec:
     components for k-mixtures.  :meth:`decode_batch` makes them
     distributions, and ``decode(message, points, eps)`` is :meth:`gate`
     and a batch of one.  ``from_layout`` puts ``encode`` and ``decode``
-    behind the gate: ``eps`` in ``(0, 1]``, 2-D ``points``, and messages
-    the learner can enumerate: the codec's ``scheme_id``, exactly
-    ``tau(eps)`` references below ``len(points)``, exactly
-    ``layout(eps).n_bits`` bits of digits the layout accepts.  Other
-    messages, and payloads that decode to no distribution, raise
-    :class:`DecodingError` on decode; a bad message from an ``ok`` encode
-    raises :class:`MessageSizeError`.
+    behind the gate, which checks the whole profile so no scheme does:
+    ``eps`` in ``(0, 1]``; ``dim``-dimensional points on decode (here
+    and in :meth:`decode_batch`), and on encode a ``dim``-dimensional
+    target and at least ``m_samples(eps)`` ``dim``-dimensional sample
+    points, else :class:`ValidationError`; and messages the learner can
+    enumerate: the codec's ``scheme_id``, exactly ``tau(eps)``
+    references below ``len(points)``, exactly ``layout(eps).n_bits``
+    bits of digits the layout accepts.  Other messages, and payloads
+    that decode to no distribution, raise :class:`DecodingError` on
+    decode; a bad message from an ``ok`` encode raises
+    :class:`MessageSizeError`.
     """
 
     name: str
     scheme_id: int
+    dim: int
     tau: Callable[[float], int]
     m_samples: Callable[[float], int]
     robustness: float
@@ -114,7 +120,11 @@ class Codec:
         factored by one :func:`gaussian_rows` call; ``None`` where a
         Gaussian's ``ok`` is False or its covariance is one ``Gaussian``
         rejects.  Such a mixture component becomes the standard Gaussian
-        instead, the placeholder of a filler or junk payload."""
+        instead, the placeholder of a filler or junk payload.  Points of
+        another dimension than ``dim`` raise :class:`ValidationError`."""
+        if points.shape[1] != self.dim:
+            raise ValidationError(f"{self.name} decodes {self.dim}-D points, "
+                                  f"not {points.shape[1]}-D")
         weights, means, covs, ok = self.decode_rows(refs, digits, points, eps)
         rows = gaussian_rows(means, covs)
         ok = ok & (rows.fault == 0)
@@ -128,13 +138,20 @@ class Codec:
 
     @classmethod
     def from_layout(cls, name: str, scheme_id: int, encode, decode_rows,
-                    layout: Callable[[float], PayloadLayout], *, tau,
-                    m_samples, robustness: float) -> "Codec":
+                    layout: Callable[[float], PayloadLayout], *, dim: int,
+                    tau, m_samples, robustness: float) -> "Codec":
         """Codec whose payload width and draws come from ``layout(eps)``,
         with the scheme's ``encode`` and ``decode_rows`` behind the gate."""
 
         def gated_encode(target, sample: LabeledSample, eps: float):
             check_eps(eps)
+            m = m_samples(eps)
+            got = (getattr(target, "dim", None), sample.dim)
+            if got != (dim, dim) or sample.n < m:
+                raise ValidationError(
+                    f"{name} encodes a {dim}-D target from at least {m} "
+                    f"{dim}-D points, not a {got[0]}-D target from "
+                    f"{sample.n} {got[1]}-D points")
             outcome = encode(target, sample, eps)
             if outcome.ok:
                 try:
@@ -156,6 +173,6 @@ class Codec:
             fields = layout(eps)
             return fields.pack(fields.random_digits(rng))
 
-        codec = cls(name, scheme_id, tau, m_samples, robustness, layout,
+        codec = cls(name, scheme_id, dim, tau, m_samples, robustness, layout,
                     gated_encode, gated_decode, decode_rows, random_payload)
         return codec

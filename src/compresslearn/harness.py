@@ -293,14 +293,16 @@ EXPERIMENTS = {
 }
 
 
-def _run_one(args: tuple) -> tuple:
+def _run_one(args: tuple) -> ExperimentRow:
     cfg, grid_idx, trial_idx = args
     seed = derive_seed(cfg.seed, grid_idx, trial_idx)
     start = time.perf_counter()
     success, tv, kl = EXPERIMENTS[cfg.experiment][0](
         cfg, cfg.grid[grid_idx], seed)
-    wall_ms = 1000.0 * (time.perf_counter() - start)
-    return grid_idx, trial_idx, seed, success, tv, kl, wall_ms
+    return ExperimentRow(
+        experiment=cfg.experiment, grid_value=cfg.grid[grid_idx],
+        trial=trial_idx, seed=seed, success=success, tv_error=tv,
+        kl_error=kl, wall_ms=1000.0 * (time.perf_counter() - start))
 
 
 def _run_trials(tasks: list) -> list:
@@ -327,16 +329,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
              for g in range(len(cfg.grid)) for t in range(cfg.trials)]
     parts = 1 if workers == 1 or len(tasks) == 1 \
         else POOL_BLOCKS_PER_WORKER * _worker_pool()[1]
-    results = [row for done in _run_units(
+    return [row for done in _run_units(
         [(_run_trials, tasks[a:b]) for a, b in _blocks(len(tasks), parts)])
         for row in done]
-    return [
-        ExperimentRow(
-            experiment=cfg.experiment, grid_value=cfg.grid[g], trial=t,
-            seed=seed, success=success, tv_error=tv, kl_error=kl,
-            wall_ms=wall_ms)
-        for g, t, seed, success, tv, kl, wall_ms in results
-    ]
 
 
 @dataclass(frozen=True)

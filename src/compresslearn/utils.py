@@ -18,12 +18,14 @@ def as_generator(seed) -> np.random.Generator:
     Parameters
     ----------
     seed : int or numpy.random.Generator
-        An integer seed, or an existing generator (returned unchanged).
+        A non-negative integer seed, or an existing generator (returned
+        unchanged).
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if seed is None:
-        raise ValidationError("seed must be an int or a numpy Generator")
+    if seed is None or int(seed) < 0:
+        raise ValidationError(
+            "seed must be a non-negative int or a numpy Generator")
     return np.random.default_rng(int(seed))
 
 

@@ -1,5 +1,6 @@
 """Shared test utilities."""
 
+import dataclasses
 import multiprocessing
 import os
 
@@ -72,6 +73,6 @@ def exit_in_child(tasks):
 
 def trials_with_pid(tasks):
     """Stands in for ``harness._run_trials``: runs the block, with the pid
-    of the process that ran it in each result's ``wall_ms`` slot."""
-    return [result[:-1] + (os.getpid(),)
-            for result in map(harness._run_one, tasks)]
+    of the process that ran it in each row's ``wall_ms``."""
+    return [dataclasses.replace(row, wall_ms=os.getpid())
+            for row in map(harness._run_one, tasks)]

@@ -325,6 +325,26 @@ def test_lowerbound_rejects_nonpositive_dimension(tmp_path, capsys, d):
     assert not out.exists()
 
 
+GAUSS_2D = json.dumps({"type": "gaussian", "mean": [0.0, 0.0],
+                       "cov": [[1.0, 0.0], [0.0, 1.0]]})
+
+
+@pytest.mark.parametrize("main, args", [
+    (learn_main, ["--target", GAUSS_A, "--scheme", "g1d", "--eps", "0.3",
+                  "--delta", "0.3", "--budget", "8"]),
+    (distances_main, ["--p", GAUSS_2D, "--q", GAUSS_2D, "--metric", "tv",
+                      "--n-mc", "100"]),
+    (lowerbound_main, ["--d", "18", "--r", "9", "--eps", "0.2", "--M", "3",
+                       "--tv-mc-pairs", "0"])],
+    ids=["learn", "distances", "lowerbound"])
+def test_a_negative_seed_exits_2_in_one_line(tmp_path, capsys, main, args):
+    if main is lowerbound_main:
+        args = args + ["--out", str(tmp_path / "x.json")]
+    assert main(args + ["--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be a non-negative int" in err and err.count("\n") == 1
+
+
 def test_compresslearn_run(tmp_path, capsys):
     cfg = dict(experiment="hull_probe", grid_kind="n", grid=[200],
                trials=2, seed=9, params={"d": 3})

@@ -41,7 +41,7 @@ def toy_codec() -> Codec:
         raise NotImplementedError("enumeration-only test codec")
 
     return Codec.from_layout("toy", SCHEME_G1D, encode, decode_rows,
-                             lambda eps: PayloadLayout([2], [1]),
+                             lambda eps: PayloadLayout([2], [1]), dim=1,
                              tau=lambda eps: 1, m_samples=lambda eps: 1,
                              robustness=0.0)
 

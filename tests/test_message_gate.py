@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from compresslearn import (DecodingError, Gaussian, LabeledSample,
-                           MessageSizeError, Mixture, codec_for,
-                           compression_sample_size, learn_from_compression,
-                           sample)
+                           MessageSizeError, Mixture, ValidationError,
+                           codec_for, compression_sample_size,
+                           learn_from_compression, sample)
 from compresslearn.compression import (SCHEME_G1D, SCHEME_GD, SCHEME_MIXTURE,
                                        Codec, CompressionMessage,
                                        EncodeOutcome, PayloadLayout)
@@ -96,26 +96,78 @@ def test_learn_drops_a_planted_message_of_another_scheme():
 def test_encode_rejects_messages_off_the_envelope():
     """An ``ok`` outcome outside the scheme's message space raises."""
 
-    def toy(scheme_id, n_refs, n_bits):
+    def toy(scheme_id, n_refs, n_bits, m=4):
         def encode(target, samp, eps):
             return EncodeOutcome.success(CompressionMessage(
                 scheme_id, np.arange(n_refs), np.zeros(n_bits, np.uint8)))
 
         return Codec.from_layout("toy", SCHEME_G1D, encode, None,
-                                 lambda eps: PayloadLayout([4], [2]),
-                                 tau=lambda eps: 2, m_samples=lambda eps: 4,
+                                 lambda eps: PayloadLayout([4], [2]), dim=1,
+                                 tau=lambda eps: 2, m_samples=lambda eps: m,
                                  robustness=0.0)
 
+    target = Gaussian([0.0], [[1.0]])
     samp = LabeledSample(np.zeros((4, 1)))
-    assert toy(SCHEME_G1D, 2, 2).encode(None, samp, EPS).ok
+    assert toy(SCHEME_G1D, 2, 2).encode(target, samp, EPS).ok
     for scheme_id, n_refs, n_bits in [(SCHEME_G1D, 1, 2), (SCHEME_G1D, 3, 2),
                                       (SCHEME_G1D, 2, 1), (SCHEME_G1D, 2, 3),
                                       (SCHEME_GD, 2, 2)]:
         with pytest.raises(MessageSizeError):
-            toy(scheme_id, n_refs, n_bits).encode(None, samp, EPS)
+            toy(scheme_id, n_refs, n_bits).encode(target, samp, EPS)
+    # the gate passes a 1-point sample for m = 1; reference 1 is past it
     with pytest.raises(MessageSizeError):
-        toy(SCHEME_G1D, 2, 2).encode(None, LabeledSample(np.zeros((1, 1))),
-                                     EPS)
+        toy(SCHEME_G1D, 2, 2, m=1).encode(
+            target, LabeledSample(np.zeros((1, 1))), EPS)
+
+
+# the codecs above and a mixture over the d=2 Gaussian codec
+GATE_CASES = dict(CASES, mixture_gd_d2=("mixture", Mixture([0.5, 0.5], [
+    Gaussian([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+    Gaussian([4.0, 1.0], [[2.0, 0.5], [0.5, 1.0]])])))
+
+
+def _gate_case(name):
+    """The case's codec and target, and a target of one more dimension."""
+    scheme, target = GATE_CASES[name]
+    d = target.dim + 1
+    other = Gaussian(np.zeros(d), np.eye(d))
+    if isinstance(target, Mixture):
+        other = Mixture([1.0], [other])
+    return codec_for(scheme, target), target, other
+
+
+@pytest.mark.parametrize("name", sorted(GATE_CASES))
+def test_decode_rejects_points_of_another_dimension(name):
+    codec, target, _ = _gate_case(name)
+    payload = codec.random_payload(EPS, np.random.default_rng(5))
+    msg = CompressionMessage(codec.scheme_id,
+                             np.zeros(codec.tau(EPS), np.int64), payload)
+    with pytest.raises(ValidationError, match=f"decodes {target.dim}-D"):
+        codec.decode(msg, np.zeros((4, target.dim + 1)), EPS)
+
+
+@pytest.mark.parametrize("name", sorted(GATE_CASES))
+def test_learn_rejects_a_sample_of_another_dimension(name):
+    codec, target, _ = _gate_case(name)
+    delta, budget = 0.9, 4
+    n_enc = _encoding_size(codec, EPS, delta, budget)
+    samp = LabeledSample(np.zeros((n_enc, target.dim + 1)))
+    with pytest.raises(ValidationError, match=f"decodes {target.dim}-D"):
+        learn_from_compression(codec, samp, EPS, delta, budget, 6)
+
+
+@pytest.mark.parametrize("name", sorted(GATE_CASES))
+def test_encode_rejects_a_sample_off_the_profile(name):
+    """Another dimension of sample or target, or one point fewer than
+    ``m_samples(eps)``, fails at the gate before the scheme runs."""
+    codec, target, other = _gate_case(name)
+    m = codec.m_samples(EPS)
+    wide = sample(other, m, 7)
+    for tgt, samp in [(target, wide), (other, wide),
+                      (target, sample(target, m - 1, 7))]:
+        with pytest.raises(ValidationError,
+                           match=f"encodes a {target.dim}-D target"):
+            codec.encode(tgt, samp, EPS)
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.45])
@@ -145,7 +197,7 @@ def test_decode_turns_an_unusable_covariance_into_a_decoding_error(cov):
                 np.ones(len(refs), dtype=bool))
 
     codec = Codec.from_layout("toy", SCHEME_G1D, None, decode_rows,
-                              lambda eps: PayloadLayout([4], [2]),
+                              lambda eps: PayloadLayout([4], [2]), dim=1,
                               tau=lambda eps: 1, m_samples=lambda eps: 1,
                               robustness=0.0)
     msg = CompressionMessage(SCHEME_G1D, np.zeros(1, np.int64),
