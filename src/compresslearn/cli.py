@@ -10,6 +10,7 @@ accept inline JSON or a path to a JSON file.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import sys
@@ -123,7 +124,8 @@ def learn_main(argv=None) -> int:
             "tv_to_target": tv["value"],
             "tv_method": tv["method"],
             "candidate_count": result.candidate_count,
-            "candidate_space": str(result.candidate_space),
+            # exact digits past the interpreter's int-to-str limit
+            "candidate_space": str(decimal.Decimal(result.candidate_space)),
             "budget_capped": result.budget_capped,
             "enumeration": ("sampled" if result.budget_capped
                             else "exhaustive"),

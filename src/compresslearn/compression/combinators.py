@@ -163,8 +163,8 @@ def compose_mixture(base: Codec, k: int) -> Codec:
                                     + [base.layout(sub_eps(eps))] * k)
 
     def m_samples(eps: float) -> int:
-        mult = math.ceil(48.0 * k * math.log(6.0 * k) / eps)
-        return mult * base.m_samples(sub_eps(eps))
+        m_base = base.m_samples(sub_eps(eps))
+        return math.ceil(48.0 * k * math.log(6.0 * k) / eps) * m_base
 
     def encode(target, samp: LabeledSample, eps: float) -> EncodeOutcome:
         if not isinstance(target, Mixture):

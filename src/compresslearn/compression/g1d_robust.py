@@ -97,7 +97,7 @@ def _decode_g1d_robust(refs: np.ndarray, digits: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         mean = (x1 + x2) / 2.0
         var = sd * sd
-    return None, mean[:, None], var[:, None, None], spread > 0.0
+    return None, mean[:, None], var[:, None, None], np.ones(len(refs), bool)
 
 
 def g1d_robust_codec() -> Codec:

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import ValidationError
-from ..gaussmodels import Gaussian, LabeledSample, gaussian_rows
+from ..gaussmodels import Gaussian, LabeledSample
 from ..nets import solve_hull_coefficients
 from ..utils import _run_units
 from .grids import SymmetricGrid
@@ -39,7 +39,6 @@ from .scheme import Codec, EncodeOutcome
 C_HULL = 20.0  # hull targets w_j / C_HULL: certified radius 1 / C_HULL
 M_MULT = 40.0  # difference pairs m = ceil(M_MULT * d * (1 + ln d))
 ROBUSTNESS_L1 = 2.0 / 3.0
-_RIDGE_REL = 1e-10
 
 
 def n_pairs(d: int) -> int:
@@ -159,21 +158,15 @@ def _gd_params(refs: np.ndarray, digits: np.ndarray, pts: np.ndarray,
     diffs = pts[refs[:, 1:2 * m:2]] - pts[refs[:, 0:2 * m:2]]
     vecs = (C_HULL / math.sqrt(2.0)) * (theta @ diffs)
     cov = np.swapaxes(vecs, 1, 2) @ vecs
-    cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
     mean = pts[refs[:, -1]] - (lam[:, None, :] @ vecs)[:, 0]
     return mean, cov, vecs
 
 
 def _decode_gd(refs: np.ndarray, digits: np.ndarray, pts: np.ndarray,
                eps: float):
-    """Each row's mean and covariance; a covariance ``Gaussian`` rejects
-    gets one ridge of ``_RIDGE_REL`` times its mean eigenvalue."""
+    """Each row's mean and covariance ``sum_j v_j v_j^T``; the scheme
+    itself rejects no row."""
     mean, cov, _ = _gd_params(refs, digits, pts, eps)
-    d = pts.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        ridge = _RIDGE_REL * np.trace(cov, axis1=1, axis2=2) / d
-        fix = (gaussian_rows(mean, cov).fault > 0) & (ridge > 0.0)
-        cov[fix] += ridge[fix, None, None] * np.eye(d)
     return None, mean, cov, np.ones(len(refs), dtype=bool)
 
 

@@ -70,20 +70,21 @@ class Codec:
     it references.  It returns ``(weights, means, covs, ok)``, each row
     independent of the others: ``None``, ``(N, d)``, ``(N, d, d)`` and
     ``(N,)`` for Gaussians; ``(N, k)`` weights and ``(N, k, ...)``
-    components for k-mixtures.  :meth:`decode_batch` makes them
-    distributions, and ``decode(message, points, eps)`` is :meth:`gate`
-    and a batch of one.  ``from_layout`` puts ``encode`` and ``decode``
-    behind the gate, which checks the whole profile so no scheme does:
-    ``eps`` in ``(0, 1]``; ``dim``-dimensional points on decode (here
-    and in :meth:`decode_batch`), and on encode a ``dim``-dimensional
-    target and at least ``m_samples(eps)`` ``dim``-dimensional sample
-    points, else :class:`ValidationError`; and messages the learner can
-    enumerate: the codec's ``scheme_id``, exactly ``tau(eps)``
-    references below ``len(points)``, exactly ``layout(eps).n_bits``
-    bits of digits the layout accepts.  Other messages, and payloads
-    that decode to no distribution, raise :class:`DecodingError` on
-    decode; a bad message from an ``ok`` encode raises
-    :class:`MessageSizeError`.
+    components for k-mixtures.  ``ok`` marks only what the scheme itself
+    rejects, such as g1d's negative scale: :meth:`decode_batch` alone
+    symmetrizes, factors and judges covariances, and makes distributions;
+    ``decode(message, points, eps)`` is :meth:`gate` and a batch of one.
+    ``from_layout`` puts ``encode`` and ``decode`` behind the gate, which
+    checks the whole profile so no scheme does: ``eps`` in ``(0, 1]``;
+    ``dim``-dimensional points on decode (here and in
+    :meth:`decode_batch`), and on encode a ``dim``-dimensional target and
+    at least ``m_samples(eps)`` ``dim``-dimensional sample points, else
+    :class:`ValidationError`; and messages the learner can enumerate: the
+    codec's ``scheme_id``, exactly ``tau(eps)`` references below
+    ``len(points)``, exactly ``layout(eps).n_bits`` bits of digits the
+    layout accepts.  Other messages, and payloads that decode to no
+    distribution, raise :class:`DecodingError` on decode; a bad message
+    from an ``ok`` encode raises :class:`MessageSizeError`.
     """
 
     name: str

@@ -18,12 +18,12 @@ def as_generator(seed) -> np.random.Generator:
     Parameters
     ----------
     seed : int or numpy.random.Generator
-        A non-negative integer seed, or an existing generator (returned
-        unchanged).
+        A non-negative integer seed (a Python or numpy integer), or an
+        existing generator (returned unchanged).
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if seed is None or int(seed) < 0:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(
             "seed must be a non-negative int or a numpy Generator")
     return np.random.default_rng(int(seed))

@@ -1,6 +1,7 @@
 """Command line entry points, invoked in process."""
 
 import csv
+import decimal
 import json
 import math
 import os
@@ -11,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from compresslearn import cli, harness
+from compresslearn import cli, harness, learners
 from compresslearn.cli import (compresslearn_main, distances_main, learn_main,
                                lowerbound_main)
+from compresslearn.compression import gd_codec
 from compresslearn.distances import tv_frobenius_proxy
 from compresslearn.gaussmodels import dist_from_json
 from helpers import exit_in_child
@@ -161,6 +163,25 @@ def test_learn_mixture_scheme(tmp_path):
     assert code == 0
     rec = json.loads(out.read_text())
     assert rec["estimate"]["type"] == "mixture"
+
+
+def test_learn_writes_a_candidate_space_past_the_int_digit_limit(tmp_path):
+    """A 3-D gd message space has 8,341 digits, past the 4,300 that
+    ``str(int)`` writes by default."""
+    target = json.dumps({"type": "gaussian", "mean": [0.0] * 3,
+                         "cov": np.eye(3).tolist()})
+    out = tmp_path / "gd3.json"
+    code = learn_main([
+        "--target", target, "--scheme", "gd", "--eps", "0.2",
+        "--delta", "0.1", "--budget", "10", "--seed", "7", "--out", str(out)])
+    assert code == 0
+    space = json.loads(out.read_text())["candidate_space"]
+    codec = gd_codec(3)
+    e_enum = 0.2 / learners.ENUM_ACCURACY_DIV
+    n_enc = learners._encoding_size(codec, 0.2, 0.1, 10)
+    assert space.isdigit() and len(space) == 8341
+    assert decimal.Decimal(space) \
+        == n_enc ** codec.tau(e_enum) * codec.layout(e_enum).count
 
 
 def test_learn_rejects_scheme_target_mismatch(capsys):

@@ -127,6 +127,12 @@ def test_mixture_pads_missing_components_with_filler():
     np.testing.assert_allclose(comp.cov, np.eye(1), atol=1e-12)
 
 
+@pytest.mark.parametrize("eps", [0.0, math.nan])
+def test_mixture_m_samples_rejects_an_eps_outside_its_range(eps):
+    with pytest.raises(ValidationError, match="eps must lie in"):
+        compose_mixture(g1d_codec(), 2).m_samples(eps)
+
+
 def test_mixture_encode_requires_labels():
     mix_codec = compose_mixture(g1d_codec(), 2)
     target = Mixture([0.5, 0.5], [Gaussian([0.0], [[1.0]]),

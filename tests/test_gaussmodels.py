@@ -169,6 +169,15 @@ def test_sample_accepts_python_and_numpy_integers():
     expected = sample(g, 5, 7).points
     for n in (np.int64(5), np.int32(5), np.uint8(5)):
         np.testing.assert_array_equal(sample(g, n, 7).points, expected)
+    for seed in (np.int64(7), np.int32(7), np.uint8(7)):
+        np.testing.assert_array_equal(sample(g, 5, seed).points, expected)
+
+
+@pytest.mark.parametrize("seed", [2.7, "3", "abc"])
+def test_sample_rejects_a_seed_that_is_not_an_integer(seed):
+    g = Gaussian([0.0], [[1.0]])
+    with pytest.raises(ValidationError, match="seed must be a non-negative"):
+        sample(g, 5, seed)
 
 
 @pytest.mark.parametrize("dist", [

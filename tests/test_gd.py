@@ -1,6 +1,7 @@
 """Full-covariance d-dimensional scheme: error chains, failures, payloads."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import pytest
 from compresslearn import DecodingError, Gaussian, LabeledSample, sample
 from compresslearn.compression import (SCHEME_GD, CompressionMessage,
                                        gd_codec)
-from compresslearn.compression.gd import (C_HULL, M_MULT, _RIDGE_REL,
-                                          _gd_params, anchor_grid,
-                                          coefficient_grid, n_pairs)
+from compresslearn.compression.gd import (C_HULL, M_MULT, _gd_params,
+                                          anchor_grid, coefficient_grid,
+                                          n_pairs)
+from compresslearn.gaussmodels import gaussian_rows
 
 from helpers import encode_with_retries, spd_with_condition
 
@@ -120,9 +122,9 @@ def test_decoded_covariance_is_spd_and_close():
     assert rel < 0.5
 
 
-def test_decode_ridges_a_rank_one_covariance():
+def test_decode_drops_a_rank_one_covariance():
     """Collinear differences give a rank-one ``V^T V``, which ``Gaussian``
-    rejects; the decoder adds ``_RIDGE_REL * trace / d`` to its diagonal."""
+    rejects: the message decodes to no distribution."""
     d = 2
     eps = 0.5
     codec = gd_codec(d)
@@ -133,16 +135,38 @@ def test_decode_ridges_a_rank_one_covariance():
     digits = np.concatenate([
         coefficient_grid(eps, d).offsets(np.full(d * m, 0.01)),
         anchor_grid(eps, d).offsets(np.zeros(d))])
-    msg = CompressionMessage(SCHEME_GD, refs, codec.layout(eps).pack(digits))
-    est = codec.decode(msg, pts, eps)
     _, cov, _ = _gd_params(refs[None], digits[None], pts, eps)
-    cov = cov[0]
-    assert np.linalg.matrix_rank(cov) == 1
-    expect = cov + (_RIDGE_REL * np.trace(cov) / d) * np.eye(d)
-    np.testing.assert_array_equal(est.cov, expect)
-    lo, hi = np.linalg.eigvalsh(est.cov)
-    assert lo == pytest.approx(1.85e-7, rel=0.01)
-    assert hi == pytest.approx(3.70e3, rel=0.01)
+    assert np.linalg.matrix_rank(cov[0]) == 1
+    msg = CompressionMessage(SCHEME_GD, refs, codec.layout(eps).pack(digits))
+    with pytest.raises(DecodingError, match="decodes to no distribution"):
+        codec.decode(msg, pts, eps)
+    assert codec.decode_batch(refs[None], digits[None], pts, eps) == [None]
+
+
+def test_decode_batch_factors_each_row_once(monkeypatch):
+    """One ``gaussian_rows`` call per batch, counted through every module
+    name bound to it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return gaussian_rows(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "compresslearn":
+            for attr, value in list(vars(module).items()):
+                if value is gaussian_rows:
+                    monkeypatch.setattr(module, attr, counted)
+    eps = 0.5
+    codec = gd_codec(2)
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(codec.m_samples(eps), 2))
+    refs = rng.integers(len(pts), size=(100, codec.tau(eps)))
+    digits = np.stack([codec.layout(eps).random_digits(rng)
+                       for _ in range(100)])
+    out = codec.decode_batch(refs, digits, pts, eps)
+    assert len(out) == 100
+    assert calls == [100]
 
 
 def test_decode_validates_message_shape():
