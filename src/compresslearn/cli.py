@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -215,7 +214,7 @@ def lowerbound_main(argv=None) -> int:
             if 0.0 < args.eps < 0.5 else None,
             "tv_mc_fits": fits,
             "fitted_c": (sum(f["ratio"] for f in fits) / len(fits))
-            if fits else math.nan,
+            if fits else None,
         }
         fano_path = Path(f"{stem}.fano.json")
         fano_path.write_text(json.dumps(fano, indent=2, sort_keys=True) + "\n")

@@ -190,10 +190,9 @@ class Mixture:
             raise ValidationError("weights must be finite and nonnegative")
         if abs(float(weights.sum()) - 1.0) > WEIGHT_SUM_ATOL:
             raise ValidationError("weights must sum to 1 within 1e-12")
-        dims = {c.dim for c in components}
         if not all(isinstance(c, Gaussian) for c in components):
             raise ValidationError("components must be Gaussian")
-        if len(dims) != 1:
+        if len({c.dim for c in components}) != 1:
             raise DimensionMismatchError("components have mixed dimensions")
         self.weights = _freeze(weights)
         self.components = tuple(components)

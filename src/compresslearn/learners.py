@@ -103,11 +103,8 @@ def _pair_coefficients(mu: np.ndarray, var: np.ndarray, I: np.ndarray,
     mj, sj2 = mu[J], var[J]
     a = 0.5 / sj2 - 0.5 / si2
     b = mi / si2 - mj / sj2
-    # math.log, not np.log: the two differ in the last ulp on some inputs,
-    # and the region masses must stay bit-identical to the scalar formula
-    log_ratio = np.fromiter(map(math.log, (sj2 / si2).tolist()), float,
-                            len(I))
-    c = mj * mj / (2.0 * sj2) - mi * mi / (2.0 * si2) + 0.5 * log_ratio
+    c = mj * mj / (2.0 * sj2) - mi * mi / (2.0 * si2) \
+        + 0.5 * np.log(sj2 / si2)
     sizes = (0.5 / si2 + 0.5 / sj2, np.abs(mi) / si2 + np.abs(mj) / sj2,
              mi * mi / (2.0 * si2) + mj * mj / (2.0 * sj2)
              + 0.5 * (np.abs(np.log(si2)) + np.abs(np.log(sj2))) + 2.0)
@@ -119,32 +116,26 @@ def _pair_regions(coef, mu, var, I, J):
     0}`` of the pair coefficients ``coef``.
 
     It lies outside ``[base + r1, base + r2]`` where ``s_out`` is +1,
-    inside where -1.  The roots are ``(-b -+ sqrt(disc)) / (2a)``, with
-    ``b`` that of the quadratic in ``x - base``, or a line's ``-c/b`` with an open end at ``-inf`` or ``inf``; without a sign
-    change ``r1 = r2 = inf``.  ``slope[k]`` is ``|P'|`` at ``(r1, r2)[k]``,
-    0 at a non-root.  ``base`` is 0, except where ``disc = b*b - 4ac`` is
-    not finite or cancels to its own rounding error, which happens when
-    one variance is far below the other.  There ``disc`` takes its closed
-    form for two Gaussians, ``((mu_i - mu_j)^2 + (var_j - var_i)
-    log(var_j / var_i)) / (var_i var_j)``, whose terms are nonnegative,
-    and the roots are offsets from ``base``, the mean of the narrower
-    candidate, which a root can equal to every bit.
+    inside where -1.  A quadratic's roots are offsets from ``base``, the
+    mean of the narrower candidate, which a root can equal to every bit:
+    ``(-b' -+ sqrt(disc)) / (2a)``, with ``b' = (mu_i - mu_j) /
+    max(var_i, var_j)`` the ``b`` of the quadratic in ``x - base`` and
+    ``disc`` its discriminant in the closed form for two Gaussians,
+    ``((mu_i - mu_j)^2 + (var_j - var_i) log(var_j / var_i)) / (var_i
+    var_j)``, whose terms are nonnegative.  A line (``a = 0``) has
+    ``base`` 0, its root ``-c/b`` and an open end at ``-inf`` or ``inf``.
+    Without a sign change ``r1 = r2 = inf``.  ``slope[k]`` is ``|P'|`` at
+    ``(r1, r2)[k]``, 0 at a non-root.
     """
     inf = math.inf
     a, b, c = coef
-    base = np.zeros_like(a)
-    b_off = b.copy()
+    mi, mj = mu[I], mu[J]
+    si2, sj2 = var[I], var[J]
+    base = np.where(a != 0.0, np.where(si2 < sj2, mi, mj), 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        disc = b * b - 4.0 * a * c
-        noisy = np.flatnonzero((a != 0.0) & (
-            ~np.isfinite(disc) | (np.abs(disc) < 2.0 ** -52 * (b * b))))
-        mi, mj = mu[I[noisy]], mu[J[noisy]]
-        si2, sj2 = var[I[noisy]], var[J[noisy]]
-        disc[noisy] = ((mi - mj) ** 2 + (sj2 - si2) * np.log(sj2 / si2)) \
-            / si2 / sj2
-        base[noisy] = np.where(si2 < sj2, mi, mj)
-        # b of the quadratic in x - base
-        b_off[noisy] = (mi - mj) / np.maximum(si2, sj2)
+        d = mi - mj
+        disc = (d * d + (sj2 - si2) * np.log(sj2 / si2)) / si2 / sj2
+        b_off = d / np.maximum(si2, sj2)
         quad = (a != 0.0) & (disc > 0.0)
         sq = np.sqrt(np.where(quad, disc, 0.0))
         ra = (-b_off - sq) / (2.0 * a)
@@ -204,17 +195,17 @@ def _closed_form_counts(I, J, coef, sizes, region, cands, points):
 
     * each root of ``region`` (:func:`_pair_regions`) gets a band wide
       enough that ``|P| > slack`` just outside it, were the root exact;
-    * the signs of ``P`` are checked at the four band edges (or at the
-      vertex when ``P`` has no root), which proves each band holds a root
-      and that ``|P| > slack``, hence the stored comparison agrees with the
-      sign of ``P``, everywhere outside the bands.  The proof does not
-      rely on how accurate a root is: a band that misses its root fails a
-      check;
+    * the signs of ``P`` are checked at the band edges, which proves each
+      band holds a root and that ``|P| > slack``, hence the stored
+      comparison agrees with the sign of ``P``, everywhere outside the
+      bands.  The proof does not rely on how accurate a root is: a band
+      that misses its root fails a check;
     * points outside the bands are counted with ``searchsorted`` on the
       sorted holdout, and points inside are compared on the stored rows;
-    * a pair whose check fails (tangent, near-identical or identical
-      candidates, overflow) gets one band over the whole line, so every
-      point is compared on the stored rows.
+    * the one fallback: a pair whose check fails (tangent, near-identical
+      candidates, overflow) or that has no root (identical candidates, a
+      discriminant that is not finite) gets one band over the whole line,
+      so every point is compared on the stored rows.
     """
     n = points.shape[0]
     x = points[:, 0]
@@ -235,12 +226,9 @@ def _closed_form_counts(I, J, coef, sizes, region, cands, points):
         return (np.sign(p_t) == sign) & (np.abs(p_t) > slack + tol * size(t))
 
     slack = tol * size(max(abs(xs[0]), abs(xs[-1])))
-    flat = ~slope.any(axis=0)
+    # a pair without a root falls back
+    ok = slope.any(axis=0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # a P without roots has the sign of a at its vertex, with a margin
-        vertex = np.where(a != 0.0, -b / (2.0 * a), 0.0)
-        ok = ~flat | (holds(vertex, s_out)
-                      & ((a == 0.0) | (s_out == np.sign(a))))
         edges = []
         for r, d, sides in ((r1, slope[0], (s_out, -s_out)),
                             (r2, slope[1], (-s_out, s_out))):
@@ -250,7 +238,7 @@ def _closed_form_counts(I, J, coef, sizes, region, cands, points):
             ok &= (d == 0.0) | (np.isfinite(w) & holds(lo_e, sides[0])
                                 & holds(hi_e, sides[1]))
             edges += [np.where(d > 0.0, lo_e, r), np.where(d > 0.0, hi_e, r)]
-        ok &= flat | (edges[1] < edges[2])
+        ok &= edges[1] < edges[2]
     e1, e2, e3, e4 = (np.where(ok, e, full) for e, full in
                       zip(edges, (-math.inf, math.inf, math.inf, math.inf)))
     p1 = np.searchsorted(xs, e1, "left")
@@ -355,22 +343,22 @@ def _grid_masses(batch, grid: np.ndarray, I: np.ndarray, J: np.ndarray):
 
 
 def _pool_fractions(batch, own, start: int, salt: int,
-                    n_pool: int) -> np.ndarray:
+                    n_draws: int) -> np.ndarray:
     """Rows ``start:start + len(own)`` of ``prob_own``, where ``own`` are
     those rows' candidates and ``batch`` holds all ``m`` prepared:
     ``prob_own[i, j]`` is the share of candidate i's own MC pool where
     ``f_i > f_j``."""
     out = np.empty((len(own), batch.m))
     for r, cand in enumerate(own):
-        pool = sample(cand, n_pool, _pool_seed(cand, salt)).points
+        pool = sample(cand, n_draws, _pool_seed(cand, salt)).points
         ld = evaluate_log_densities(batch, pool)
         out[r] = np.count_nonzero(ld[start + r][None, :] > ld,
-                                  axis=1) / n_pool
+                                  axis=1) / n_draws
     return out
 
 
 def _split_tournament(cands, points: np.ndarray, I: np.ndarray,
-                      J: np.ndarray, strategy: str, seed, n_pool: int):
+                      J: np.ndarray, strategy: str, seed):
     """``(p_hat, p_i, p_j)`` per pair ``(I[k], J[k])``, in the pair list's
     order (see :func:`select_candidate`).  ``closed_form_1d`` runs
     in-process.  ``grid_1d`` and ``mc_pools`` split into units with the
@@ -405,8 +393,8 @@ def _split_tournament(cands, points: np.ndarray, I: np.ndarray,
     else:
         salt = int(as_generator(seed).integers(1 << 62))
         rows = _blocks(len(cands), POOL_BLOCKS_PER_WORKER * workers)
-        units += [(_pool_fractions, batch, cands[a:b], a, salt, n_pool)
-                  for a, b in rows]
+        units += [(_pool_fractions, batch, cands[a:b], a, salt,
+                   SCHEFFE_MC_POOL) for a, b in rows]
     done = _run_units(units)
     p_hat = sum(done[:len(cols)]) / len(points)
     done = done[len(cols):]
@@ -445,8 +433,8 @@ def _check_tournament_memory(m: int, strategy: str) -> None:
             f"available; lower the budget")
 
 
-def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
-                     n_pool: int = SCHEFFE_MC_POOL) -> SelectionResult:
+def select_candidate(cands, holdout: LabeledSample, eps: float,
+                     seed=0) -> SelectionResult:
     """Pick the candidate whose density best matches the holdout sample.
 
     Each pair ``(i, j) = (I[k], J[k])`` of the one pair list ``I, J =
@@ -468,16 +456,17 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
       comparison exactly, in ``O((m^2 + n) log n)`` time.
     * ``grid_1d`` (1-D mixtures present): quadrature on a shared grid.
     * ``mc_pools`` (above one dimension): per-candidate MC pools of
-      ``n_pool`` draws.  Their Monte Carlo error lies outside the
-      holdout's union bound, and ``n_pool`` does not bound it: for a learn
-      at eps 0.2 with m = 100, 5000 draws per pool bound the ``m^2`` pool
-      estimates (Hoeffding and a union bound at ``delta/2``) only to about
-      2.9 times the selection accuracy ``eps/16``.  So the
-      ``3*opt + 4*eps`` guarantee does not cover this strategy.
+      ``SCHEFFE_MC_POOL`` draws, read when the tournament runs.  Their
+      Monte Carlo error lies outside the holdout's union bound, and the
+      pool size does not bound it: for a learn at eps 0.2 with m = 100,
+      5000 draws per pool bound the ``m^2`` pool estimates (Hoeffding and
+      a union bound at ``delta/2``) only to about 2.9 times the selection
+      accuracy ``eps/16``.  So the ``3*opt + 4*eps`` guarantee does not
+      cover this strategy.
 
     ``grid_1d`` and ``mc_pools`` make ``O(m^2 n)`` holdout comparisons
-    (:func:`pairwise_greater_counts`), plus ``O(m^2 n_pool)`` density
-    terms for ``mc_pools``, on the candidates stacked once per tournament
+    (:func:`pairwise_greater_counts`), plus ``O(m^2)`` density terms per
+    pool draw for ``mc_pools``, on the candidates stacked once per tournament
     (:func:`prepare_log_densities`), with the same bits as per-candidate
     :func:`log_density` calls.  The work runs as units on the program's
     worker pool or in-process (see :func:`_split_tournament`); either way
@@ -510,7 +499,7 @@ def select_candidate(cands, holdout: LabeledSample, eps: float, seed=0,
     # the one pair list: every strategy returns its masses in this order
     I, J = np.triu_indices(len(cands), 1)
     p_hat, p_i, p_j = _split_tournament(cands, holdout.points, I, J,
-                                        strategy, seed, n_pool)
+                                        strategy, seed)
 
     i_wins = np.abs(p_i - p_hat) <= np.abs(p_j - p_hat)
     wins = np.bincount(I[i_wins], minlength=len(cands)) \

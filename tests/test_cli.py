@@ -334,6 +334,13 @@ def test_lowerbound_deterministic_output(tmp_path):
     b = json.loads((tmp_path / "b.json").read_text())
     assert a == b
 
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    fano = json.loads((tmp_path / "a.fano.json").read_text(),
+                      parse_constant=reject)
+    assert fano["tv_mc_fits"] == [] and fano["fitted_c"] is None
+
 
 @pytest.mark.parametrize("d", ["0", "-9"])
 def test_lowerbound_rejects_nonpositive_dimension(tmp_path, capsys, d):

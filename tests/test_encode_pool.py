@@ -98,8 +98,8 @@ def test_every_pool_unit_pickles_by_reference(monkeypatch):
     # mc_pools (2-D), grid_1d (1-D mixtures) and a gd encode
     pool_cands = [Gaussian(rng.standard_normal(2), np.eye(2))
                   for _ in range(3)]
-    select_candidate(pool_cands, sample(pool_cands[0], 50, rng), 0.1, 1,
-                     n_pool=50)
+    monkeypatch.setattr(learners, "SCHEFFE_MC_POOL", 50)
+    select_candidate(pool_cands, sample(pool_cands[0], 50, rng), 0.1, 1)
     cands = [Mixture([0.5, 0.5], [Gaussian([c], [[1.0]]),
                                   Gaussian([c + 2.0], [[1.0]])])
              for c in rng.standard_normal(3)]

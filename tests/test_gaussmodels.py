@@ -126,6 +126,8 @@ def test_mixture_rejects_mismatched_dims():
     with pytest.raises(DimensionMismatchError):
         Mixture([0.5, 0.5], [Gaussian([0.0], [[1.0]]),
                              Gaussian([0.0, 0.0], np.eye(2))])
+    with pytest.raises(ValidationError, match="components must be Gaussian"):
+        Mixture([1.0], ["x"])
 
 
 def test_sample_moments_and_labels():

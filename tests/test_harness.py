@@ -10,8 +10,8 @@ import pytest
 
 from compresslearn import (ExperimentConfig, ExperimentRow, Gaussian,
                            ValidationError, WorkerPoolError, derive_seed,
-                           harness, run_experiment, sample, select_candidate,
-                           summarize, utils, write_outputs)
+                           harness, learners, run_experiment, sample,
+                           select_candidate, summarize, utils, write_outputs)
 from compresslearn.compression import gd_codec
 from compresslearn.harness import (_splitmix64, rows_to_csv, run_manifest,
                                    summary_to_csv)
@@ -387,7 +387,9 @@ def hull_probe_config(n_grid=3, trials=5):
 def start_pool_with_selection():
     rng = np.random.default_rng(4)
     cands = [Gaussian(rng.standard_normal(2), np.eye(2)) for _ in range(3)]
-    select_candidate(cands, sample(cands[0], 50, rng), 0.1, 1, n_pool=50)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learners, "SCHEFFE_MC_POOL", 50)
+        select_candidate(cands, sample(cands[0], 50, rng), 0.1, 1)
 
 
 def start_pool_with_gd_encode():

@@ -160,31 +160,36 @@ def _all_pairs_fractions(cands, points):
 
 
 def _reference_region(gi, gj):
-    """Scalar region intervals of ``{f_i > f_j}`` for 1-D Gaussians."""
+    """Scalar region intervals of ``{f_i > f_j}`` for 1-D Gaussians, as
+    offsets from the returned ``base``: ``(intervals, base)``."""
     mi, si2 = float(gi.mean[0]), float(gi.cov[0, 0])
     mj, sj2 = float(gj.mean[0]), float(gj.cov[0, 0])
     inf = math.inf
     a = 0.5 / sj2 - 0.5 / si2
     b = mi / si2 - mj / sj2
-    c = mj * mj / (2.0 * sj2) - mi * mi / (2.0 * si2) \
-        + 0.5 * math.log(sj2 / si2)
+    log_ratio = float(np.log(sj2 / si2))
+    c = mj * mj / (2.0 * sj2) - mi * mi / (2.0 * si2) + 0.5 * log_ratio
     if a == 0.0:
         if b == 0.0:
-            return [(-inf, inf)] if c > 0.0 else []
+            return ([(-inf, inf)] if c > 0.0 else []), 0.0
         root = -c / b
-        return [(root, inf)] if b > 0.0 else [(-inf, root)]
-    disc = b * b - 4.0 * a * c
+        return ([(root, inf)] if b > 0.0 else [(-inf, root)]), 0.0
+    # the closed-form discriminant, and roots offset from the narrower mean
+    d = mi - mj
+    disc = (d * d + (sj2 - si2) * log_ratio) / si2 / sj2
+    base = mi if si2 < sj2 else mj
     if disc <= 0.0:
-        return [(-inf, inf)] if a > 0.0 else []
+        return ([(-inf, inf)] if a > 0.0 else []), base
     sq = math.sqrt(disc)
-    r1, r2 = sorted(((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)))
+    b_off = d / max(si2, sj2)
+    r1, r2 = sorted(((-b_off - sq) / (2.0 * a), (-b_off + sq) / (2.0 * a)))
     if a > 0.0:
-        return [(-inf, r1), (r2, inf)]
-    return [(r1, r2)]
+        return [(-inf, r1), (r2, inf)], base
+    return [(r1, r2)], base
 
 
-def _reference_mass(g, intervals):
-    mu = float(g.mean[0])
+def _reference_mass(g, intervals, base):
+    mu = float(g.mean[0]) - base
     sd = math.sqrt(float(g.cov[0, 0]))
     total = 0.0
     for lo, hi in intervals:
@@ -202,8 +207,8 @@ def _reference_select(cands, points):
     masses = []
     for k, (i, j) in enumerate(zip(*np.triu_indices(len(cands), 1))):
         region = _reference_region(cands[i], cands[j])
-        p_i = _reference_mass(cands[i], region)
-        p_j = _reference_mass(cands[j], region)
+        p_i = _reference_mass(cands[i], *region)
+        p_j = _reference_mass(cands[j], *region)
         masses.append((p_i, p_j))
         if abs(p_i - emp[k]) <= abs(p_j - emp[k]):
             wins[i] += 1
@@ -217,8 +222,9 @@ def _root_points(cands):
     out = []
     for i in range(len(cands)):
         for j in range(i + 1, len(cands)):
-            for lo, hi in _reference_region(cands[i], cands[j]):
-                for r in (lo, hi):
+            intervals, base = _reference_region(cands[i], cands[j])
+            for lo, hi in intervals:
+                for r in (lo + base, hi + base):
                     if math.isfinite(r):
                         out += [r, np.nextafter(r, -math.inf),
                                 np.nextafter(r, math.inf)]
@@ -274,12 +280,13 @@ def test_closed_form_fractions_match_all_pairs_exactly(name):
     np.testing.assert_array_equal(p_hat, _all_pairs_fractions(cands, points))
 
 
-@pytest.mark.parametrize("v", [1e-20, 1e-100, 1e-160])
+@pytest.mark.parametrize("v", [1e-2, 1e-6, 1e-20, 1e-100, 1e-160])
 @pytest.mark.parametrize("narrow_first", [True, False])
 def test_closed_form_masses_for_extreme_variance_ratios(v, narrow_first):
-    # {f_i > f_j} is about 7 (or more) sds of N(1, v) around 1 and, for
-    # the other order, its complement: either way p_i is about 1 and p_j
-    # about 0.  b*b - 4ac cancels to noise here, and overflows at 1e-160
+    # {f_i > f_j} is an interval of N(1, v) around 1 and, for the other
+    # order, its complement.  From 1e-20 down, b*b - 4ac cancels to noise
+    # (and overflows at 1e-160), the interval spans 7 or more sds, and
+    # p_i is about 1 and p_j about 0
     cands = [Gaussian([1.0], [[v]]), Gaussian([0.0], [[1.0]])]
     if not narrow_first:
         cands.reverse()
@@ -290,8 +297,14 @@ def test_closed_form_masses_for_extreme_variance_ratios(v, narrow_first):
         warnings.simplefilter("error")
         p_hat, p_i, p_j = _closed_form_1d(cands, points, np.array([0]),
                                           np.array([1]))
-    assert p_i[0] > 1.0 - 1e-9
-    assert p_j[0] < 1e-9
+    region = _reference_region(*cands)
+    np.testing.assert_array_equal(
+        (p_i[0], p_j[0]), [_reference_mass(g, *region) for g in cands])
+    if v <= 1e-20:
+        assert p_i[0] > 1.0 - 1e-9
+        assert p_j[0] < 1e-9
+    else:
+        assert p_i[0] > 0.85 and p_j[0] < 0.15
     np.testing.assert_array_equal(p_hat, _all_pairs_fractions(cands, points))
 
 

@@ -10,7 +10,7 @@ import pytest
 from compresslearn import (CompressLearnError, Gaussian, Mixture,
                            WorkerPoolError, log_densities, sample,
                            select_candidate)
-from compresslearn import utils
+from compresslearn import learners, utils
 from compresslearn.learners import _pool_seed, _shared_grid, _split_tournament
 from compresslearn.utils import as_generator
 
@@ -99,8 +99,9 @@ def run(cands, holdout, cpus, monkeypatch):
     """``(index, wins bytes, strategy)`` with ``cpus`` CPUs available."""
     with monkeypatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        mp.setattr(learners, "SCHEFFE_MC_POOL", N_POOL)
         res = select_candidate(cands, holdout, 0.1,
-                               np.random.default_rng(5), n_pool=N_POOL)
+                               np.random.default_rng(5))
     return (res.index, np.asarray(res.scheffe_wins, "<i8").tobytes(),
             res.strategy)
 
@@ -110,9 +111,10 @@ def masses(cands, holdout, cpus, monkeypatch):
     strategy = "grid_1d" if cands[0].dim == 1 else "mc_pools"
     with monkeypatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        mp.setattr(learners, "SCHEFFE_MC_POOL", N_POOL)
         out = _split_tournament(cands, holdout.points,
                                 *np.triu_indices(len(cands), 1), strategy,
-                                np.random.default_rng(5), N_POOL)
+                                np.random.default_rng(5))
     return [a.tobytes() for a in out]
 
 
@@ -155,8 +157,9 @@ def test_every_strategy_follows_the_pair_list_it_is_given(strategy, family,
     def masses(I, J):
         with monkeypatch.context() as mp:
             mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            mp.setattr(learners, "SCHEFFE_MC_POOL", N_POOL)
             return _split_tournament(cands, holdout.points, I, J, strategy,
-                                     np.random.default_rng(5), N_POOL)
+                                     np.random.default_rng(5))
 
     forward = masses(I, J)
     backward = masses(I[::-1], J[::-1])
