@@ -144,6 +144,8 @@ class PayloadLayout:
         """Uniform payload digits: one ``rng.integers(radix)`` per field, in
         wire order.
 
+        ``Codec.random_payload`` calls it; a capped learn does not, and
+        draws these digits for all its messages in one broadcast call.
         numpy draws the same digits from one broadcast call as from one
         call per field; below four fields the scalar calls are faster.
         """

@@ -20,7 +20,7 @@ from .errors import (
     SingularCovarianceError,
     ValidationError,
 )
-from .utils import as_generator
+from .utils import as_generator, check_integer
 
 # relative symmetry tolerance and relative eigenvalue floor for covariances
 COV_SYMMETRY_RTOL = 1e-10
@@ -291,8 +291,7 @@ def sample(dist: Distribution, n: int, seed) -> LabeledSample:
     does: a one-row tail joins the block before it, and a component's lone
     row in a block is transformed as a two-row block holding it twice.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValidationError(f"n must be an integer, got {n!r}")
+    check_integer(n, "n")
     if n < 0:
         raise ValidationError("n must be nonnegative")
     rng = as_generator(seed)

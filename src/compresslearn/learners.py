@@ -33,7 +33,7 @@ from .gaussmodels import (Distribution, Gaussian, LabeledSample, Mixture,
                           evaluate_log_densities, log_density,
                           prepare_log_densities, sample)
 from .utils import (POOL_BLOCKS_PER_WORKER, _blocks, _run_units,
-                    _worker_pool, as_generator)
+                    _worker_pool, as_generator, check_integer)
 
 SCHEFFE_MC_POOL = 5000      # MC draws per candidate for d > 1 region masses
 SCHEFFE_GRID_POINTS = 8193  # shared quadrature grid for 1-D mixtures
@@ -68,6 +68,7 @@ def holdout_size(n_candidates: int, eps: float, delta: float) -> int:
     ``test_tournament_selection_guarantee`` checks.
     """
     from operator import index  # squares a numpy integer without wrapping
+    check_integer(n_candidates, "n_candidates")
     if n_candidates < 1:
         raise ValidationError("need at least one candidate")
     if not (0.0 < eps < 1.0) or not (0.0 < delta < 1.0):
@@ -200,17 +201,19 @@ def _closed_form_counts(I, J, coef, sizes, region, cands, points):
       comparison agrees with the sign of ``P``, everywhere outside the
       bands.  The proof does not rely on how accurate a root is: a band
       that misses its root fails a check;
-    * points outside the bands are counted with ``searchsorted`` on the
-      sorted holdout, and points inside are compared on the stored rows;
+    * points outside the bands are counted with ``searchsorted`` on a
+      sorted copy ``xs`` of the holdout, looking each edge array up in
+      sorted key order, and points inside are compared on log-density
+      rows evaluated at ``xs``: a point's log density does not depend on
+      its position, and a range of ``xs`` holds the same points whatever
+      order the holdout came in (``-0.0`` and ``0.0`` compare equal);
     * the one fallback: a pair whose check fails (tangent, near-identical
       candidates, overflow) or that has no root (identical candidates, a
       discriminant that is not finite) gets one band over the whole line,
-      so every point is compared on the stored rows.
+      so every point is compared on those rows.
     """
     n = points.shape[0]
-    x = points[:, 0]
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
+    xs = np.sort(points[:, 0])
     tol = REGION_BAND_TOL
     a, b, c = coef
     r1, r2, s_out, slope, base = region
@@ -241,21 +244,28 @@ def _closed_form_counts(I, J, coef, sizes, region, cands, points):
         ok &= edges[1] < edges[2]
     e1, e2, e3, e4 = (np.where(ok, e, full) for e, full in
                       zip(edges, (-math.inf, math.inf, math.inf, math.inf)))
-    p1 = np.searchsorted(xs, e1, "left")
-    p2 = np.searchsorted(xs, e2, "right")
-    p3 = np.searchsorted(xs, e3, "left")
-    p4 = np.searchsorted(xs, e4, "right")
+    p1, p2, p3, p4 = (_sorted_lookup(xs, e, side) for e, side in
+                      ((e1, "left"), (e2, "right"), (e3, "left"),
+                       (e4, "right")))
     counts = np.where(s_out > 0.0, p1 + (n - p4), p3 - p2)
     banded = np.flatnonzero((p2 > p1) | (p4 > p3))
     needed = np.unique(np.concatenate((I[banded], J[banded])))
     # one n-float row per call, not one (len(needed), n) block: on learn_1d
     # that block made the allocator keep about 13 MB more heap resident
-    ld = {int(k): np.atleast_1d(log_density(cands[k], points))
-          for k in needed}
+    ld = {int(k): log_density(cands[k], xs[:, None]) for k in needed}
     for k in banded:
-        cols = np.concatenate((order[p1[k]:p2[k]], order[p3[k]:p4[k]]))
-        counts[k] += np.count_nonzero(ld[I[k]][cols] > ld[J[k]][cols])
+        for lo, hi in ((p1[k], p2[k]), (p3[k], p4[k])):
+            counts[k] += np.count_nonzero(ld[I[k]][lo:hi] > ld[J[k]][lo:hi])
     return counts
+
+
+def _sorted_lookup(xs: np.ndarray, keys: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(xs, keys, side)``, searched in sorted key order,
+    which numpy walks faster; the result does not depend on that order."""
+    order = np.argsort(keys)
+    out = np.empty(keys.shape, dtype=np.intp)
+    out[order] = np.searchsorted(xs, keys[order], side)
+    return out
 
 
 def _closed_form_1d(cands, points: np.ndarray, I: np.ndarray,
@@ -452,8 +462,9 @@ def select_candidate(cands, holdout: LabeledSample, eps: float,
 
     * ``closed_form_1d`` (1-D Gaussians, in-process): closed-form region
       masses, and holdout counts from each region's endpoints with
-      ``searchsorted`` on the sorted holdout, which equal the all-pairs
-      comparison exactly, in ``O((m^2 + n) log n)`` time.
+      ``searchsorted`` on a sorted copy of the holdout, which equal the
+      all-pairs comparison exactly, in ``O((m^2 + n) log n)`` time (see
+      :func:`_closed_form_counts`).
     * ``grid_1d`` (1-D mixtures present): quadrature on a shared grid.
     * ``mc_pools`` (above one dimension): per-candidate MC pools of
       ``SCHEFFE_MC_POOL`` draws, read when the tournament runs.  Their
@@ -539,6 +550,7 @@ def _encoding_size(codec: Codec, eps: float, delta: float,
     """Check the reduction's arguments; return its encoding prefix length."""
     if not (0.0 < eps <= 1.0) or not (0.0 < delta < 1.0):
         raise ValidationError("eps must be in (0, 1] and delta in (0, 1)")
+    check_integer(budget, "budget")
     if budget < 1:
         raise ValidationError("budget must be at least 1")
     return codec.m_samples(eps / ENUM_ACCURACY_DIV) * _boost_rounds(delta)
@@ -563,10 +575,12 @@ def learn_from_compression(codec: Codec, samp: LabeledSample, eps: float,
     ``extra_messages``, which are decoded first), a uniform random subset
     of messages is drawn instead and the result is flagged
     ``budget_capped``.  The messages, planted ones first, decode as one
-    batch of reference and payload-digit rows (``codec.decode_batch``);
-    each sampled message draws its references, then its payload.  A
-    message that decodes to no distribution is dropped, a candidate whose
-    covariance :class:`Gaussian` cannot evaluate included, so
+    batch of reference and payload-digit rows (``codec.decode_batch``).
+    The sampled messages come from one broadcast ``rng.integers`` call,
+    which makes each message's reference draws, then its payload-digit
+    draws, message after message.  A message that decodes to no
+    distribution is dropped, a candidate whose covariance
+    :class:`Gaussian` cannot evaluate included, so
     ``candidate_count`` can fall well below ``budget``: about half of the
     sampled g1d messages decode to a negative scale (126 to 138 of 300 in
     four seeded learns at eps 0.2).  Selection runs on a fresh holdout
@@ -609,10 +623,12 @@ def learn_from_compression(codec: Codec, samp: LabeledSample, eps: float,
     for i, (row, payload) in enumerate(gated):
         refs[i], digits[i] = row, payload
     if capped:
-        # the RNG calls of one message and its random_payload, in order
-        for i in range(len(gated), n_rows):
-            refs[i] = rng.integers(n_enc, size=tau)
-            digits[i] = layout.random_digits(rng)
+        # numpy draws a broadcast bound row-major, so each message gets the
+        # draws of rng.integers(n_enc, size=tau), then those of
+        # layout.random_digits(rng) (its digits in wire order)
+        highs = np.array((n_enc,) * tau + layout.radices, dtype=np.int64)
+        drawn = rng.integers(0, np.broadcast_to(highs, (n_fill, len(highs))))
+        refs[len(gated):], digits[len(gated):] = drawn[:, :tau], drawn[:, tau:]
     else:
         tuples = np.array(list(itertools.product(range(n_enc), repeat=tau)),
                           dtype=np.int64)
@@ -639,6 +655,7 @@ def learn_from_compression(codec: Codec, samp: LabeledSample, eps: float,
 
 def efficient_sample_size(d: int, eps: float, delta: float) -> int:
     """Even sample size ``2m`` for :func:`learn_gaussian_efficient`."""
+    check_integer(d, "d")
     if d < 1:
         raise ValidationError("d must be >= 1")
     if not (0.0 < eps < 1.0) or not (0.0 < delta < 1.0):

@@ -1,6 +1,6 @@
-"""Small shared helpers: RNG coercion, and the program's one worker pool,
-which runs the Scheffe tournament's, the gd encoder's and the harness
-trials' independent units."""
+"""Small shared helpers: integer checks, RNG coercion, and the program's
+one worker pool, which runs the Scheffe tournament's, the gd encoder's and
+the harness trials' independent units."""
 
 from __future__ import annotations
 
@@ -10,6 +10,13 @@ import os
 import numpy as np
 
 from .errors import ValidationError, WorkerPoolError
+
+
+def check_integer(value, name: str) -> None:
+    """Raise :class:`ValidationError` unless ``value`` is a Python or numpy
+    integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def as_generator(seed) -> np.random.Generator:

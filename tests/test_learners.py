@@ -20,8 +20,8 @@ from compresslearn import (Gaussian, LabeledSample, Mixture,
                            learn_from_compression, learn_gaussian_efficient,
                            log_density, sample, select_candidate, tv_1d)
 from compresslearn.compression import (CompressionMessage, Codec, SCHEME_G1D,
-                                       PayloadLayout, compose_mixture,
-                                       g1d_codec, gd_codec)
+                                       PayloadLayout, codec_for,
+                                       compose_mixture, g1d_codec, gd_codec)
 from compresslearn.learners import (TOURNAMENT_PAIR_BYTES, _boost_rounds,
                                     _check_tournament_memory,
                                     _closed_form_1d, _mem_available)
@@ -52,6 +52,9 @@ def test_holdout_size_formula():
     assert holdout_size(20, 0.1, 0.2) == 435
     with pytest.raises(ValidationError):
         holdout_size(0, 0.1, 0.2)
+    for count in (20.0, True, "20"):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            holdout_size(count, 0.1, 0.2)
 
 
 def test_holdout_size_squares_numpy_integers_exactly():
@@ -265,14 +268,23 @@ def _adversarial_sets():
                      zip(rng.normal(0.0, 1.5, 12),
                          rng.choice([0.5, 1.0, 2.25], 12))]
     # integers are exact midpoints of the equal-variance pairs
-    return {name: (cands, np.concatenate((noise, np.arange(-3.0, 4.0),
-                                          _root_points(cands)))[:, None])
-            for name, cands in sets.items()}
+    out = {name: (cands, np.concatenate((noise, np.arange(-3.0, 4.0),
+                                         _root_points(cands)))[:, None])
+           for name, cands in sets.items()}
+    # counts do not depend on holdout order: repeated points, both zeros
+    # (the midpoint of the first two) and every root point, all descending
+    cands = [Gaussian([-1.0], [[v]]), Gaussian([1.0], [[v]]),
+             Gaussian([-0.0], [[0.5]]), Gaussian([0.0], [[4.0]])] \
+        + sets["mixed"][:6]
+    points = np.concatenate((noise[:200], noise[:200], [0.0, -0.0] * 3,
+                             _root_points(cands), _root_points(cands)))
+    out["descending"] = (cands, np.sort(points)[::-1, None])
+    return out
 
 
 @pytest.mark.parametrize("name", ["identical", "equal variances",
                                   "equal means", "far root", "tangent",
-                                  "ulp variances", "mixed"])
+                                  "ulp variances", "mixed", "descending"])
 def test_closed_form_fractions_match_all_pairs_exactly(name):
     cands, points = _adversarial_sets()[name]
     i_idx, j_idx = np.triu_indices(len(cands), 1)
@@ -471,6 +483,66 @@ def test_learn_from_compression_budget_caps_sampling():
     assert res.candidate_count <= budget
 
 
+class _Drawn(Exception):
+    """Stops a learn at its decode, once its messages are drawn."""
+
+
+def _radix_codec(radices) -> Codec:
+    """Two references and one payload field per radix; never decodes."""
+    widths = [max(1, (r - 1).bit_length()) for r in radices]
+    return Codec.from_layout(
+        "radices", SCHEME_G1D, None, None,
+        lambda eps: PayloadLayout(radices, widths), dim=1,
+        tau=lambda eps: 2, m_samples=lambda eps: 5, robustness=0.0)
+
+
+_DRAW_CODECS = {
+    "g1d": codec_for("g1d", Gaussian([1.5], [[4.0]])),
+    "g1d_robust": codec_for("g1d_robust", Gaussian([1.5], [[4.0]])),
+    "gd": codec_for("gd", Gaussian([0.5, -1.0], [[2.0, 0.5], [0.5, 1.0]])),
+    "axis": codec_for("axis", Gaussian([0.5, -1.0], [[2.0, 0.0],
+                                                     [0.0, 1.0]])),
+    "mixture": codec_for("mixture", Mixture(
+        [0.4, 0.6], [Gaussian([-2.0], [[1.0]]), Gaussian([3.0], [[2.0]])])),
+    "radix 1": _radix_codec([1]),
+    "radix 2^32": _radix_codec([1 << 32]),
+    "radix 2^32+1": _radix_codec([(1 << 32) + 1]),
+    "radix 2^62": _radix_codec([1 << 62]),
+    "radices 1, 2^32, 2^32+1": _radix_codec([1, 1 << 32, (1 << 32) + 1]),
+}
+
+
+@pytest.mark.parametrize("name", list(_DRAW_CODECS))
+def test_capped_learn_draws_the_per_message_calls(name):
+    """A capped learn's one broadcast draw gives each message the
+    references of ``rng.integers(n_enc, size=tau)`` and then the digits of
+    ``layout.random_digits(rng)``, and leaves the generator where those
+    calls, message by message, leave it."""
+    eps, delta, budget = 0.2, 0.1, 40
+    e_enum = eps / 6.0
+    drawn = []
+
+    def capture(refs, digits, points, e):
+        drawn.append((refs.copy(), digits.copy()))
+        raise _Drawn
+
+    codec = dataclasses.replace(_DRAW_CODECS[name], decode_rows=capture)
+    n_enc = codec.m_samples(e_enum) * _boost_rounds(delta)
+    tau, layout, dim = codec.tau(e_enum), codec.layout(e_enum), codec.dim
+    assert n_enc ** tau * layout.count > budget  # the learn is capped
+    learned = np.random.default_rng(76)
+    with pytest.raises(_Drawn):
+        learn_from_compression(codec, LabeledSample(np.zeros((n_enc, dim))),
+                               eps, delta, budget, learned)
+    replayed = np.random.default_rng(76)
+    rows = [(replayed.integers(n_enc, size=tau),
+             layout.random_digits(replayed)) for _ in range(budget)]
+    refs, digits = drawn[0]
+    np.testing.assert_array_equal(refs, [r for r, _ in rows])
+    np.testing.assert_array_equal(digits, [d for _, d in rows])
+    assert learned.integers(1 << 62) == replayed.integers(1 << 62)
+
+
 def test_learn_from_compression_extras_count_against_budget():
     codec = toy_codec()
     target = Gaussian([0.0], [[1.0]])
@@ -510,7 +582,7 @@ def test_learn_fails_when_no_message_decodes():
 
 @pytest.mark.parametrize("eps, delta, budget", [
     (0.3, 0.0, 10), (0.0, 0.3, 10), (1.5, 0.3, 10), (0.3, 1.0, 10),
-    (0.3, 0.3, 0)])
+    (0.3, 0.3, 0), (0.3, 0.3, 100.0), (0.3, 0.3, "100"), (0.3, 0.3, True)])
 def test_sample_size_and_learner_share_one_argument_check(eps, delta, budget):
     codec = toy_codec()
     with pytest.raises(ValidationError) as sized:
@@ -558,6 +630,10 @@ def test_efficient_sample_size_formula():
     expected = 2 * math.ceil(c * (d * d + d * math.log(1.0 / delta))
                              / eps ** 2)
     assert efficient_sample_size(d, eps, delta) == expected
+    assert efficient_sample_size(np.int64(d), eps, delta) == expected
+    for bad in (2.5, 5.0, True):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            efficient_sample_size(bad, eps, delta)
 
 
 def test_learn_gaussian_efficient_exact_arithmetic():
