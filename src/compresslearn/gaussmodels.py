@@ -214,7 +214,13 @@ Distribution = Union[Gaussian, Mixture]
 
 @dataclass(frozen=True)
 class LabeledSample:
-    """A batch of sample points with optional per-point component labels."""
+    """A batch of sample points with optional per-point component labels.
+
+    ``labels`` must be integers: an integer array is kept as given, in its
+    own dtype (:func:`sample` stores them in uint8 up to 256 components),
+    and a list of Python ints becomes an int64 array.  Floats and bools
+    raise :class:`ValidationError`.
+    """
 
     points: np.ndarray
     labels: Optional[np.ndarray] = None
@@ -225,7 +231,12 @@ class LabeledSample:
             raise ValidationError("points must have shape (n, d)")
         object.__setattr__(self, "points", _freeze(pts))
         if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=np.int64)
+            lab = np.asarray(self.labels)
+            if lab.dtype.kind not in "iu":
+                if lab.size:
+                    raise ValidationError(
+                        f"labels must be integers, got dtype {lab.dtype}")
+                lab = lab.astype(np.int64)  # an empty list reads as float64
             if lab.shape != (pts.shape[0],):
                 raise ValidationError("labels must have shape (n,)")
             object.__setattr__(self, "labels", _freeze(lab))
@@ -266,21 +277,24 @@ def sample(dist: Distribution, n: int, seed) -> LabeledSample:
     """Draw ``n`` points from ``dist``.
 
     Gaussian draws are ``mean + z @ sqrt_cov`` with ``z`` standard normal;
-    mixture draws carry the component index of each point in ``labels``.
+    mixture draws carry the component index of each point in ``labels``,
+    stored in the narrowest unsigned dtype that holds ``k - 1``
+    (``np.min_scalar_type``: uint8 up to 256 components, uint16 beyond).
     ``n`` must be a Python or numpy integer.  A draw that numpy cannot
     allocate raises :class:`ValidationError`, naming ``n`` and ``d``.
 
     Temporary memory: ``z`` is drawn into the output array and transformed
     in place over blocks of ``_SAMPLE_CHUNK_ROWS`` rows, and a mixture's
-    labels are drawn block by block, so beyond the output (points and
-    labels) a draw holds a few blocks' worth of bytes.  At n = 10**6 and
-    d = 2 it peaks at 1.11 times the output for a Gaussian and 1.06 times
-    for a two-component mixture.  A mixture's points and labels are views
-    of one buffer, freed together.  A separate labels array can sit under
-    glibc's adaptive mmap threshold (up to 32 MiB) while the points sit
-    above it; after one such free the next lands on the heap, where a
-    freed copy can stay resident, so a learn's peak RSS would vary by one
-    labels array from run to run.
+    labels are drawn and counted block by block, so beyond the output
+    (points and labels) a draw holds a few blocks' worth of bytes.  At
+    n = 10**6 and d = 2 it peaks at 1.07 times the output for a Gaussian
+    and 1.09 times for a two-component mixture.  A mixture's points and
+    labels are views of one byte buffer of ``n * (8 d + itemsize)`` bytes,
+    freed together.  A separate labels array can sit under glibc's
+    adaptive mmap threshold (up to 32 MiB) while the points sit above it;
+    after one such free the next lands on the heap, where a freed copy
+    can stay resident, so a learn's peak RSS would vary by one labels
+    array from run to run.
 
     The bits and RNG calls are those of ``rng.choice(k, size=n, p=weights)``
     and then ``mean + z @ sqrt_cov`` in fresh arrays, one matmul per
@@ -302,17 +316,22 @@ def sample(dist: Distribution, n: int, seed) -> LabeledSample:
                 pts[a:b] = _affine(pts[a:b], dist)
             return LabeledSample(points=pts)
         if isinstance(dist, Mixture):
+            k, d = dist.n_components, dist.dim
             cdf = dist.weights.cumsum()
             cdf /= cdf[-1]
             # points and labels share one allocation (see the docstring)
-            buf = np.empty(n * (dist.dim + 1))
-            pts = buf[:n * dist.dim].reshape(n, dist.dim)
-            labels = buf[n * dist.dim:].view(np.int64)
+            label_type = np.min_scalar_type(k - 1)
+            buf = np.empty(n * (8 * d + label_type.itemsize), dtype=np.uint8)
+            pts = buf[:8 * n * d].view(np.float64).reshape(n, d)
+            labels = buf[8 * n * d:].view(label_type)
+            counts = np.zeros(k, dtype=np.int64)
             for a, b in _row_blocks(n):
-                labels[a:b] = cdf.searchsorted(rng.random(b - a),
-                                               side="right")
+                block_labels = cdf.searchsorted(rng.random(b - a),
+                                                side="right")
+                counts += np.bincount(block_labels, minlength=k)
+                labels[a:b] = block_labels
             rng.standard_normal(out=pts)
-            multi = np.bincount(labels, minlength=dist.n_components) > 1
+            multi = counts > 1
             for a, b in _row_blocks(n):
                 block, block_labels = pts[a:b], labels[a:b]
                 for c, comp in enumerate(dist.components):

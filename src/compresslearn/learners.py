@@ -158,26 +158,26 @@ def _pair_regions(coef, mu, var, I, J):
 def _region_masses(mu, var, I, J, region):
     """Masses candidates ``I`` and ``J`` give to ``{f_i > f_j}``, per pair.
 
-    The region of :func:`_pair_regions` is two intervals ``(lo, hi)``:
-    ``(-inf, r1)`` and ``(r2, inf)`` outside the roots, or ``(r1, r2)`` and
-    an unused ``(inf, inf)``, which adds exactly zero mass, inside them,
-    all offsets from ``base``.
+    The region of :func:`_pair_regions` is ``(-inf, r1)`` and ``(r2, inf)``
+    outside the roots, or ``(r1, r2)`` inside them, all offsets from
+    ``base``.  With ``u`` and ``v`` the normal CDF at ``r1`` and ``r2``,
+    the masses are ``(u - 0) + (1 - v)`` and ``(v - u) + 0``: the sums of
+    two interval differences, where ``ndtr(-inf)`` is exactly 0 and
+    ``ndtr(inf)`` exactly 1 (an unused ``(inf, inf)`` interval inside).
     """
     # scipy.special loads on first use, not when the package is imported
     from scipy.special import ndtr
 
-    inf = math.inf
     r1, r2, s_out, _, base = region
     out = s_out > 0.0
-    lo = (np.where(out, -inf, r1), np.where(out, r2, inf))
-    hi = (np.where(out, r1, r2), inf)
 
     def mass(k):
         # exactly mu[k] where base is 0
         m_k = mu[k] - base
         sd = np.sqrt(var[k])
-        total = (ndtr((hi[0] - m_k) / sd) - ndtr((lo[0] - m_k) / sd)) \
-            + (ndtr((hi[1] - m_k) / sd) - ndtr((lo[1] - m_k) / sd))
+        u = ndtr((r1 - m_k) / sd)
+        v = ndtr((r2 - m_k) / sd)
+        total = np.where(out, (u - 0.0) + (1.0 - v), (v - u) + 0.0)
         return np.minimum(1.0, np.maximum(0.0, total))
 
     return mass(I), mass(J)

@@ -143,6 +143,21 @@ def test_sample_moments_and_labels():
         5.0, abs=0.1)
 
 
+@pytest.mark.parametrize("k, dtype", [(1, np.uint8), (2, np.uint8),
+                                      (256, np.uint8), (257, np.uint16)])
+def test_sample_stores_labels_in_the_narrowest_unsigned_dtype(k, dtype):
+    mix = Mixture(np.full(k, 1.0 / k),
+                  [Gaussian([float(c)], [[1.0]]) for c in range(k)])
+    n = 1001
+    samp = sample(mix, n, 5)
+    assert samp.labels.dtype == dtype
+    assert samp.labels.nbytes == n * np.dtype(dtype).itemsize
+    # one allocation, so a freed sample frees both
+    assert samp.labels.base is samp.points.base
+    assert samp.points.base.nbytes == samp.points.nbytes + samp.labels.nbytes
+    assert samp.labels.max() < k
+
+
 def test_sample_gaussian_covariance_close():
     cov = np.array([[2.0, 0.6], [0.6, 1.0]])
     samp = sample(Gaussian([1.0, -1.0], cov), 40000, 3)
@@ -213,15 +228,17 @@ def _sample_peak_ratio(dist, n: int) -> float:
                          Gaussian([2.0, 1.0], [[1.5, 0.3], [0.3, 0.8]])])],
     ids=["gaussian", "mixture"])
 def test_sample_temporary_memory(dist):
-    # the draws are transformed in place over fixed row blocks, so a draw
-    # holds O(block) bytes beyond its output (1.11x and 1.06x; 2.05x and
-    # 1.71x when a Gaussian held its draws next to the output and a
-    # mixture gathered a whole component's rows)
+    # the draws are transformed in place over fixed row blocks, and a
+    # mixture's labels are counted per block (a whole-array bincount of
+    # uint8 labels makes an 8n-byte intp temporary), so a draw holds
+    # O(block) bytes beyond its output (1.07x and 1.09x; 2.05x and 1.71x
+    # when a Gaussian held its draws next to the output and a mixture
+    # gathered a whole component's rows)
     assert _sample_peak_ratio(dist, 10 ** 6) <= 1.25
 
 
-# learn_2d's mixture draw: its labels (31 MB) sit under glibc's 32 MiB
-# adaptive mmap threshold, its points above it
+# learn_2d's mixture draw: a separate labels array (3.9 MB of uint8) would
+# sit under glibc's 32 MiB adaptive mmap threshold, its points above it
 REPEATED_MIXTURE_DRAWS = textwrap.dedent("""
     import json
     import compresslearn as cl
@@ -267,6 +284,32 @@ def test_labeled_sample_validation():
         LabeledSample(np.zeros((4, 1)), labels=np.zeros(3, dtype=np.int64))
     with pytest.raises(ValidationError):
         LabeledSample(np.zeros(4))
+
+
+@pytest.mark.parametrize("labels", [
+    [0.7, 1.9], np.array([0.0, 1.0]), np.array([True, False]),
+    [True, False], ["0", "1"]], ids=["float list", "float array",
+                                     "bool array", "bool list", "strings"])
+def test_labeled_sample_rejects_labels_that_are_not_integers(labels):
+    # a cast would truncate: [0.7, 1.9] would read as [0, 1]
+    with pytest.raises(ValidationError, match="labels must be integers"):
+        LabeledSample(np.zeros((2, 1)), labels=labels)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64])
+def test_labeled_sample_keeps_integer_labels_without_a_copy(dtype):
+    labels = np.array([0, 1, 1], dtype=dtype)
+    samp = LabeledSample(np.zeros((3, 1)), labels=labels)
+    assert samp.labels is labels
+    assert samp.labels.dtype == dtype
+    assert not samp.labels.flags.writeable
+
+
+@pytest.mark.parametrize("labels", [[0, 2, 1], []], ids=["ints", "empty"])
+def test_labeled_sample_accepts_a_list_of_ints(labels):
+    samp = LabeledSample(np.zeros((len(labels), 1)), labels=labels)
+    assert samp.labels.dtype == np.int64
+    assert samp.labels.tolist() == labels
 
 
 @pytest.mark.parametrize("dist", [

@@ -43,6 +43,10 @@ def _targets() -> dict:
 
 
 TARGETS = _targets()
+# more components than uint8 labels hold: checked against rng.choice,
+# not hashed into the digests
+WIDE_LABELS = Mixture(np.full(257, 1.0 / 257),
+                      [_gaussian(2, c + 1) for c in range(257)])
 
 
 def sample_digest(name: str, kind: str, ns=NS) -> str:
@@ -203,8 +207,18 @@ SMALL_CHUNK_NS = (0, 1, 2, 3, 4, 5, 8, 15, 64, 1001, 5003)
 def test_sample_matches_one_matmul_at_any_chunk(monkeypatch, name, chunk):
     """Splitting the draw into blocks of ``chunk`` rows keeps every bit
     and RNG call; at d >= 5 a one-row matmul would not."""
+    _check_one_matmul(monkeypatch, TARGETS[name], chunk)
+
+
+@pytest.mark.parametrize("chunk", [7, gaussmodels._SAMPLE_CHUNK_ROWS])
+def test_sample_matches_one_matmul_with_uint16_labels(monkeypatch, chunk):
+    """257 components take uint16 labels; at chunk 7 most components
+    have a lone row in a block."""
+    _check_one_matmul(monkeypatch, WIDE_LABELS, chunk)
+
+
+def _check_one_matmul(monkeypatch, dist, chunk):
     monkeypatch.setattr(gaussmodels, "_SAMPLE_CHUNK_ROWS", chunk)
-    dist = TARGETS[name]
     for n in SMALL_CHUNK_NS:
         rng, ref_rng = (np.random.default_rng([n, chunk]) for _ in range(2))
         samp = sample(dist, n, rng)
